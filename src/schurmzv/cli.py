@@ -231,6 +231,8 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             ladder = tuple(int(m) for m in args.ladder.split(","))
         except ValueError as exc:
             raise ParseError(f"--ladder: {exc}") from exc
+    if getattr(args, "M", None) is not None and args.M < 1:
+        raise ParseError(f"-M must be at least 1, got {args.M}")
     if tolerance <= 0:
         raise ParseError(f"tolerance must be positive, got {tolerance}")
     if cap < 1:

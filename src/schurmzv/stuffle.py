@@ -287,10 +287,6 @@ class RegJTReport:
     det_t_spread: float
     lhs_degree: int
 
-    @property
-    def ok(self) -> bool:
-        return True  # informational; callers compare max_discrepancy to tol
-
 
 def regularized_jt_check(
     k: DiagonalTableau,

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -44,6 +44,29 @@ def _gen_weight(g: str) -> int:
     if g == "T":
         return 1
     return int(g[1:])
+
+
+def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
+    """Product of two sorted monomials, by merging."""
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (g1, e1), (g2, e2) = m1[i], m2[j]
+        if g1 == g2:
+            out.append((g1, e1 + e2))
+            i += 1
+            j += 1
+        elif _gen_sort_key(g1) < _gen_sort_key(g2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def monomial_weight(mono: Monomial) -> int:
@@ -110,6 +133,14 @@ class ZetaSymbolValue:
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
+    @classmethod
+    def _canonical(cls, terms: Dict[Monomial, Fraction]) -> "ZetaSymbolValue":
+        """Wrap terms that are already canonical: sorted monomials, no zero
+        coefficients, Fraction coefficients.  Skips the constructor's checks."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
     def __add__(self, other: object) -> "ZetaSymbolValue":
         if isinstance(other, (int, Fraction)):
             other = ZetaSymbolValue.rational(other)
@@ -117,13 +148,20 @@ class ZetaSymbolValue:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return ZetaSymbolValue(out)
+            if m in out:
+                s = out[m] + c
+                if s:
+                    out[m] = s
+                else:
+                    del out[m]
+            else:
+                out[m] = c
+        return ZetaSymbolValue._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ZetaSymbolValue":
-        return ZetaSymbolValue({m: -c for m, c in self.terms.items()})
+        return ZetaSymbolValue._canonical({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "ZetaSymbolValue":
         return self + (-other if isinstance(other, ZetaSymbolValue) else ZetaSymbolValue.rational(-Fraction(other)))
@@ -133,18 +171,17 @@ class ZetaSymbolValue:
 
     def __mul__(self, other: object) -> "ZetaSymbolValue":
         if isinstance(other, (int, Fraction)):
-            return ZetaSymbolValue({m: c * other for m, c in self.terms.items()})
+            if not other:
+                return ZetaSymbolValue.zero()
+            return ZetaSymbolValue._canonical({m: c * other for m, c in self.terms.items()})
         if not isinstance(other, ZetaSymbolValue):
             return NotImplemented
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                exps: Dict[str, int] = dict(m1)
-                for g, e in m2:
-                    exps[g] = exps.get(g, 0) + e
-                key = tuple(sorted(exps.items(), key=lambda p: _gen_sort_key(p[0])))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ZetaSymbolValue(out)
+                key = _mono_mul(m1, m2)
+                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        return ZetaSymbolValue._canonical({m: c for m, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -232,28 +269,36 @@ def to_json_dict(v: ZetaSymbolValue) -> Dict[str, str]:
 
 
 def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
-    """Determinant by cofactor expansion (division-free; intended n <= 6)."""
+    """Determinant by Laplace expansion memoized on column subsets.
+
+    Division-free.  Rows are expanded bottom to top: after k rows, a table
+    maps each k-column bitmask to the minor of the last k rows on those
+    columns, and the next level is built only from the masks reached, with
+    zero entries and zero minors skipped.  That is at most 2^n subset
+    minors, each a sum of at most n products: n * 2^(n-1) ring
+    multiplications instead of the n! of a plain cofactor expansion.
+    Each minor adds its terms in ascending column order, as a first-row
+    cofactor expansion does, so the result lists its terms in the same
+    order, and float sums over them (numeric_value) come out the same.
+    """
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise PreconditionError("determinant needs a square matrix")
-    if n == 0:
-        return ZetaSymbolValue.one()
-
-    def rec(rs: List[Sequence[ZetaSymbolValue]], cols: Tuple[int, ...]) -> ZetaSymbolValue:
-        if len(cols) == 1:
-            return rs[0][cols[0]]
-        total = ZetaSymbolValue.zero()
-        for pos, c in enumerate(cols):
-            a = rs[0][c]
-            if not a:
-                continue
-            sub = rec(rs[1:], cols[:pos] + cols[pos + 1 :])
-            term = a * sub
-            total = total + (term if pos % 2 == 0 else -term)
-        return total
-
-    return rec(list(rows), tuple(range(n)))
+    minors: Dict[int, ZetaSymbolValue] = {0: ZetaSymbolValue.one()}
+    for row in reversed(rows):
+        entries = [(1 << c, a) for c, a in enumerate(row) if a]
+        level: Dict[int, ZetaSymbolValue] = {}
+        for key in {m | bit for m in minors for bit, _ in entries if not m & bit}:
+            total = ZetaSymbolValue.zero()
+            for bit, a in entries:
+                if key & bit and (key ^ bit) in minors:
+                    term = a * minors[key ^ bit]
+                    total = total + (-term if (key & (bit - 1)).bit_count() & 1 else term)
+            if total:
+                level[key] = total
+        minors = level
+    return minors.get((1 << n) - 1, ZetaSymbolValue.zero())
 
 
 def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:

@@ -338,6 +338,12 @@ class TestEvaluate13:
         rep = evaluate_checkerboard_13(t)
         assert sym_det(rep.display_matrix) * rep.prefactor == rep.value
 
+    def test_eight_by_eight_square_by_both_guides(self):
+        t = checkerboard((8,) * 8)
+        rep = evaluate_checkerboard_13(t)
+        assert evaluate_checkerboard_13_column(t) == rep.value
+        assert len(rep.value.terms) == 2998
+
     def test_family_supports(self):
         cases = [
             ((10, 9, 6, 5, 2), (6, 3, 2, 1), 1, "SStar", {"P"}),

@@ -123,6 +123,13 @@ class TestEval:
         assert rc == 0
         assert doc["result"]["value"] == "0"
 
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_m_below_one_rejected(self, tmp_path, capsys, m):
+        path = grid(tmp_path, "sq.tab", SQUARE)
+        rc, doc = run_json(tmp_path, capsys, "eval", "-M", m, path)
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+
     def test_extrapolate_uses_ladder(self, tmp_path, capsys):
         path = grid(tmp_path, "hook.tab", HOOK_111)
         rc, doc = run_json(
@@ -221,6 +228,16 @@ class TestJTCheck:
         ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
         rc, doc = run_json(tmp_path, capsys, "jt-check", "--ribbon", ribbon, tab)
         assert rc == 2
+
+    @pytest.mark.parametrize("m", ["0", "-5"])
+    def test_m_below_one_rejected(self, tmp_path, capsys, m):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
+        rc, doc = run_json(
+            tmp_path, capsys, "jt-check", "-M", m, "--ribbon", ribbon, tab
+        )
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
 
     def test_regularized_square(self, tmp_path, capsys):
         tab = grid(tmp_path, "sq.tab", SQUARE)

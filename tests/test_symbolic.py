@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,49 @@ from schurmzv.symbolic import (
 )
 
 Sym = ZetaSymbolValue
+
+GENS = ("P", "T", "Z3", "Z5", "Z11")
+
+
+def cofactor_det(rows):
+    """Oracle: n! cofactor expansion along the first row, skipping zero entries."""
+    n = len(rows)
+    if n == 0:
+        return Sym.one()
+
+    def rec(rs, cols):
+        if len(cols) == 1:
+            return rs[0][cols[0]]
+        total = Sym.zero()
+        for pos, c in enumerate(cols):
+            a = rs[0][c]
+            if not a:
+                continue
+            term = a * rec(rs[1:], cols[:pos] + cols[pos + 1 :])
+            total = total + (term if pos % 2 == 0 else -term)
+        return total
+
+    return rec(list(rows), tuple(range(n)))
+
+
+def random_value(rng):
+    """Zero a third of the time, else a sum of one to three monomials."""
+    if rng.random() < 1 / 3:
+        return Sym.zero()
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = tuple((g, rng.randint(1, 2)) for g in rng.sample(GENS, rng.randint(0, 2)))
+        terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+    return Sym(terms)
+
+
+values = st.dictionaries(
+    st.dictionaries(st.sampled_from(GENS), st.integers(0, 3), max_size=3).map(
+        lambda d: tuple(d.items())
+    ),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    max_size=5,
+).map(Sym)
 
 
 class TestRing:
@@ -49,6 +93,15 @@ class TestRing:
         with pytest.raises(PreconditionError):
             Sym.Z(4)
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=values, b=values, q=st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    def test_results_are_canonical(self, a, b, q):
+        for r in (a + b, a - b, a * b, -a, a * q, q * a, a + q, q - a, (a + b) - b):
+            assert r.terms == Sym(r.terms).terms
+            assert all(type(c) is Fraction for c in r.terms.values())
+        assert (a + b) - b == a
+        assert a - a == Sym.zero()
+
     def test_substitute_t(self):
         v = Sym.Z(3) * Sym.T() + Sym.P()
         assert v.substitute_t(0) == Sym.P()
@@ -69,6 +122,23 @@ class TestDet:
     def test_non_square(self):
         with pytest.raises(PreconditionError):
             sym_det([[Sym.one(), Sym.one()]])
+
+    def test_matches_cofactor_oracle(self):
+        rng = random.Random(20190814)
+        for n in range(7):
+            for trial in range(12 if n < 6 else 4):
+                m = [[random_value(rng) for _ in range(n)] for _ in range(n)]
+                if n and trial % 3 == 1:
+                    m[rng.randrange(n)] = [Sym.zero()] * n
+                if n and trial % 3 == 2:
+                    c = rng.randrange(n)
+                    for row in m:
+                        row[c] = Sym.zero()
+                det, oracle = sym_det(m), cofactor_det(m)
+                assert det == oracle
+                # numeric_value sums terms in dict order, so the same order
+                # keeps float companions of a determinant bit-identical.
+                assert list(det.terms) == list(oracle.terms)
 
     def test_matches_numeric(self):
         m = [
