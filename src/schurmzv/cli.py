@@ -51,7 +51,7 @@ from .mzv import (
     expand_tableau,
     numeric_mzv,
     richardson_extrapolate,
-    truncated_mzv_float,
+    truncated_mzv_float_ladder,
 )
 from .ribbons import (
     Ribbon,
@@ -68,7 +68,7 @@ from .shapes import (
     tableau_from_entries,
 )
 from .stuffle import regularized_jt_check, schur_regularize
-from .symbolic import numeric_value, render, to_json_dict
+from .symbolic import numeric_abs_sum, numeric_value, render, to_json_dict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -281,14 +281,11 @@ def _cmd_eval(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict,
         f"shape {tab.shape}, weight {tab.weight}",
     ]
     if args.extrapolate:
-        combination = expand_tableau(tab)
-        points = []
-        for m in settings.ladder:
-            total = 0.0
-            for idx, mult in sorted(combination.items()):
-                total += mult * truncated_mzv_float(idx, m)
-            points.append((m, total))
-        accelerated = richardson_extrapolate(points)
+        totals = [0.0] * len(settings.ladder)
+        for idx, mult in sorted(expand_tableau(tab).items()):
+            values = truncated_mzv_float_ladder(idx, settings.ladder)
+            totals = [t + mult * v for t, v in zip(totals, values)]
+        accelerated = richardson_extrapolate(list(zip(settings.ladder, totals)))
         result["ladder"] = list(settings.ladder)
         result["extrapolated_numeric"] = accelerated
         pretty.append(
@@ -486,7 +483,13 @@ def _cmd_checkerboard_eval(
         "display_matrix": [[render(e) for e in row] for row in report.display_matrix],
         "value_numeric": numeric,
     }
-    diagnostics = {"tolerance": settings.tolerance, "t_value_numeric": t_value}
+    diagnostics = {
+        "tolerance": settings.tolerance,
+        "t_value_numeric": t_value,
+        "value_numeric_abs_sum": numeric_abs_sum(
+            report.value, t_value=t_value, tol=settings.tolerance
+        ),
+    }
     pretty_lines = [
         f"value = {render(report.value)}",
         f"      ~ {numeric:.12g}"

@@ -5,6 +5,15 @@ Indices follow the increasing-variable convention: (k_1,...,k_r) sums over
 star variant uses weak inequalities.  A tableau's nested sum expands into an
 integer combination of plain indices by enumerating its compatible total
 quasi-orders.
+
+Float truncations come from one routine, a ladder of running sums that
+numeric_mzv extends as its cutoff doubles; numpy is imported only there.
+``_numeric_cache`` maps an admissible index to the tolerance it was computed
+at and its value.  It is unbounded, and a value computed at a tighter
+tolerance answers later, looser requests.  Its reads and writes are single
+dict operations, so threads may share it; two threads may compute the same
+entry.  The README section "Caches and threads" covers it with the two
+caches in ``stuffle``.
 """
 
 from __future__ import annotations
@@ -14,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Dict, Iterable, List, Sequence, Tuple
-
-import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .shapes import Tableau
@@ -65,33 +72,68 @@ def truncated_mzsv(idx: Sequence[int], M: int) -> Fraction:
     return A[len(idx)]
 
 
-def _mzv_float_array(idx: Index, M: int) -> np.ndarray:
-    """arr[t] = truncated value with all variables <= t+1, for t < M-1."""
-    m = np.arange(1, M, dtype=np.float64)
-    prev = np.ones(M - 1)
-    for j, k in enumerate(idx, start=1):
-        shifted = np.empty(M - 1)
-        shifted[0] = 1.0 if j == 1 else 0.0
-        shifted[1:] = prev[:-1]
-        prev = np.cumsum(m ** (-float(k)) * shifted)
-    return prev
+#: Cutoffs advance at most this many values of m per numpy pass, which caps
+#: the ladder's working arrays at a few MB whatever the cutoff.
+_CHUNK = 1 << 16
+
+
+class _FloatLadder:
+    """Float truncations of one index at a cutoff that only moves up.
+
+    ``sums[j]`` is the sum over 0 < m_1 < ... < m_{j+1} < ``M`` for the
+    first j+1 parts, so ``sums[-1]`` is the truncation at ``M``.  Each pass
+    extends every depth by one cumulative sum whose first element is the
+    running total so far, which keeps the additions sequential: the result
+    is bit-identical to one cumulative sum over 1..M-1, at any chunking.
+    """
+
+    __slots__ = ("idx", "M", "sums")
+
+    def __init__(self, idx: Index):
+        self.idx = idx
+        self.M = 1
+        self.sums = [0.0] * len(idx)
+
+    def advance(self, Ms: Sequence[int]) -> List[float]:
+        """Extend the cutoff to max(Ms) and return the truncation at each
+        cutoff in Ms, none of which may lie below the current one."""
+        import numpy as np
+
+        # Below M = len(idx) + 1 there are too few m for a chain: exactly 0.0.
+        out = dict.fromkeys(Ms, 0.0)
+        live = [M for M in out if M > len(self.idx)]
+        out.update((M, self.sums[-1]) for M in live if M <= self.M)
+        top = max(live, default=0)
+        while self.M < top:
+            lo, hi = self.M, min(top, self.M + _CHUNK)
+            m = np.arange(lo, hi, dtype=np.float64)
+            powers: Dict[int, np.ndarray] = {}
+            # cum: one depth's sum at cutoff lo, then at each cutoff up to
+            # hi.  Depth 0 is the empty product, 1.
+            cum = np.ones(hi - lo + 1)
+            for j, k in enumerate(self.idx):
+                if k not in powers:
+                    powers[k] = m ** (-float(k))
+                acc = np.empty(hi - lo + 1)
+                acc[0] = self.sums[j]
+                np.multiply(powers[k], cum[:-1], out=acc[1:])
+                cum = acc.cumsum()
+                self.sums[j] = cum[-1]
+            for M in live:
+                if lo < M <= hi:
+                    out[M] = cum[M - lo]
+            self.M = hi
+        return [float(out[M]) for M in Ms]
 
 
 def truncated_mzv_float(idx: Sequence[int], M: int) -> float:
     """Float-precision truncation, linear time in M via cumulative sums."""
-    idx = check_index(idx)
-    if M <= len(idx):
-        return 0.0
-    return float(_mzv_float_array(idx, M)[M - 2])
+    return _FloatLadder(check_index(idx)).advance([M])[0]
 
 
 def truncated_mzv_float_ladder(idx: Sequence[int], Ms: Iterable[int]) -> List[float]:
     """Truncations at several cutoffs from one pass up to the largest."""
-    idx = check_index(idx)
-    Ms = list(Ms)
-    top = max(Ms)
-    arr = _mzv_float_array(idx, top)
-    return [float(arr[M - 2]) if M > len(idx) else 0.0 for M in Ms]
+    return _FloatLadder(check_index(idx)).advance(list(Ms))
 
 
 def expand_tableau(k: Tableau) -> IndexCombination:
@@ -212,10 +254,11 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
                     val += float(q) * numeric_mzv(sub, max(tol / 16, TOL_FLOOR))
             rho[j] = val
 
+    ladder = _FloatLadder(idx)
     prev = None
     N = 128
     while N <= 2**22:
-        val = truncated_mzv_float(idx, N) + sum(
+        val = ladder.advance([N])[0] + sum(
             c * _em_tail(k, j, N) for j, c in rho.items() if c
         )
         if prev is not None and abs(val - prev) <= max(tol / 2, 1e-14):

@@ -7,9 +7,13 @@ polynomial regularization in a variable T, normalized so the single part 1
 maps to T; the truncated value then tracks the polynomial at log M + gamma
 up to O(log^J M / M).
 
-Symbolic operations here are pure.  The regularize cache is a plain dict:
-safe for concurrent reads with single-writer insertion, or confine use to
-one thread.
+Symbolic operations here are pure.  Two module caches live here, both
+unbounded and both keyed by index: ``stuffle_product`` is an lru_cache, and
+``_regularize_cache`` maps an index to its T-polynomial.  Cached values are
+shared with every caller and must not be mutated.  Concurrent threads may
+compute an entry twice but always store the same value.  The third cache,
+``mzv._numeric_cache``, and all three together are described in the README
+section "Caches and threads".
 """
 
 from __future__ import annotations
@@ -18,8 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple, Union
-
-import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .mzv import (
@@ -49,16 +51,24 @@ class QSElement:
         self.terms = clean
 
     @classmethod
+    def _canonical(cls, terms: Dict[Index, Fraction]) -> "QSElement":
+        """Wrap terms that are already canonical: tuple indices, nonzero
+        Fraction coefficients.  Skips the constructor's checks."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
+    @classmethod
     def from_index(cls, idx: Sequence[int]) -> "QSElement":
-        return cls({tuple(idx): Fraction(1)})
+        return cls._canonical({tuple(idx): Fraction(1)})
 
     @classmethod
     def zero(cls) -> "QSElement":
-        return cls()
+        return cls._canonical({})
 
     @classmethod
     def one(cls) -> "QSElement":
-        return cls({(): Fraction(1)})
+        return cls._canonical({(): Fraction(1)})
 
     def is_admissible_support(self) -> bool:
         return all(idx == () or is_admissible_index(idx) for idx in self.terms)
@@ -80,28 +90,30 @@ class QSElement:
         if isinstance(other, (int, Fraction)):
             other = QSElement({(): Fraction(other)})
         out = dict(self.terms)
-        for idx, c in other.terms.items():
-            out[idx] = out.get(idx, Fraction(0)) + c
-        return QSElement(out)
+        _accumulate(out, other.terms)
+        return QSElement._canonical(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "QSElement":
-        return QSElement({idx: -c for idx, c in self.terms.items()})
+        return QSElement._canonical({idx: -c for idx, c in self.terms.items()})
 
     def __sub__(self, other: "QSElement") -> "QSElement":
         return self + (-other)
 
     def __mul__(self, other: object) -> "QSElement":
         if isinstance(other, (int, Fraction)):
-            return QSElement({idx: c * other for idx, c in self.terms.items()})
+            if not other:
+                return QSElement.zero()
+            return QSElement._canonical({idx: c * other for idx, c in self.terms.items()})
         if isinstance(other, QSElement):
             out: Dict[Index, Fraction] = {}
             for u, cu in self.terms.items():
                 for v, cv in other.terms.items():
+                    cuv = cu * cv
                     for w, cw in stuffle_product(u, v).terms.items():
-                        out[w] = out.get(w, Fraction(0)) + cu * cv * cw
-            return QSElement(out)
+                        out[w] = out[w] + cuv * cw if w in out else cuv * cw
+            return QSElement._canonical({w: c for w, c in out.items() if c})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -111,6 +123,26 @@ class QSElement:
             return "QS<0>"
         bits = [f"{c}*z{idx}" for idx, c in sorted(self.terms.items())]
         return "QS<" + " + ".join(bits) + ">"
+
+
+def _accumulate(out: Dict[Index, Fraction], terms: Dict[Index, Fraction], scale: Scalar = 1) -> None:
+    """out += scale * terms in place, dropping coefficients that cancel.
+
+    Surviving keys keep their first-insertion order, which is the order a
+    chain of ``+`` would give; eval_tpoly sums floats in that order.
+    """
+    scaled = scale != 1
+    for idx, c in terms.items():
+        if scaled:
+            c = c * scale
+        if idx in out:
+            s = out[idx] + c
+            if s:
+                out[idx] = s
+            else:
+                del out[idx]
+        else:
+            out[idx] = c
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +162,8 @@ def stuffle_product(u: Index, v: Index) -> QSElement:
     ):
         for idx, c in sub.terms.items():
             key = idx + (last,)
-            out[key] = out.get(key, Fraction(0)) + c
-    return QSElement(out)
+            out[key] = out[key] + c if key in out else c
+    return QSElement._canonical(out)
 
 
 def qs_truncated(elem: QSElement, M: int) -> Fraction:
@@ -154,6 +186,17 @@ class TPoly:
         while len(coeffs) > 1 and not coeffs[-1]:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def _from_terms(cls, coeffs: List[Dict[Index, Fraction]]) -> "TPoly":
+        """Wrap per-power term maps built by _accumulate."""
+        return cls(tuple(QSElement._canonical(c) for c in coeffs))
+
+    def _add_to(self, acc: List[Dict[Index, Fraction]], scale: Scalar = 1) -> None:
+        """acc += scale * self, in place, coefficient by coefficient."""
+        acc.extend({} for _ in range(len(self.coeffs) - len(acc)))
+        for out, c in zip(acc, self.coeffs):
+            _accumulate(out, c.terms, scale)
 
     @classmethod
     def constant(cls, elem: QSElement) -> "TPoly":
@@ -194,16 +237,16 @@ class TPoly:
         if isinstance(other, (int, Fraction, QSElement)):
             return TPoly(tuple(c * other for c in self.coeffs))
         if isinstance(other, TPoly):
-            out: List[QSElement] = [
-                QSElement.zero() for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
+            out: List[Dict[Index, Fraction]] = [
+                {} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
             ]
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
                 for j, b in enumerate(other.coeffs):
                     if b:
-                        out[i + j] = out[i + j] + a * b
-            return TPoly(tuple(out))
+                        _accumulate(out[i + j], (a * b).terms)
+            return TPoly._from_terms(out)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -241,12 +284,13 @@ def regularize(idx: Sequence[int]) -> TPoly:
         head = idx[:-1]
         prod = stuffle_product((1,), head)
         s = prod.terms[idx]
-        acc = regularize(head).shift()
+        acc: List[Dict[Index, Fraction]] = []
+        regularize(head).shift()._add_to(acc)
         for term, c in prod.terms.items():
             if term == idx:
                 continue
-            acc = acc - regularize(term) * c
-        result = acc * Fraction(1, int(s))
+            regularize(term)._add_to(acc, -c)
+        result = TPoly._from_terms(acc) * Fraction(1, int(s))
     result.check_admissible_support()
     _regularize_cache[idx] = result
     return result
@@ -254,13 +298,10 @@ def regularize(idx: Sequence[int]) -> TPoly:
 
 def schur_regularize(k: Tableau) -> TPoly:
     """Regularize the tableau's expansion termwise and sum."""
-    total = TPoly.zero()
+    acc: List[Dict[Index, Fraction]] = []
     for idx, mult in expand_tableau(k).items():
-        if idx == ():
-            total = total + TPoly.one() * mult
-        else:
-            total = total + regularize(idx) * mult
-    return total
+        regularize(idx)._add_to(acc, mult)
+    return TPoly._from_terms(acc)
 
 
 def eval_tpoly(p: TPoly, t_value: float, tol: float = 1e-8) -> float:
@@ -305,6 +346,8 @@ def regularized_jt_check(
     numerically per sample.  For admissible k the spread of the determinant
     across samples measures the (expected) cancellation of T.
     """
+    import numpy as np
+
     if k.shape != theta.host:
         raise PreconditionError("tableau shape does not match the decomposition host")
     flat = k.to_tableau()

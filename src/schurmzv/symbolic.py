@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -69,6 +69,18 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return (*out, *m1[i:], *m2[j:])
 
 
+def _normal_monomial(mono) -> Monomial:
+    """Sort (generator, exponent) pairs, merge a repeated generator by
+    adding its exponents, and drop zero exponents."""
+    out = []
+    for g, e in sorted(mono, key=lambda p: _gen_sort_key(p[0])):
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + e)
+        else:
+            out.append((g, e))
+    return tuple((g, e) for g, e in out if e)
+
+
 def monomial_weight(mono: Monomial) -> int:
     return sum(_gen_weight(g) * e for g, e in mono)
 
@@ -83,17 +95,17 @@ class ZetaSymbolValue:
         for mono, c in (terms or {}).items():
             c = Fraction(c)
             if c:
-                key = tuple(sorted(((g, e) for g, e in mono if e), key=lambda p: _gen_sort_key(p[0])))
+                key = _normal_monomial(mono)
                 clean[key] = clean.get(key, Fraction(0)) + c
         self.terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
     def zero(cls) -> "ZetaSymbolValue":
-        return cls()
+        return cls._canonical({})
 
     @classmethod
     def one(cls) -> "ZetaSymbolValue":
-        return cls({(): Fraction(1)})
+        return cls._canonical({(): Fraction(1)})
 
     @classmethod
     def rational(cls, q: Scalar) -> "ZetaSymbolValue":
@@ -106,7 +118,7 @@ class ZetaSymbolValue:
             k = int(name[1:])
             if k < 3 or k % 2 == 0:
                 raise PreconditionError(f"zeta generator must have odd index >= 3, got {k}")
-        return cls({((name, 1),): Fraction(1)})
+        return cls._canonical({((name, 1),): Fraction(1)})
 
     @classmethod
     def P(cls) -> "ZetaSymbolValue":
@@ -206,8 +218,7 @@ class ZetaSymbolValue:
         return self.terms.get((), Fraction(0))
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        key = tuple(sorted(mono, key=lambda p: _gen_sort_key(p[0])))
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(_normal_monomial(mono), Fraction(0))
 
     def has_generator(self, name: str) -> bool:
         return any(g == name for m in self.terms for g, _ in m)
@@ -301,11 +312,12 @@ def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
     return minors.get((1 << n) - 1, ZetaSymbolValue.zero())
 
 
-def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:
-    """Float evaluation: P -> pi^4, T -> t_value, zk -> zeta(k)."""
+def _numeric_terms(v: ZetaSymbolValue, t_value: float, tol: float) -> List[float]:
+    """Float value of each term, in term order: P -> pi^4, T -> t_value,
+    zk -> zeta(k)."""
     from .mzv import numeric_mzv
 
-    total = 0.0
+    out = []
     for mono, c in v.terms.items():
         x = float(c)
         for g, e in mono:
@@ -315,8 +327,30 @@ def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -
                 x *= t_value**e
             else:
                 x *= numeric_mzv((int(g[1:]),), tol) ** e
+        out.append(x)
+    return out
+
+
+def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:
+    """Float evaluation, summing _numeric_terms left to right.
+
+    The terms of a closed form can cancel heavily; numeric_abs_sum tells
+    how far the rounding of this sum can reach.
+    """
+    total = 0.0
+    for x in _numeric_terms(v, t_value, tol):
         total += x
     return total
+
+
+def numeric_abs_sum(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:
+    """Sum of the absolute values of _numeric_terms.
+
+    Summing n terms in floats can be off by up to about
+    n * 2^-53 * numeric_abs_sum, so a numeric_value smaller than that
+    carries no correct digit.
+    """
+    return math.fsum(abs(x) for x in _numeric_terms(v, t_value, tol))
 
 
 @lru_cache(maxsize=None)

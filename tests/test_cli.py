@@ -280,6 +280,19 @@ class TestCheckerboard:
         ]
         assert result["weight"] == 19
 
+    def test_abs_sum_shows_cancellation(self, tmp_path, capsys):
+        # On the 6x6 square the closed form's float terms cancel below the
+        # rounding of their sum; the diagnostic bounds that rounding.
+        text = "".join(
+            " ".join("3" if (j - i) % 2 == 0 else "1" for j in range(6)) + "\n"
+            for i in range(6)
+        )
+        rc, doc = run_json(tmp_path, capsys, "checkerboard", "eval", grid(tmp_path, "sq6.tab", text))
+        assert rc == 0
+        abs_sum = doc["diagnostics"]["value_numeric_abs_sum"]
+        n_terms = len(doc["result"]["symbolic"])
+        assert abs_sum * n_terms * 2**-53 > abs(doc["result"]["value_numeric"])
+
     def test_eval_rejects_non_checkerboard(self, tmp_path, capsys):
         tab = grid(tmp_path, "nd.tab", "1 1\n3\n")
         rc, doc = run_json(tmp_path, capsys, "checkerboard", "eval", tab)

@@ -1,13 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmzv.errors import PreconditionError
+from schurmzv import mzv
+from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import truncated_schur_zeta
 from schurmzv.mzv import (
+    _CHUNK,
+    TOL_FLOOR,
+    _em_tail,
     expand_tableau,
     is_admissible_index,
     numeric_mzv,
@@ -35,6 +41,48 @@ def brute_mzv(idx, M):
             term *= Fraction(1, m**k)
         total += term
     return total
+
+
+def whole_array(idx, M):
+    """Oracle: arr[t] is the float truncation at cutoff t+2, from one
+    cumulative sum per depth over the whole range 1..M-1."""
+    m = np.arange(1, M, dtype=np.float64)
+    prev = np.ones(M - 1)
+    for j, k in enumerate(idx, start=1):
+        shifted = np.empty(M - 1)
+        shifted[0] = 1.0 if j == 1 else 0.0
+        shifted[1:] = prev[:-1]
+        prev = np.cumsum(m ** (-float(k)) * shifted)
+    return prev
+
+
+def restart_numeric_mzv(idx, tol):
+    """Oracle: numeric_mzv as a loop that rebuilds the whole truncation
+    from m = 1 at every cutoff, recursing into itself for the tail."""
+    from schurmzv.stuffle import regularize
+
+    k = idx[-1]
+    rho = {0: 1.0}
+    if len(idx) > 1:
+        for j, coeff in enumerate(regularize(idx[:-1]).coeffs):
+            val = 0.0
+            for sub, q in coeff.terms.items():
+                if sub == ():
+                    val += float(q)
+                else:
+                    val += float(q) * restart_numeric_mzv(sub, max(tol / 16, TOL_FLOOR))
+            rho[j] = val
+    prev = None
+    N = 128
+    while N <= 2**22:
+        val = float(whole_array(idx, N)[N - 2]) + sum(
+            c * _em_tail(k, j, N) for j, c in rho.items() if c
+        )
+        if prev is not None and abs(val - prev) <= max(tol / 2, 1e-14):
+            return val
+        prev = val
+        N *= 2
+    raise InternalCheckError(f"{idx} failed to stabilize")
 
 
 class TestTruncated:
@@ -86,6 +134,46 @@ class TestTruncated:
         ladder = truncated_mzv_float_ladder(idx, Ms)
         for M, v in zip(Ms, ladder):
             assert v == pytest.approx(float(truncated_mzv(idx, M)), abs=1e-12)
+
+
+class TestFloatLadder:
+    # Cutoffs on both sides of the first and second chunk boundaries: the
+    # ladder has summed m < M, so M = _CHUNK + 1 ends exactly one chunk.
+    EDGES = (2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2,
+             2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 2, 2 * _CHUNK + 3)
+
+    @pytest.mark.parametrize("idx", [(2,), (1,), (1, 2), (3, 1, 2), (1, 1, 1, 2), (4, 2)])
+    def test_bit_identical_to_whole_array(self, idx):
+        top = max(self.EDGES)
+        arr = whole_array(idx, top)
+        want = [float(arr[M - 2]) if M > len(idx) else 0.0 for M in self.EDGES]
+        assert truncated_mzv_float_ladder(idx, self.EDGES) == want
+        assert [truncated_mzv_float(idx, M) for M in self.EDGES] == want
+
+    def test_ladder_order_and_repeats(self):
+        rng = random.Random(4096)
+        for _ in range(10):
+            idx = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            Ms = [rng.randint(1, 3 * _CHUNK) for _ in range(6)]
+            Ms.append(Ms[0])
+            arr = whole_array(idx, max(Ms))
+            want = [float(arr[M - 2]) if M > len(idx) else 0.0 for M in Ms]
+            assert truncated_mzv_float_ladder(idx, Ms) == want
+            assert truncated_mzv_float_ladder(idx, iter(Ms)) == want
+
+    def test_numeric_mzv_matches_restart_loop(self, monkeypatch):
+        monkeypatch.setattr(mzv, "_numeric_cache", {})
+        rng = random.Random(1908)
+        # These four run their cutoffs past one or more chunks at 1e-8.
+        seen = [(1, 1, 2), (2, 2), (1, 1, 1, 2), (2, 1, 1, 3)]
+        while len(seen) < 16:
+            idx = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2))) + (rng.randint(2, 4),)
+            if idx not in seen:
+                seen.append(idx)
+        for idx in seen:
+            for tol in (1e-8, 1e-6):
+                mzv._numeric_cache.clear()
+                assert numeric_mzv(idx, tol) == restart_numeric_mzv(idx, tol)
 
 
 class TestExpandTableau:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from schurmzv.errors import PreconditionError
 from schurmzv.evaluate import truncated_schur_zeta
-from schurmzv.mzv import EULER_GAMMA, truncated_mzv, truncated_mzv_float
+from schurmzv.mzv import EULER_GAMMA, expand_tableau, truncated_mzv, truncated_mzv_float
 from schurmzv.ribbons import (
     RIGHT,
     UP,
@@ -34,6 +34,8 @@ from schurmzv.stuffle import (
     stuffle_product,
 )
 
+from test_ribbons import connected_skew_shapes
+
 ZETA3 = 1.2020569031595942854
 
 indices = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(tuple)
@@ -41,6 +43,26 @@ indices = st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3
 
 def qs(d):
     return QSElement({k: Fraction(v) for k, v in d.items()})
+
+
+elements = st.dictionaries(
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+    max_size=5,
+).map(QSElement)
+
+
+def chain_sum(polys):
+    """Reference: fold TPoly + over the summands, as a running total."""
+    total = TPoly.zero()
+    for p in polys:
+        total = total + p
+    return total
+
+
+def keyed(p):
+    """Coefficients as ordered (index, coefficient) lists."""
+    return [list(c.terms.items()) for c in p.coeffs]
 
 
 class TestStuffleProduct:
@@ -68,6 +90,26 @@ class TestStuffleProduct:
         vw = stuffle_product(v, w)
         assert uv * QSElement.from_index(w) == QSElement.from_index(u) * vw
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=elements, b=elements, q=st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    def test_results_are_canonical(self, a, b, q):
+        results = (a + b, a - b, a * b, -a, a * q, q * a, a + q, q + a, (a + b) - b, a - a)
+        for r in results + tuple(stuffle_product(u, v) for u in a.terms for v in b.terms):
+            assert list(r.terms.items()) == list(QSElement(r.terms).terms.items())
+            assert all(type(c) is Fraction and c for c in r.terms.values())
+            assert all(type(idx) is tuple for idx in r.terms)
+        assert (a + b) - b == a
+        assert a - a == QSElement.zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=elements, b=elements)
+    def test_sum_keeps_insertion_order(self, a, b):
+        # Reference: add with zeros kept in place, then filter them out.
+        out = dict(a.terms)
+        for idx, c in b.terms.items():
+            out[idx] = out.get(idx, Fraction(0)) + c
+        assert list((a + b).terms.items()) == [(i, c) for i, c in out.items() if c]
+
     @settings(max_examples=25, deadline=None)
     @given(u=indices, v=indices, M=st.integers(min_value=1, max_value=15))
     def test_truncated_homomorphism(self, u, v, M):
@@ -93,6 +135,18 @@ class TestRegularize:
             (qs({(2,): Fraction(-1, 2)}), QSElement.zero(), qs({(): Fraction(1, 2)}))
         )
         assert regularize((1, 1)) == expected
+
+    @pytest.mark.parametrize("idx", [(1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 1, 1), (3, 1, 2, 1)])
+    def test_matches_running_total(self, idx):
+        # The recursion accumulates in place; a chain of TPoly +/- gives
+        # the same terms in the same order.
+        head = idx[:-1]
+        prod = stuffle_product((1,), head)
+        total = chain_sum(
+            [regularize(head).shift()]
+            + [-(regularize(t) * c) for t, c in prod.terms.items() if t != idx]
+        )
+        assert keyed(regularize(idx)) == keyed(total * Fraction(1, int(prod.terms[idx])))
 
     def test_admissible_support_invariant(self):
         for idx in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 1)]:
@@ -130,6 +184,18 @@ class TestSchurRegularize:
         t = Tableau(make_skew((1, 1)), ((3,), (1,)))
         expected = TPoly((qs({(1, 3): -1, (4,): -1}), qs({(3,): 1})))
         assert schur_regularize(t) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_running_total(self, data):
+        shape = data.draw(connected_skew_shapes(max_cells=5))
+        entries = {
+            cell: data.draw(st.integers(min_value=1, max_value=3), label=f"k{cell}")
+            for cell in shape.cells
+        }
+        t = tableau_from_entries(shape, entries)
+        total = chain_sum(regularize(idx) * m for idx, m in expand_tableau(t).items())
+        assert keyed(schur_regularize(t)) == keyed(total)
 
     def test_asymptotics_of_row(self):
         t = Tableau(make_skew((2,)), ((1, 2),))

@@ -102,6 +102,12 @@ class TestRing:
         assert (a + b) - b == a
         assert a - a == Sym.zero()
 
+    def test_constructor_merges_repeated_generators(self):
+        assert Sym({(("P", 1), ("P", 2)): 1}) == Sym.P() ** 3
+        assert Sym({(("Z3", 1), ("P", 1), ("Z3", 1)): 2}) == 2 * Sym.P() * Sym.Z(3) ** 2
+        assert Sym({(("T", 2), ("T", -2)): 5}) == 5
+        assert (Sym.P() ** 3).coefficient((("P", 2), ("P", 1))) == 1
+
     def test_substitute_t(self):
         v = Sym.Z(3) * Sym.T() + Sym.P()
         assert v.substitute_t(0) == Sym.P()
