@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .mzv import Index
@@ -34,10 +34,9 @@ from .ribbons import (
     UP,
     OutsideDecomposition,
     Ribbon,
-    SubribbonStatus,
     anchored_ribbon,
     decomposition_from_ribbon,
-    subribbon_table,
+    ribbon_matrix,
 )
 from .shapes import (
     DiagonalTableau,
@@ -437,21 +436,12 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     tessellated = next(
         (k for k in KIND_PREFERENCE if all(sk.kind == k for sk in kinds)), None
     )
-    table = subribbon_table(theta)
-    rows: List[Tuple[ZetaSymbolValue, ...]] = []
-    for i, pi in enumerate(theta.pieces):
-        row = []
-        for j, pj in enumerate(theta.pieces):
-            status = table.entry(i + 1, j + 1).status
-            if status is SubribbonStatus.EMPTY:
-                row.append(ZetaSymbolValue.one())
-            elif status is SubribbonStatus.UNDEFINED:
-                row.append(ZetaSymbolValue.zero())
-            else:
-                p, q = pi.cmin, pj.cmax
-                sk = _classify_span(q - p + 1, t.value_at(p), a, b)
-                row.append(closed_form_13(sk))
-        rows.append(tuple(row))
+    rows = ribbon_matrix(
+        theta,
+        lambda p, q, _r: closed_form_13(_classify_span(q - p + 1, t.value_at(p), a, b)),
+        ZetaSymbolValue.zero(),
+        ZetaSymbolValue.one(),
+    )
     value = sym_det(rows)
     tab = t.to_tableau()
     weight = tab.weight
@@ -476,7 +466,7 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
         decomposition=theta,
         pieces=kinds,
         tessellated=tessellated,
-        matrix=tuple(rows),
+        matrix=rows,
         prefactor=prefactor,
         display_matrix=display,
     )
@@ -523,19 +513,14 @@ def evaluate_checkerboard_13_column(t: CheckerboardTableau) -> ZetaSymbolValue:
     contents = content_set(t.shape)
     guide = anchored_ribbon(contents[0], (UP,) * (len(contents) - 1))
     theta = decomposition_from_ribbon(t.shape, guide)
-    rows: List[Tuple[ZetaSymbolValue, ...]] = []
-    for pi in theta.pieces:
-        row = []
-        for pj in theta.pieces:
-            p, q = pi.cmin, pj.cmax
-            if p == q + 1:
-                row.append(ZetaSymbolValue.one())
-            elif p > q + 1:
-                row.append(ZetaSymbolValue.zero())
-            else:
-                row.append(_column_value(t.value_at(q), t.value_at(p), q - p + 1))
-        rows.append(tuple(row))
-    return sym_det(rows)
+    return sym_det(
+        ribbon_matrix(
+            theta,
+            lambda p, q, _r: _column_value(t.value_at(q), t.value_at(p), q - p + 1),
+            ZetaSymbolValue.zero(),
+            ZetaSymbolValue.one(),
+        )
+    )
 
 
 def _column_value(top: int, bottom: int, length: int) -> ZetaSymbolValue:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -53,12 +54,7 @@ from .mzv import (
     richardson_extrapolate,
     truncated_mzv_float_ladder,
 )
-from .ribbons import (
-    Ribbon,
-    SubribbonStatus,
-    decomposition_from_ribbon,
-    subribbon_table,
-)
+from .ribbons import Ribbon, decomposition_from_ribbon, ribbon_matrix
 from .shapes import (
     Cell,
     SkewShape,
@@ -133,7 +129,7 @@ def parse_grid(text: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
 
 def render_grid(shape: SkewShape, entries: Optional[Dict[Cell, int]] = None) -> str:
     """Inverse of :func:`parse_grid`: one line per row, '.' for holes."""
-    mu = shape.mu + (0,) * (len(shape.lam) - len(shape.mu))
+    mu = shape.padded_mu
     lines = []
     for i, lam_i in enumerate(shape.lam, start=1):
         toks = ["."] * mu[i - 1]
@@ -207,6 +203,13 @@ def _read_config(path: str) -> Dict[str, str]:
     return out
 
 
+def _finite(what: str, value: float) -> float:
+    """Pass a parsed float through, or refuse nan and infinities."""
+    if not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value}")
+    return value
+
+
 def resolve_settings(args: argparse.Namespace) -> Settings:
     tolerance = DEFAULT_TOLERANCE
     cap = DEFAULT_FILLING_CAP
@@ -233,8 +236,10 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise ParseError(f"--ladder: {exc}") from exc
     if getattr(args, "M", None) is not None and args.M < 1:
         raise ParseError(f"-M must be at least 1, got {args.M}")
-    if tolerance <= 0:
+    if _finite("tolerance", tolerance) <= 0:
         raise ParseError(f"tolerance must be positive, got {tolerance}")
+    if getattr(args, "check_tol", None) is not None:
+        _finite("--check-tol", args.check_tol)
     if cap < 1:
         raise ParseError(f"cap must be at least 1, got {cap}")
     if not ladder or any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
@@ -334,43 +339,8 @@ def _cmd_regularize(
     return result, {}, pretty
 
 
-def _piece_grid(host: SkewShape, pieces: Sequence[Ribbon]) -> List[str]:
-    owner: Dict[Cell, int] = {}
-    for k, piece in enumerate(pieces, start=1):
-        for cell in piece.shape.cells:
-            owner[cell] = k
-    mu = host.mu + (0,) * (len(host.lam) - len(host.mu))
-    lines = []
-    for i, lam_i in enumerate(host.lam, start=1):
-        toks = ["."] * mu[i - 1]
-        for j in range(mu[i - 1] + 1, lam_i + 1):
-            toks.append(str(owner[(i, j)]))
-        lines.append(" ".join(toks))
-    return lines
-
-
-def _table_cells(theta) -> Tuple[List[List[str]], List[List[str]]]:
-    """JSON words and pretty symbols for the subribbon table."""
-    table = subribbon_table(theta)
-    words: List[List[str]] = []
-    marks: List[List[str]] = []
-    for i in range(1, table.n + 1):
-        wrow, mrow = [], []
-        for j in range(1, table.n + 1):
-            entry = table.entry(i, j)
-            if entry.status is SubribbonStatus.EMPTY:
-                wrow.append("empty")
-                mrow.append("∅")
-            elif entry.status is SubribbonStatus.UNDEFINED:
-                wrow.append("undefined")
-                mrow.append("×")
-            else:
-                span = f"[{entry.ribbon.cmin},{entry.ribbon.cmax}]"
-                wrow.append(span)
-                mrow.append(span)
-        words.append(wrow)
-        marks.append(mrow)
-    return words, marks
+#: Pretty symbols for the subribbon table's empty and undefined entries.
+_TABLE_MARKS = {"empty": "∅", "undefined": "×"}
 
 
 def _cmd_decompose(
@@ -379,8 +349,13 @@ def _cmd_decompose(
     host, _, _ = _load_grid(args.shape)
     ribbon, shift = _load_ribbon(args.ribbon, host)
     theta = decomposition_from_ribbon(host, ribbon)
-    words, marks = _table_cells(theta)
-    grid = _piece_grid(host, theta.pieces)
+    words = ribbon_matrix(theta, lambda p, q, _r: f"[{p},{q}]", "undefined", "empty")
+    owner = {
+        cell: k
+        for k, piece in enumerate(theta.pieces, start=1)
+        for cell in piece.shape.cells
+    }
+    grid = render_grid(host, owner).splitlines()
     result = {
         "host": _shape_dict(host),
         "n_pieces": theta.n_pieces,
@@ -396,6 +371,7 @@ def _cmd_decompose(
         "table": words,
     }
     diagnostics = {"ribbon_shift": shift}
+    marks = [[_TABLE_MARKS.get(w, w) for w in row] for row in words]
     width = max(len(m) for row in marks for m in row)
     pretty_lines = ["pieces by cell:"] + ["  " + line for line in grid]
     pretty_lines.append("subribbon table:")
@@ -414,7 +390,7 @@ def _cmd_jt_check(
     diagnostics: Dict[str, object] = {"ribbon_shift": shift}
     if args.regularized:
         try:
-            t_samples = tuple(float(s) for s in args.T.split(","))
+            t_samples = tuple(_finite("--T", float(s)) for s in args.T.split(","))
         except ValueError as exc:
             raise ParseError(f"--T: {exc}") from exc
         report = regularized_jt_check(
@@ -470,7 +446,7 @@ def _cmd_checkerboard_eval(
 ) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
-    t_value = args.T if args.T is not None else 0.0
+    t_value = _finite("--T", args.T) if args.T is not None else 0.0
     numeric = numeric_value(report.value, t_value=t_value, tol=settings.tolerance)
     result = {
         "symbolic": to_json_dict(report.value),
@@ -681,6 +657,8 @@ def _input_echo(args: argparse.Namespace) -> Dict[str, object]:
         if key in skip:
             continue
         value = getattr(args, key)
+        if isinstance(value, float) and not math.isfinite(value):
+            value = str(value)
         if value is not None and value is not False:
             echo[key] = value
     return echo

@@ -12,15 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence
 
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
-from .ribbons import (
-    OutsideDecomposition,
-    SubribbonStatus,
-    fill_subribbon,
-    subribbon_table,
-)
+from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
 
 DEFAULT_FILLING_CAP = 10**8
@@ -216,7 +211,7 @@ def schur_poly_check(
     )
     value = s_f_m(ones, M, lambda m, _d: x[m - 1], cap=cap)
     ell = len(shape.lam)
-    mu = shape.mu + (0,) * (ell - len(shape.mu))
+    mu = shape.padded_mu
     kmax = max([shape.lam[i] - mu[j] - i + j for i in range(ell) for j in range(ell)] + [0])
     h = _complete_homogeneous(x, max(kmax, 0))
     mat = [
@@ -259,30 +254,18 @@ def jacobi_trudi_check_exact(
     """Compare the tableau sum with its subribbon determinant at level M.
 
     The (i,j) matrix entry is the truncated value of the subribbon filled
-    with the host's diagonal entries; empty table entries contribute 1 and
-    undefined ones 0.
+    with the host's diagonal entries; empty subribbons contribute 1 and
+    undefined ones 0 (see :func:`ribbon_matrix`).
     """
     if k.shape != theta.host:
         raise PreconditionError("diagonal tableau must live on the decomposition host")
     lhs = truncated_schur_zeta(k.to_tableau(), M, cap=cap)
-    table = subribbon_table(theta)
-    cache: Dict[Tuple[int, int], Fraction] = {}
-    mat: List[List[Fraction]] = []
-    for i in range(1, table.n + 1):
-        row = []
-        for j in range(1, table.n + 1):
-            entry = table.entry(i, j)
-            if entry.status is SubribbonStatus.UNDEFINED:
-                row.append(Fraction(0))
-                continue
-            if entry.status is SubribbonStatus.EMPTY:
-                row.append(Fraction(1))
-                continue
-            key = (entry.ribbon.cmin, entry.ribbon.cmax)
-            if key not in cache:
-                filled = fill_subribbon(k, entry)
-                cache[key] = truncated_schur_zeta(filled, M, cap=cap)
-            row.append(cache[key])
-        mat.append(row)
-    rhs = det_fraction(mat)
-    return JTReport(lhs=lhs, rhs=rhs, n=table.n)
+    mat = ribbon_matrix(
+        theta,
+        lambda p, q, r: truncated_schur_zeta(
+            fill_ribbon(k, subribbon_of(r, p, q)), M, cap=cap
+        ),
+        Fraction(0),
+        Fraction(1),
+    )
+    return JTReport(lhs=lhs, rhs=det_fraction(mat), n=len(mat))

@@ -147,8 +147,7 @@ def expand_tableau(k: Tableau) -> IndexCombination:
     """
     shape = k.shape
     nrows = len(shape.lam)
-    mu = shape.mu + (0,) * (nrows - len(shape.mu))
-    runs = [(mu[i] + 1, shape.lam[i]) for i in range(nrows)]
+    runs = [shape.row_span(i) for i in range(1, nrows + 1)]
     entries = k.entries
     psum: List[List[int]] = []
     for i in range(nrows):

@@ -4,8 +4,12 @@ A ribbon is an edge-connected skew shape with exactly one cell on each
 diagonal; reading its cells by increasing content gives a walk of "up" and
 "right" steps.  An outside decomposition cuts a host shape into ribbons that
 all follow one direction per diagonal, and the minimal containing ribbon
-records exactly those directions.  The subribbon table then supplies the
-entries of the determinant identities.
+records exactly those directions.  ``ribbon_matrix`` builds the matrix of
+the determinant identities from it: entry (i, j) is the subribbon spanning
+[min c(theta_i), max c(theta_j)], 1 when that interval is empty and 0 when
+it is undefined, evaluated in whatever ring the caller's entry function
+uses.  The subribbon table is that matrix with the subribbons themselves as
+entries.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, Optional, Tuple, Union
+from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
 from .shapes import (
@@ -31,6 +35,8 @@ from .shapes import (
 
 UP = "U"
 RIGHT = "R"
+
+E = TypeVar("E")
 
 
 def is_ribbon(shape: SkewShape) -> bool:
@@ -310,11 +316,24 @@ class SubribbonTable:
         return sum(1 for row in self.entries for e in row if e.status is status)
 
 
-def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
-    """Table entry (i,j): the subribbon spanning [min c(theta_i), max c(theta_j)].
+def ribbon_matrix(
+    theta: OutsideDecomposition,
+    entry: Callable[[int, int, Ribbon], E],
+    zero: E,
+    one: E,
+) -> Tuple[Tuple[E, ...], ...]:
+    """The n x n ribbon matrix of a decomposition, pieces in order.
 
-    The interval degenerates to the empty marker when min = max + 1 and to
-    the undefined marker when min > max + 1.
+    Entry (i, j) spans contents [p, q] = [min c(theta_i), max c(theta_j)].
+    It is ``one`` when p = q + 1 (the empty subribbon), ``zero`` when
+    p > q + 1 (undefined), and otherwise ``entry(p, q, r)``, where ``r`` is
+    the minimal containing ribbon, so ``subribbon_of(r, p, q)`` is the
+    entry's subribbon.
+
+    Building ``r`` validates the decomposition.  Its pieces then start on
+    distinct diagonals (a diagonal's cells all but one have a predecessor
+    in the host along r's direction) and end on distinct ones, so every
+    defined interval occurs once and ``entry`` runs once per interval.
     """
     r = minimal_containing_ribbon(theta)
     rows = []
@@ -323,29 +342,40 @@ def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
         for pj in theta.pieces:
             p, q = pi.cmin, pj.cmax
             if p == q + 1:
-                row.append(SubribbonEntry(SubribbonStatus.EMPTY))
+                row.append(one)
             elif p > q + 1:
-                row.append(SubribbonEntry(SubribbonStatus.UNDEFINED))
+                row.append(zero)
             else:
-                row.append(
-                    SubribbonEntry(SubribbonStatus.DEFINED, subribbon_of(r, p, q))
-                )
+                row.append(entry(p, q, r))
         rows.append(tuple(row))
-    return SubribbonTable(r, tuple(rows))
+    return tuple(rows)
 
 
-def fill_subribbon(
-    k: DiagonalTableau, entry: SubribbonEntry
-) -> Union[Tableau, SubribbonStatus]:
-    """Decorate a subribbon with the host's diagonal values of equal content.
+def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
+    """Table entry (i,j): the subribbon spanning [min c(theta_i), max c(theta_j)].
 
-    Empty and undefined entries pass through as their status markers, to be
-    mapped onto the ring elements 1 and 0 downstream.
+    The interval degenerates to the empty marker when min = max + 1 and to
+    the undefined marker when min > max + 1 (see :func:`ribbon_matrix`).
     """
-    if entry.status is not SubribbonStatus.DEFINED:
-        return entry.status
+    containing = []
+
+    def defined(p: int, q: int, r: Ribbon) -> SubribbonEntry:
+        containing[:] = [r]
+        return SubribbonEntry(SubribbonStatus.DEFINED, subribbon_of(r, p, q))
+
+    entries = ribbon_matrix(
+        theta,
+        defined,
+        SubribbonEntry(SubribbonStatus.UNDEFINED),
+        SubribbonEntry(SubribbonStatus.EMPTY),
+    )
+    return SubribbonTable(containing[0], entries)
+
+
+def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
+    """Decorate a ribbon with the host's diagonal values of equal content."""
     values = k.value_map
-    shape = entry.ribbon.shape
+    shape = ribbon.shape
     missing = [content(c) for c in shape.cells if content(c) not in values]
     if missing:
         raise PreconditionError(
@@ -354,3 +384,16 @@ def fill_subribbon(
     return tableau_from_entries(
         shape, {cell: values[content(cell)] for cell in shape.cells}
     )
+
+
+def fill_subribbon(
+    k: DiagonalTableau, entry: SubribbonEntry
+) -> Union[Tableau, SubribbonStatus]:
+    """Fill a table entry's subribbon with :func:`fill_ribbon`.
+
+    Empty and undefined entries pass through as their status markers, to be
+    mapped onto the ring elements 1 and 0 downstream.
+    """
+    if entry.status is not SubribbonStatus.DEFINED:
+        return entry.status
+    return fill_ribbon(k, entry.ribbon)

@@ -49,11 +49,15 @@ class SkewShape:
     mu: Partition
 
     @cached_property
+    def padded_mu(self) -> Partition:
+        """``mu`` padded with zeros to the length of ``lam``."""
+        return self.mu + (0,) * (len(self.lam) - len(self.mu))
+
+    @cached_property
     def cells(self) -> Tuple[Cell, ...]:
         """All cells in row-major order."""
-        mu = self.mu + (0,) * (len(self.lam) - len(self.mu))
         out = []
-        for i, (lo, hi) in enumerate(zip(mu, self.lam), start=1):
+        for i, (lo, hi) in enumerate(zip(self.padded_mu, self.lam), start=1):
             out.extend((i, j) for j in range(lo + 1, hi + 1))
         return tuple(out)
 
@@ -70,8 +74,7 @@ class SkewShape:
 
     def row_span(self, i: int) -> Tuple[int, int]:
         """Column interval ``(mu_i + 1, lam_i)`` occupied by row ``i``."""
-        mu_i = self.mu[i - 1] if i - 1 < len(self.mu) else 0
-        return mu_i + 1, self.lam[i - 1]
+        return self.padded_mu[i - 1] + 1, self.lam[i - 1]
 
     def __str__(self) -> str:
         mu = ",".join(str(p) for p in self.mu)
@@ -92,11 +95,7 @@ def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
     mu = check_partition(mu, name="mu")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         raise PreconditionError(f"mu={mu} is not contained in lam={lam}")
-    mu_full = mu + (0,) * (len(lam) - len(mu))
-    cells = []
-    for i, (lo, hi) in enumerate(zip(mu_full, lam), start=1):
-        cells.extend((i, j) for j in range(lo + 1, hi + 1))
-    return from_cells(cells)
+    return from_cells(SkewShape(lam, mu).cells)
 
 
 def from_cells(cells: Iterable[Cell]) -> SkewShape:
@@ -213,8 +212,7 @@ class Tableau:
     rows: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        mu = self.shape.mu + (0,) * (len(self.shape.lam) - len(self.shape.mu))
-        widths = tuple(l - m for l, m in zip(self.shape.lam, mu))
+        widths = tuple(l - m for l, m in zip(self.shape.lam, self.shape.padded_mu))
         if tuple(len(r) for r in self.rows) != widths:
             raise PreconditionError(
                 f"row lengths {tuple(len(r) for r in self.rows)} do not match "
@@ -229,7 +227,7 @@ class Tableau:
     def entries(self) -> Mapping[Cell, int]:
         """Mapping from cell to entry."""
         out = {}
-        mu = self.shape.mu + (0,) * (len(self.shape.lam) - len(self.shape.mu))
+        mu = self.shape.padded_mu
         for i, row in enumerate(self.rows, start=1):
             for off, v in enumerate(row):
                 out[(i, mu[i - 1] + 1 + off)] = v
@@ -251,7 +249,7 @@ def tableau_from_entries(shape: SkewShape, entries: Mapping[Cell, int]) -> Table
     """Assemble a :class:`Tableau` from a complete cell-to-entry mapping."""
     if set(entries) != shape.cell_set:
         raise PreconditionError("entry mapping does not cover the shape exactly")
-    mu = shape.mu + (0,) * (len(shape.lam) - len(shape.mu))
+    mu = shape.padded_mu
     rows = tuple(
         tuple(entries[(i, j)] for j in range(mu[i - 1] + 1, shape.lam[i - 1] + 1))
         for i in range(1, len(shape.lam) + 1)

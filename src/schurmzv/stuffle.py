@@ -31,7 +31,7 @@ from .mzv import (
     numeric_mzv,
     truncated_mzv,
 )
-from .ribbons import OutsideDecomposition, SubribbonStatus, fill_subribbon, subribbon_table
+from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import DiagonalTableau, Tableau, is_admissible
 
 Scalar = Union[int, Fraction]
@@ -304,18 +304,31 @@ def schur_regularize(k: Tableau) -> TPoly:
     return TPoly._from_terms(acc)
 
 
-def eval_tpoly(p: TPoly, t_value: float, tol: float = 1e-8) -> float:
-    """Substitute numeric values for admissible indices and T."""
-    total = 0.0
-    for j, coeff in enumerate(p.coeffs):
+def _coefficient_values(p: TPoly, tol: float) -> Tuple[float, ...]:
+    """The float value of each T-power's coefficient, in power order."""
+    values = []
+    for coeff in p.coeffs:
         num = 0.0
         for idx, c in coeff.terms.items():
             if idx == ():
                 num += float(c)
             else:
                 num += float(c) * numeric_mzv(idx, tol)
+        values.append(num)
+    return tuple(values)
+
+
+def _at(values: Sequence[float], t_value: float) -> float:
+    """Sum the coefficient values against powers of T, lowest first."""
+    total = 0.0
+    for j, num in enumerate(values):
         total += num * t_value**j
     return total
+
+
+def eval_tpoly(p: TPoly, t_value: float, tol: float = 1e-8) -> float:
+    """Substitute numeric values for admissible indices and T."""
+    return _at(_coefficient_values(p, tol), t_value)
 
 
 @dataclass(frozen=True)
@@ -340,11 +353,12 @@ def regularized_jt_check(
     """Compare the regularized tableau value against the determinant of the
     regularized ribbon-entry matrix at each T sample.
 
-    Entries come from the subribbon table of the decomposition: defined
-    entries are filled from k's diagonals and regularized; empty rows of
-    the table contribute 1, undefined ones 0.  Determinants are taken
-    numerically per sample.  For admissible k the spread of the determinant
-    across samples measures the (expected) cancellation of T.
+    Entries come from the ribbon matrix of the decomposition: defined
+    subribbons are filled from k's diagonals and regularized, empty ones
+    contribute 1 and undefined ones 0.  Each polynomial's coefficients are
+    evaluated once; determinants are taken numerically per sample.  For
+    admissible k the spread of the determinant across samples measures the
+    (expected) cancellation of T.
     """
     import numpy as np
 
@@ -352,32 +366,22 @@ def regularized_jt_check(
         raise PreconditionError("tableau shape does not match the decomposition host")
     flat = k.to_tableau()
     lhs_poly = schur_regularize(flat)
-    table = subribbon_table(theta)
-    n = table.n
-    cache: Dict[Tuple[int, int], TPoly] = {}
-    entry_polys: List[List[TPoly]] = []
-    for i in range(1, n + 1):
-        row: List[TPoly] = []
-        for j in range(1, n + 1):
-            e = table.entry(i, j)
-            if e.status is SubribbonStatus.UNDEFINED:
-                row.append(TPoly.zero())
-            elif e.status is SubribbonStatus.EMPTY:
-                row.append(TPoly.one())
-            else:
-                key = (e.ribbon.cmin, e.ribbon.cmax)
-                if key not in cache:
-                    cache[key] = schur_regularize(fill_subribbon(k, e))
-                row.append(cache[key])
-        entry_polys.append(row)
+    lhs_coeffs = _coefficient_values(lhs_poly, entry_tol)
+    entry_coeffs = ribbon_matrix(
+        theta,
+        lambda p, q, r: _coefficient_values(
+            schur_regularize(fill_ribbon(k, subribbon_of(r, p, q))), entry_tol
+        ),
+        (0.0,),
+        (1.0,),
+    )
 
     lhs_vals: List[float] = []
     det_vals: List[float] = []
     for t in t_samples:
-        lhs_vals.append(eval_tpoly(lhs_poly, t, entry_tol))
+        lhs_vals.append(_at(lhs_coeffs, t))
         mat = np.array(
-            [[eval_tpoly(p, t, entry_tol) for p in row] for row in entry_polys],
-            dtype=np.float64,
+            [[_at(c, t) for c in row] for row in entry_coeffs], dtype=np.float64
         )
         det_vals.append(float(np.linalg.det(mat)))
     disc = max(abs(a - b) for a, b in zip(lhs_vals, det_vals)) if t_samples else 0.0

@@ -407,3 +407,52 @@ class TestPlumbing:
             tmp_path, capsys, "eval", "-M", "3", str(tmp_path / "absent.tab")
         )
         assert rc == 2
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+class TestNonFiniteNumbers:
+    """nan and infinities are refused at the boundary, with strict JSON out."""
+
+    def refused(self, tmp_path, capsys, *argv):
+        rc, out = run(tmp_path, capsys, *argv)
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert "finite" in doc["error"]["message"]
+        return doc
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_tol_flag(self, tmp_path, capsys, tol):
+        doc = self.refused(tmp_path, capsys, "mzv", "--index", "2", "--tol", tol)
+        assert doc["input"]["tol"] == tol
+
+    def test_config_tolerance(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tolerance = nan\n")
+        self.refused(tmp_path, capsys, "mzv", "--index", "2", "--config", str(cfg))
+
+    def test_check_tol(self, tmp_path, capsys):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
+        self.refused(
+            tmp_path, capsys,
+            "jt-check", "--regularized", "--check-tol", "nan", "--ribbon", ribbon, tab,
+        )
+
+    @pytest.mark.parametrize("samples", ["nan,1", "0,inf", "-inf"])
+    def test_regularized_t_samples(self, tmp_path, capsys, samples):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
+        self.refused(
+            tmp_path, capsys,
+            "jt-check", "--regularized", f"--T={samples}", "--ribbon", ribbon, tab,
+        )
+
+    @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+    def test_checkerboard_t(self, tmp_path, capsys, t):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        doc = self.refused(tmp_path, capsys, "checkerboard", "eval", f"--T={t}", tab)
+        assert doc["input"]["T"] == t

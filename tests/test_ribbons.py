@@ -19,6 +19,7 @@ from schurmzv.ribbons import (
     is_ribbon,
     minimal_containing_ribbon,
     ribbon_from_walk,
+    ribbon_matrix,
     subribbon_of,
     subribbon_table,
 )
@@ -171,6 +172,35 @@ class TestSubribbonTable:
         assert fill_subribbon(k, table.entry(2, 1)) is SubribbonStatus.EMPTY
         assert fill_subribbon(k, table.entry(4, 1)) is SubribbonStatus.UNDEFINED
 
+    def test_ribbon_matrix_follows_the_table(self):
+        theta = decomposition_from_ribbon(HOST, GUIDE)
+        table = subribbon_table(theta)
+        zero, one = object(), object()
+        calls = []
+
+        def entry(p, q, r):
+            calls.append((p, q))
+            assert r.shape == GUIDE.shape
+            return subribbon_of(r, p, q)
+
+        mat = ribbon_matrix(theta, entry, zero, one)
+        assert len(mat) == 4 and all(len(row) == 4 for row in mat)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                e, got = table.entry(i, j), mat[i - 1][j - 1]
+                if e.status is SubribbonStatus.EMPTY:
+                    assert got is one
+                elif e.status is SubribbonStatus.UNDEFINED:
+                    assert got is zero
+                else:
+                    assert (got.cmin, got.cmax) == (e.ribbon.cmin, e.ribbon.cmax)
+                    assert got.shape == e.ribbon.shape
+        # once per distinct interval, in row-major order
+        assert calls == [
+            (p, q) for p in (-4, -3, -2, 1) for q in (-4, 0, 3, 1) if p <= q
+        ]
+        assert len(set(calls)) == len(calls) == table.count(SubribbonStatus.DEFINED)
+
 
 @st.composite
 def connected_skew_shapes(draw, max_cells=8):
@@ -213,3 +243,21 @@ class TestRoundTripProperty:
         assert minimal_containing_ribbon(theta).shape == guide.shape
         got = sorted(c for p in theta.pieces for c in p.shape.cells)
         assert got == sorted(host.cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_skew_shapes(), st.data())
+    def test_each_defined_interval_occurs_once(self, host, data):
+        # ribbon_matrix keeps no memo: it relies on the pieces starting on
+        # distinct diagonals and ending on distinct diagonals.
+        span = content_set(host)
+        steps = tuple(
+            data.draw(st.sampled_from([UP, RIGHT]))
+            for _ in range(span[-1] - span[0])
+        )
+        theta = decomposition_from_ribbon(host, anchored_ribbon(span[0], steps))
+        assert len({p.cmin for p in theta.pieces}) == theta.n_pieces
+        assert len({p.cmax for p in theta.pieces}) == theta.n_pieces
+        calls = []
+        ribbon_matrix(theta, lambda p, q, r: calls.append((p, q)), 0, 1)
+        assert len(set(calls)) == len(calls)
+        assert len(calls) == subribbon_table(theta).count(SubribbonStatus.DEFINED)

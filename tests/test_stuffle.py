@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from schurmzv.errors import PreconditionError
 from schurmzv.evaluate import truncated_schur_zeta
-from schurmzv.mzv import EULER_GAMMA, expand_tableau, truncated_mzv, truncated_mzv_float
+from schurmzv.mzv import (
+    EULER_GAMMA,
+    expand_tableau,
+    numeric_mzv,
+    truncated_mzv,
+    truncated_mzv_float,
+)
 from schurmzv.ribbons import (
     RIGHT,
     UP,
@@ -239,6 +245,29 @@ class TestRegularizedJT:
         assert rep.admissible
         assert rep.max_discrepancy <= 1e-4
         assert rep.det_t_spread <= 1e-4
+
+    def test_numeric_values_read_once_per_call(self, monkeypatch):
+        # Coefficient values do not depend on T: more samples must not mean
+        # more numeric_mzv calls.
+        import schurmzv.stuffle as stuffle_module
+
+        host = make_skew((3, 2, 2), (1,))
+        k = diagonal_tableau(host, {2: 3, 1: 1, 0: 1, -1: 3, -2: 1})
+        theta = decomposition_from_ribbon(host, anchored_ribbon(-2, (RIGHT, UP, UP, RIGHT)))
+        calls = []
+
+        def counted(idx, tol):
+            calls.append(idx)
+            return numeric_mzv(idx, tol)
+
+        monkeypatch.setattr(stuffle_module, "numeric_mzv", counted)
+        counts = []
+        for samples in ([0.0], [0.0, 1.0], [0.0, 1.0, 2.0, -3.5]):
+            calls.clear()
+            regularized_jt_check(k, theta, samples)
+            counts.append(len(calls))
+        assert counts[0] > 0
+        assert counts == [counts[0]] * 3
 
     def test_shape_mismatch(self):
         k = diagonal_tableau(make_skew((1, 1)), {-1: 2, 0: 2})
