@@ -110,21 +110,21 @@ def parse_grid(text: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
     except SchurMzvError as exc:
         raise ParseError(str(exc)) from exc
 
-    def is_int(tok: str) -> bool:
-        return tok.lstrip("+-").isdigit() and tok.lstrip("+-") != ""
+    def as_int(tok: str) -> Optional[int]:
+        try:
+            return int(tok)
+        except ValueError:
+            return None
 
-    flags = [is_int(tok) for tok in tokens.values()]
-    if not any(flags):
+    values = {cell: as_int(tok) for cell, tok in tokens.items()}
+    if all(v is None for v in values.values()):
         return shape, None
-    if not all(flags):
+    if None in values.values():
         raise ParseError("grid mixes integer entries with bare cell markers")
-    entries: Dict[Cell, int] = {}
-    for cell, tok in tokens.items():
-        v = int(tok)
+    for cell, v in values.items():
         if v < 1:
             raise ParseError(f"entry {v} at cell {cell} is not a positive integer")
-        entries[cell] = v
-    return shape, entries
+    return shape, values
 
 
 def render_grid(shape: SkewShape, entries: Optional[Dict[Cell, int]] = None) -> str:
@@ -567,12 +567,17 @@ def _cmd_mzv(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, 
 # parser and dispatch
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, *knobs: str) -> None:
+    """--pretty, and --config with a flag for each knob the command reads."""
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    parser.add_argument("--config", help="key=value file: tolerance, cap, ladder")
-    parser.add_argument("--tol", type=float, help="numeric tolerance override")
-    parser.add_argument("--cap", type=int, help="enumeration cap override")
-    parser.add_argument("--ladder", help="comma-separated truncation levels")
+    if knobs:
+        parser.add_argument("--config", help="key=value file: tolerance, cap, ladder")
+    if "tol" in knobs:
+        parser.add_argument("--tol", type=float, help="numeric tolerance override")
+    if "cap" in knobs:
+        parser.add_argument("--cap", type=int, help="enumeration cap override")
+    if "ladder" in knobs:
+        parser.add_argument("--ladder", help="comma-separated truncation levels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -587,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extrapolate", action="store_true",
                    help="also report a Richardson estimate over the ladder")
     p.add_argument("tableau", help="tableau grid file")
-    _add_common(p)
+    _add_common(p, "cap", "ladder")
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("expand", help="indices and multiplicities of a tableau sum")
@@ -616,12 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-tol", type=float, default=1e-4,
                    help="acceptance threshold for --regularized discrepancies")
     p.add_argument("tableau", help="diagonal-constant tableau grid file")
-    _add_common(p)
+    _add_common(p, "tol", "cap")
     p.set_defaults(handler=_cmd_jt_check)
 
     p = sub.add_parser("mzv", help="numeric multiple zeta value")
     p.add_argument("--index", required=True, help="comma-separated exponents")
-    _add_common(p)
+    _add_common(p, "tol")
     p.set_defaults(handler=_cmd_mzv)
 
     p = sub.add_parser("checkerboard", help="two-valued diagonal tableaux")
@@ -631,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--T", type=float,
                    help="T value for the numeric companion (default 0)")
     c.add_argument("tableau", help="tableau grid file")
-    _add_common(c)
+    _add_common(c, "tol")
     c.set_defaults(handler=_cmd_checkerboard_eval)
 
     c = csub.add_parser("alpha", help="exact ratio constants")

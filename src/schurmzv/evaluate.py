@@ -17,6 +17,7 @@ from typing import Callable, Dict, Iterator, List, Sequence
 from .errors import InternalCheckError, PreconditionError, ResourceLimitError
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
+from .symbolic import det
 
 DEFAULT_FILLING_CAP = 10**8
 
@@ -144,42 +145,8 @@ def truncated_schur_zeta(
 
 
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant via fraction-free (Bareiss) elimination.
-
-    Rows are scaled integer-valued first; the Bareiss recurrence then stays
-    in integers with exact divisions.
-    """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    if any(len(row) != n for row in matrix):
-        raise PreconditionError("matrix must be square")
-    scale = Fraction(1)
-    m: List[List[int]] = []
-    for row in matrix:
-        fr = [Fraction(a) for a in row]
-        L = 1
-        for a in fr:
-            L = lcm(L, a.denominator)
-        m.append([int(a * L) for a in fr])
-        scale /= L
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * scale * m[n - 1][n - 1]
+    """Exact determinant over the rationals; see :func:`symbolic.det`."""
+    return det(matrix, Fraction(0), Fraction(1))
 
 
 def _complete_homogeneous(x: Sequence[Fraction], kmax: int) -> List[Fraction]:

@@ -230,7 +230,7 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     idx = check_index(idx)
     if not is_admissible_index(idx):
         raise PreconditionError(f"index {idx} is not admissible (last part < 2)")
-    if tol < TOL_FLOOR:
+    if not tol >= TOL_FLOOR:  # also refuses nan
         raise PreconditionError(f"tolerance {tol} below the floor {TOL_FLOOR}")
     cached = _numeric_cache.get(idx)
     if cached is not None and cached[0] <= tol:
@@ -272,7 +272,11 @@ def richardson_extrapolate(points: Sequence[Tuple[int, float]]) -> float:
     """Polynomial extrapolation of (M, value) pairs to M = infinity in 1/M."""
     if not points:
         raise PreconditionError("need at least one point")
+    if any(m <= 0 for m, _ in points):
+        raise PreconditionError("cutoffs must be positive")
     hs = [1.0 / m for m, _ in points]
+    if len(set(hs)) < len(hs):
+        raise PreconditionError("cutoffs must be distinct")
     tab = [float(v) for _, v in points]
     n = len(tab)
     for j in range(1, n):

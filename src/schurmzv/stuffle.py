@@ -1,11 +1,11 @@
 """Quasi-shuffle algebra on indices and harmonic regularization.
 
-A QSElement is a formal rational combination of indices; multiplication is
-the quasi-shuffle (stuffle) product, under which truncated evaluation is a
-ring homomorphism.  Divergent indices (trailing parts equal to 1) acquire a
-polynomial regularization in a variable T, normalized so the single part 1
-maps to T; the truncated value then tracks the polynomial at log M + gamma
-up to O(log^J M / M).
+A QSElement is a formal rational combination of indices (a
+symbolic.TermMap); multiplication is the quasi-shuffle (stuffle) product,
+under which truncated evaluation is a ring homomorphism.  Divergent indices
+(trailing parts equal to 1) acquire a polynomial regularization in a
+variable T, normalized so the single part 1 maps to T; the truncated value
+then tracks the polynomial at log M + gamma up to O(log^J M / M).
 
 Symbolic operations here are pure.  Two module caches live here, both
 unbounded and both keyed by index: ``stuffle_product`` is an lru_cache, and
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .mzv import (
@@ -33,14 +33,13 @@ from .mzv import (
 )
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import DiagonalTableau, Tableau, is_admissible
+from .symbolic import Scalar, TermMap
 
-Scalar = Union[int, Fraction]
 
-
-class QSElement:
+class QSElement(TermMap):
     """Finite map index -> rational; the empty index is the ring unit."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Dict[Index, Scalar] | None = None):
         clean: Dict[Index, Fraction] = {}
@@ -51,98 +50,27 @@ class QSElement:
         self.terms = clean
 
     @classmethod
-    def _canonical(cls, terms: Dict[Index, Fraction]) -> "QSElement":
-        """Wrap terms that are already canonical: tuple indices, nonzero
-        Fraction coefficients.  Skips the constructor's checks."""
-        v = object.__new__(cls)
-        v.terms = terms
-        return v
-
-    @classmethod
     def from_index(cls, idx: Sequence[int]) -> "QSElement":
         return cls._canonical({tuple(idx): Fraction(1)})
-
-    @classmethod
-    def zero(cls) -> "QSElement":
-        return cls._canonical({})
-
-    @classmethod
-    def one(cls) -> "QSElement":
-        return cls._canonical({(): Fraction(1)})
 
     def is_admissible_support(self) -> bool:
         return all(idx == () or is_admissible_index(idx) for idx in self.terms)
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, QSElement):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == QSElement({(): Fraction(other)})
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "QSElement") -> "QSElement":
-        if isinstance(other, (int, Fraction)):
-            other = QSElement({(): Fraction(other)})
-        out = dict(self.terms)
-        _accumulate(out, other.terms)
-        return QSElement._canonical(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QSElement":
-        return QSElement._canonical({idx: -c for idx, c in self.terms.items()})
-
-    def __sub__(self, other: "QSElement") -> "QSElement":
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "QSElement":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return QSElement.zero()
-            return QSElement._canonical({idx: c * other for idx, c in self.terms.items()})
-        if isinstance(other, QSElement):
-            out: Dict[Index, Fraction] = {}
-            for u, cu in self.terms.items():
-                for v, cv in other.terms.items():
-                    cuv = cu * cv
-                    for w, cw in stuffle_product(u, v).terms.items():
-                        out[w] = out[w] + cuv * cw if w in out else cuv * cw
-            return QSElement._canonical({w: c for w, c in out.items() if c})
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "QSElement") -> Dict[Index, Fraction]:
+        """Term dict of self * other: the stuffle of every pair of indices."""
+        out: Dict[Index, Fraction] = {}
+        for u, cu in self.terms.items():
+            for v, cv in other.terms.items():
+                cuv = cu * cv
+                for w, cw in stuffle_product(u, v).terms.items():
+                    out[w] = out[w] + cuv * cw if w in out else cuv * cw
+        return out
 
     def __repr__(self) -> str:
         if not self.terms:
             return "QS<0>"
         bits = [f"{c}*z{idx}" for idx, c in sorted(self.terms.items())]
         return "QS<" + " + ".join(bits) + ">"
-
-
-def _accumulate(out: Dict[Index, Fraction], terms: Dict[Index, Fraction], scale: Scalar = 1) -> None:
-    """out += scale * terms in place, dropping coefficients that cancel.
-
-    Surviving keys keep their first-insertion order, which is the order a
-    chain of ``+`` would give; eval_tpoly sums floats in that order.
-    """
-    scaled = scale != 1
-    for idx, c in terms.items():
-        if scaled:
-            c = c * scale
-        if idx in out:
-            s = out[idx] + c
-            if s:
-                out[idx] = s
-            else:
-                del out[idx]
-        else:
-            out[idx] = c
 
 
 @lru_cache(maxsize=None)
@@ -189,14 +117,14 @@ class TPoly:
 
     @classmethod
     def _from_terms(cls, coeffs: List[Dict[Index, Fraction]]) -> "TPoly":
-        """Wrap per-power term maps built by _accumulate."""
+        """Wrap per-power term maps built by QSElement._accumulate."""
         return cls(tuple(QSElement._canonical(c) for c in coeffs))
 
     def _add_to(self, acc: List[Dict[Index, Fraction]], scale: Scalar = 1) -> None:
         """acc += scale * self, in place, coefficient by coefficient."""
         acc.extend({} for _ in range(len(self.coeffs) - len(acc)))
         for out, c in zip(acc, self.coeffs):
-            _accumulate(out, c.terms, scale)
+            QSElement._accumulate(out, c.terms, scale)
 
     @classmethod
     def constant(cls, elem: QSElement) -> "TPoly":
@@ -213,9 +141,6 @@ class TPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1 if any(bool(c) for c in self.coeffs) else 0
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) == 1
 
     def shift(self) -> "TPoly":
         """Multiply by T."""
@@ -245,7 +170,7 @@ class TPoly:
                     continue
                 for j, b in enumerate(other.coeffs):
                     if b:
-                        _accumulate(out[i + j], (a * b).terms)
+                        QSElement._accumulate(out[i + j], (a * b).terms)
             return TPoly._from_terms(out)
         return NotImplemented
 

@@ -7,6 +7,12 @@ are assumed.  Even zetas never appear as generators: zeta(4l) is rewritten
 as a rational multiple of P^l, and zeta(k) for k == 2 (mod 4) is refused,
 since it does not lie in this ring.
 
+The additive core of these values, TermMap, is shared with the
+quasi-shuffle algebra (stuffle.QSElement), and ``det`` is the one
+determinant routine, over any commutative ring.  At load time this module
+imports nothing from the package but ``errors``, so every other module can
+build on it without a cycle.
+
 Also provides Bernoulli numbers (B1 = -1/2), Bernoulli polynomials over
 Gaussian rationals, and the exact coefficient sequences for zeta({4}^n)
 and its star variant.  All values are immutable and safe to share.
@@ -18,11 +24,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
 
 Scalar = Union[int, Fraction]
+
+#: a commutative ring element: Fraction, ZetaSymbolValue, QSElement, ...
+R = TypeVar("R")
 
 #: monomial: sorted tuple of (generator, exponent), exponents positive
 Monomial = Tuple[Tuple[str, int], ...]
@@ -85,10 +94,117 @@ def monomial_weight(mono: Monomial) -> int:
     return sum(_gen_weight(g) * e for g, e in mono)
 
 
-class ZetaSymbolValue:
-    """Sparse polynomial in P, T, Z3, Z5, ... with Fraction coefficients."""
+class TermMap:
+    """Sparse map key -> nonzero Fraction: the additive core of the exact rings.
+
+    ZetaSymbolValue (keys are monomials) and stuffle.QSElement (keys are
+    indices) share it.  A subclass supplies its key-normalising constructor
+    and ``_product``, the bilinear product of two elements as a term dict;
+    the key ``()`` is the unit.  Rationals act as constants.  An operand of
+    another subclass gets NotImplemented, so mixing rings raises TypeError
+    and compares unequal.
+    """
 
     __slots__ = ("terms",)
+
+    @classmethod
+    def _canonical(cls, terms: Dict) -> "TermMap":
+        """Wrap terms that are already canonical: normalised keys, no zero
+        coefficients, Fraction coefficients.  Skips the constructor's checks."""
+        v = object.__new__(cls)
+        v.terms = terms
+        return v
+
+    @classmethod
+    def zero(cls) -> "TermMap":
+        return cls._canonical({})
+
+    @classmethod
+    def one(cls) -> "TermMap":
+        return cls._canonical({(): Fraction(1)})
+
+    def _coerce(self, other: object) -> Optional["TermMap"]:
+        """other as an element of this ring, or None if it is foreign."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._canonical({(): Fraction(other)} if other else {})
+        return None
+
+    @staticmethod
+    def _accumulate(out: Dict, terms: Dict, scale: Scalar = 1) -> None:
+        """out += scale * terms in place, dropping coefficients that cancel.
+
+        Surviving keys keep their first-insertion order, which is the order
+        a chain of ``+`` would give; float sums over the terms (eval_tpoly,
+        numeric_value) run in that order.
+        """
+        scaled = scale != 1
+        for key, c in terms.items():
+            if scaled:
+                c = c * scale
+            if key in out:
+                s = out[key] + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+            else:
+                out[key] = c
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.terms.items()))
+
+    def __add__(self, other: object) -> "TermMap":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        out = dict(self.terms)
+        TermMap._accumulate(out, other.terms)
+        return self._canonical(out)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "TermMap":
+        return self._canonical({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: object) -> "TermMap":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other: object) -> "TermMap":
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other: object) -> "TermMap":
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self.zero()
+            return self._canonical({k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._canonical({k: c for k, c in self._product(other).items() if c})
+
+    __rmul__ = __mul__
+
+
+class ZetaSymbolValue(TermMap):
+    """Sparse polynomial in P, T, Z3, Z5, ... with Fraction coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Dict[Monomial, Scalar] | None = None):
         clean: Dict[Monomial, Fraction] = {}
@@ -98,14 +214,6 @@ class ZetaSymbolValue:
                 key = _normal_monomial(mono)
                 clean[key] = clean.get(key, Fraction(0)) + c
         self.terms = {m: c for m, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls) -> "ZetaSymbolValue":
-        return cls._canonical({})
-
-    @classmethod
-    def one(cls) -> "ZetaSymbolValue":
-        return cls._canonical({(): Fraction(1)})
 
     @classmethod
     def rational(cls, q: Scalar) -> "ZetaSymbolValue":
@@ -132,70 +240,14 @@ class ZetaSymbolValue:
     def Z(cls, k: int) -> "ZetaSymbolValue":
         return cls.gen(f"Z{k}")
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ZetaSymbolValue):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self == ZetaSymbolValue.rational(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    @classmethod
-    def _canonical(cls, terms: Dict[Monomial, Fraction]) -> "ZetaSymbolValue":
-        """Wrap terms that are already canonical: sorted monomials, no zero
-        coefficients, Fraction coefficients.  Skips the constructor's checks."""
-        v = object.__new__(cls)
-        v.terms = terms
-        return v
-
-    def __add__(self, other: object) -> "ZetaSymbolValue":
-        if isinstance(other, (int, Fraction)):
-            other = ZetaSymbolValue.rational(other)
-        if not isinstance(other, ZetaSymbolValue):
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            if m in out:
-                s = out[m] + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-            else:
-                out[m] = c
-        return ZetaSymbolValue._canonical(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ZetaSymbolValue":
-        return ZetaSymbolValue._canonical({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: object) -> "ZetaSymbolValue":
-        return self + (-other if isinstance(other, ZetaSymbolValue) else ZetaSymbolValue.rational(-Fraction(other)))
-
-    def __rsub__(self, other: object) -> "ZetaSymbolValue":
-        return ZetaSymbolValue.rational(Fraction(other)) - self
-
-    def __mul__(self, other: object) -> "ZetaSymbolValue":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return ZetaSymbolValue.zero()
-            return ZetaSymbolValue._canonical({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, ZetaSymbolValue):
-            return NotImplemented
+    def _product(self, other: "ZetaSymbolValue") -> Dict[Monomial, Fraction]:
+        """Term dict of self * other: every pair of monomials merged."""
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 key = _mono_mul(m1, m2)
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        return ZetaSymbolValue._canonical({m: c for m, c in out.items() if c})
-
-    __rmul__ = __mul__
+        return out
 
     def __pow__(self, n: int) -> "ZetaSymbolValue":
         if n < 0:
@@ -213,9 +265,6 @@ class ZetaSymbolValue:
         if len(ws) > 1:
             raise InternalCheckError(f"value is not weight-homogeneous: weights {sorted(ws)}")
         return ws.pop()
-
-    def rational_part(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(_normal_monomial(mono), Fraction(0))
@@ -279,8 +328,9 @@ def to_json_dict(v: ZetaSymbolValue) -> Dict[str, str]:
     }
 
 
-def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
-    """Determinant by Laplace expansion memoized on column subsets.
+def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
+    """Determinant over any commutative ring, by Laplace expansion memoized
+    on column subsets.
 
     Division-free.  Rows are expanded bottom to top: after k rows, a table
     maps each k-column bitmask to the minor of the last k rows on those
@@ -289,19 +339,20 @@ def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
     minors, each a sum of at most n products: n * 2^(n-1) ring
     multiplications instead of the n! of a plain cofactor expansion.
     Each minor adds its terms in ascending column order, as a first-row
-    cofactor expansion does, so the result lists its terms in the same
-    order, and float sums over them (numeric_value) come out the same.
+    cofactor expansion does, so over a term-map ring the result lists its
+    terms in the same order, and float sums over them (numeric_value) come
+    out the same.
     """
     n = len(rows)
     for r in rows:
         if len(r) != n:
             raise PreconditionError("determinant needs a square matrix")
-    minors: Dict[int, ZetaSymbolValue] = {0: ZetaSymbolValue.one()}
+    minors: Dict[int, R] = {0: one}
     for row in reversed(rows):
         entries = [(1 << c, a) for c, a in enumerate(row) if a]
-        level: Dict[int, ZetaSymbolValue] = {}
+        level: Dict[int, R] = {}
         for key in {m | bit for m in minors for bit, _ in entries if not m & bit}:
-            total = ZetaSymbolValue.zero()
+            total = zero
             for bit, a in entries:
                 if key & bit and (key ^ bit) in minors:
                     term = a * minors[key ^ bit]
@@ -309,7 +360,12 @@ def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
             if total:
                 level[key] = total
         minors = level
-    return minors.get((1 << n) - 1, ZetaSymbolValue.zero())
+    return minors.get((1 << n) - 1, zero)
+
+
+def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
+    """Determinant in the symbol ring; see :func:`det`."""
+    return det(rows, ZetaSymbolValue.zero(), ZetaSymbolValue.one())
 
 
 def _numeric_terms(v: ZetaSymbolValue, t_value: float, tol: float) -> List[float]:

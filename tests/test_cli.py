@@ -54,9 +54,10 @@ class TestParseGrid:
         assert entries[(2, 2)] == 3
 
     def test_shape_only(self):
-        shape, entries = cli.parse_grid("x x\nx")
-        assert shape == make_skew((2, 1))
-        assert entries is None
+        for text in ("x x\nx", "+-5 --3\n²"):
+            shape, entries = cli.parse_grid(text)
+            assert shape == make_skew((2, 1))
+            assert entries is None
 
     def test_invalid_mu_rejected(self):
         with pytest.raises(ParseError):
@@ -67,8 +68,9 @@ class TestParseGrid:
             cli.parse_grid("1 . 3\n1")
 
     def test_mixed_tokens_rejected(self):
-        with pytest.raises(ParseError):
-            cli.parse_grid("1 x\n1")
+        for text in ("1 x\n1", "+-5 1\n1", "1 --3\n1", "1 1\n²"):
+            with pytest.raises(ParseError):
+                cli.parse_grid(text)
 
     def test_nonpositive_entry_rejected(self):
         with pytest.raises(ParseError):
@@ -407,6 +409,35 @@ class TestPlumbing:
             tmp_path, capsys, "eval", "-M", "3", str(tmp_path / "absent.tab")
         )
         assert rc == 2
+
+    def test_settings_only_where_read(self, capsys):
+        """Each subcommand takes exactly the settings it reads; any other
+        setting flag is an argparse usage error (exit 2)."""
+        commands = {
+            ("eval", "-M", "3", "f"): {"config", "cap", "ladder"},
+            ("expand", "f"): set(),
+            ("regularize", "f"): set(),
+            ("decompose", "--ribbon", "r", "f"): set(),
+            ("jt-check", "--ribbon", "r", "f"): {"config", "tol", "cap"},
+            ("mzv", "--index", "2"): {"config", "tol"},
+            ("checkerboard", "eval", "f"): {"config", "tol"},
+            ("checkerboard", "alpha", "--n", "1"): set(),
+            ("checkerboard", "tessellate", "--kind", "A", "f"): set(),
+        }
+        flags = {"config": "c", "tol": "1e-6", "cap": "5", "ladder": "8,16"}
+        accepted = 0
+        for argv, knobs in commands.items():
+            for knob, value in flags.items():
+                full = [*argv, f"--{knob}", value]
+                if knob in knobs:
+                    assert getattr(cli.build_parser().parse_args(full), knob) is not None
+                    accepted += 1
+                else:
+                    with pytest.raises(SystemExit) as exc:
+                        cli.main(full)
+                    assert exc.value.code == 2
+                    assert "unrecognized arguments" in capsys.readouterr().err
+        assert accepted == 10
 
 
 def _refuse_constant(name):

@@ -1,4 +1,5 @@
-"""numpy is imported only by the float ladder and the regularized check.
+"""numpy is imported only by the float ladder and the regularized check:
+neither the exact determinant (schurmzv.evaluate) nor the CLI loads it.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported numpy itself.
@@ -14,6 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 PROBE = r"""
 import contextlib, io, sys
 from pathlib import Path
+import schurmzv.evaluate
+print("evaluate", "numpy" in sys.modules)
 from schurmzv import cli
 
 tmp = Path(sys.argv[1])
@@ -47,5 +50,5 @@ def test_cli_paths_leave_numpy_unimported(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:-1] == [
-        "import False", "expand False", "decompose False", "jt-check False",
+        "evaluate False", "import False", "expand False", "decompose False", "jt-check False",
     ]

@@ -243,8 +243,9 @@ class TestNumeric:
             numeric_mzv((2, 1))
 
     def test_tolerance_floor(self):
-        with pytest.raises(PreconditionError):
-            numeric_mzv((2,), 1e-12)
+        for tol in (1e-12, float("nan")):
+            with pytest.raises(PreconditionError):
+                numeric_mzv((2,), tol)
 
 
 class TestRichardson:
@@ -265,5 +266,6 @@ class TestRichardson:
         assert acc_err < 1e-9
 
     def test_empty_rejected(self):
-        with pytest.raises(PreconditionError):
-            richardson_extrapolate([])
+        for points in ([], [(0, 1.0), (8, 2.0)], [(8, 1.0), (16, 2.0), (8, 1.5)]):
+            with pytest.raises(PreconditionError):
+                richardson_extrapolate(points)

@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmzv.errors import InternalCheckError, PreconditionError
+from schurmzv.evaluate import det_fraction
+from schurmzv.stuffle import QSElement
 from schurmzv.symbolic import (
     GaussianRational,
     ZetaSymbolValue,
     bernoulli_number,
     bernoulli_poly,
+    det,
     numeric_value,
     render,
     sym_det,
@@ -23,21 +26,23 @@ from schurmzv.symbolic import (
     zeta_single,
 )
 
+from test_evaluate import bareiss_det
+
 Sym = ZetaSymbolValue
 
 GENS = ("P", "T", "Z3", "Z5", "Z11")
 
 
-def cofactor_det(rows):
+def cofactor_det(rows, zero=Sym.zero(), one=Sym.one()):
     """Oracle: n! cofactor expansion along the first row, skipping zero entries."""
     n = len(rows)
     if n == 0:
-        return Sym.one()
+        return one
 
     def rec(rs, cols):
         if len(cols) == 1:
             return rs[0][cols[0]]
-        total = Sym.zero()
+        total = zero
         for pos, c in enumerate(cols):
             a = rs[0][c]
             if not a:
@@ -58,6 +63,24 @@ def random_value(rng):
         mono = tuple((g, rng.randint(1, 2)) for g in rng.sample(GENS, rng.randint(0, 2)))
         terms[mono] = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
     return Sym(terms)
+
+
+def random_index_combination(rng):
+    """Zero a third of the time, else one to three indices of length at most 1."""
+    if rng.random() < 1 / 3:
+        return QSElement.zero()
+    return QSElement({
+        tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 1))):
+            Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        for _ in range(rng.randint(1, 3))
+    })
+
+
+def random_fraction(rng):
+    """Zero a third of the time, else a small rational."""
+    if rng.random() < 1 / 3:
+        return Fraction(0)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
 
 
 values = st.dictionaries(
@@ -108,6 +131,14 @@ class TestRing:
         assert Sym({(("T", 2), ("T", -2)): 5}) == 5
         assert (Sym.P() ** 3).coefficient((("P", 2), ("P", 1))) == 1
 
+    def test_rings_do_not_mix(self):
+        q, z = QSElement.one(), Sym.one()
+        for a, b in ((q, z), (z, q)):
+            for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+                with pytest.raises(TypeError):
+                    op()
+            assert a != b and not a == b
+
     def test_substitute_t(self):
         v = Sym.Z(3) * Sym.T() + Sym.P()
         assert v.substitute_t(0) == Sym.P()
@@ -130,21 +161,35 @@ class TestDet:
             sym_det([[Sym.one(), Sym.one()]])
 
     def test_matches_cofactor_oracle(self):
-        rng = random.Random(20190814)
-        for n in range(7):
-            for trial in range(12 if n < 6 else 4):
-                m = [[random_value(rng) for _ in range(n)] for _ in range(n)]
-                if n and trial % 3 == 1:
-                    m[rng.randrange(n)] = [Sym.zero()] * n
-                if n and trial % 3 == 2:
-                    c = rng.randrange(n)
-                    for row in m:
-                        row[c] = Sym.zero()
-                det, oracle = sym_det(m), cofactor_det(m)
-                assert det == oracle
-                # numeric_value sums terms in dict order, so the same order
-                # keeps float companions of a determinant bit-identical.
-                assert list(det.terms) == list(oracle.terms)
+        """The one determinant routine in all three exact rings.
+
+        Over term-map rings the result must also list its terms in the
+        oracle's order: numeric_value sums terms in dict order, so the same
+        order keeps float companions of a determinant bit-identical.
+        """
+        rings = (
+            (random_value, Sym.zero(), Sym.one(), sym_det, 7),
+            (random_index_combination, QSElement.zero(), QSElement.one(),
+             lambda m: det(m, QSElement.zero(), QSElement.one()), 5),
+            (random_fraction, Fraction(0), Fraction(1), det_fraction, 7),
+        )
+        for draw, zero, one, determinant, sizes in rings:
+            rng = random.Random(20190814)
+            for n in range(sizes):
+                for trial in range(12 if n < 6 else 4):
+                    m = [[draw(rng) for _ in range(n)] for _ in range(n)]
+                    if n and trial % 3 == 1:
+                        m[rng.randrange(n)] = [zero] * n
+                    if n and trial % 3 == 2:
+                        c = rng.randrange(n)
+                        for row in m:
+                            row[c] = zero
+                    got, oracle = determinant(m), cofactor_det(m, zero, one)
+                    assert got == oracle
+                    if isinstance(got, Fraction):
+                        assert got == bareiss_det(m)
+                    else:
+                        assert list(got.terms) == list(oracle.terms)
 
     def test_matches_numeric(self):
         m = [
