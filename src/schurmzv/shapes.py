@@ -61,7 +61,7 @@ class SkewShape:
             out.extend((i, j) for j in range(lo + 1, hi + 1))
         return tuple(out)
 
-    @cached_property
+    @property
     def cell_set(self) -> frozenset:
         return frozenset(self.cells)
 
@@ -70,7 +70,8 @@ class SkewShape:
         return len(self.cells)
 
     def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cell_set
+        i, j = cell
+        return 1 <= i <= len(self.lam) and self.padded_mu[i - 1] < j <= self.lam[i - 1]
 
     def row_span(self, i: int) -> Tuple[int, int]:
         """Column interval ``(mu_i + 1, lam_i)`` occupied by row ``i``."""

@@ -6,6 +6,8 @@ under which truncated evaluation is a ring homomorphism.  Divergent indices
 (trailing parts equal to 1) acquire a polynomial regularization in a
 variable T, normalized so the single part 1 maps to T; the truncated value
 then tracks the polynomial at log M + gamma up to O(log^J M / M).
+Float values of the coefficients come from mzv.numeric_mzv, at full double
+precision whatever tolerance is passed; it needs nothing from this module.
 
 Symbolic operations here are pure.  Two module caches live here, both
 unbounded and both keyed by index: ``stuffle_product`` is an lru_cache, and
@@ -230,7 +232,8 @@ def schur_regularize(k: Tableau) -> TPoly:
 
 
 def _coefficient_values(p: TPoly, tol: float) -> Tuple[float, ...]:
-    """The float value of each T-power's coefficient, in power order."""
+    """The float value of each T-power's coefficient, in power order; tol
+    does not change them."""
     values = []
     for coeff in p.coeffs:
         num = 0.0
@@ -271,7 +274,6 @@ def regularized_jt_check(
     k: DiagonalTableau,
     theta: OutsideDecomposition,
     t_samples: Sequence[float],
-    tol: float = 1e-4,
     *,
     entry_tol: float = 1e-8,
 ) -> RegJTReport:

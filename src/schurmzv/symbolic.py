@@ -162,6 +162,9 @@ class TermMap:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # A constant equals its scalar, so it hashes like it.
+        if self.terms.keys() <= {()}:
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: object) -> "TermMap":
@@ -370,7 +373,7 @@ def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
 
 def _numeric_terms(v: ZetaSymbolValue, t_value: float, tol: float) -> List[float]:
     """Float value of each term, in term order: P -> pi^4, T -> t_value,
-    zk -> zeta(k)."""
+    zk -> zeta(k) from numeric_mzv, at full precision whatever tol is."""
     from .mzv import numeric_mzv
 
     out = []

@@ -4,7 +4,12 @@ Each case runs the CLI in a fresh interpreter from ``tests/golden``, so the
 input echo holds the bare file names and no module cache carries over from
 other tests, and compares stdout with ``tests/golden/expected/<case>``.  The
 expected files were written by the CLI before the subribbon loops were
-folded into ``ribbons.ribbon_matrix``; a refactor must leave them unchanged.
+folded into ``ribbons.ribbon_matrix``.  The float fields of the nine
+``checkerboard_eval_sq*`` and ``jt_check_regularized_*`` documents were
+rewritten when ``numeric_mzv`` became the Hölder convolution, which moved
+them closer to 30-digit references.  A refactor must leave every file
+unchanged; a change that makes numbers more accurate rewrites only the
+fields it moves.
 
 The grids: ``sqN_diagV.tab`` is the N x N {1,3} checkerboard with V on the
 main diagonal; ``host12`` is the 12-cell host (4,3,3,2,1)/(1) of

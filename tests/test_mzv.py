@@ -12,8 +12,8 @@ from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import truncated_schur_zeta
 from schurmzv.mzv import (
     _CHUNK,
+    EULER_GAMMA,
     TOL_FLOOR,
-    _em_tail,
     expand_tableau,
     is_admissible_index,
     numeric_mzv,
@@ -29,6 +29,7 @@ from test_ribbons import connected_skew_shapes
 
 PI = math.pi
 ZETA3 = 1.2020569031595942854
+ZETA5 = 1.0369277551433699263
 
 
 def brute_mzv(idx, M):
@@ -56,9 +57,38 @@ def whole_array(idx, M):
     return prev
 
 
+def _em_tail(k, j, N):
+    """Sum_{m=N}^inf m^-k (log m + gamma)^j by Euler-Maclaurin at N."""
+    L = math.log(N) + EULER_GAMMA
+    # I[b] = integral_N^inf x^-k (log x + gamma)^b dx, by parts.
+    I = [N ** (1 - k) / (k - 1)]
+    for b in range(1, j + 1):
+        I.append((N ** (1 - k) * L**b + b * I[b - 1]) / (k - 1))
+    # Correction terms need odd derivatives of g(x) = x^-k (log x + gamma)^j,
+    # kept as {(a, b): c} term lists for c * x^-a * (log x + gamma)^b.
+    def deriv(ts):
+        out = {}
+        for (a, b), c in ts.items():
+            out[(a + 1, b)] = out.get((a + 1, b), 0.0) - a * c
+            if b:
+                out[(a + 1, b - 1)] = out.get((a + 1, b - 1), 0.0) + b * c
+        return out
+
+    def ev(ts):
+        return sum(c * N ** (-a) * L**b for (a, b), c in ts.items())
+
+    g = {(k, j): 1.0}
+    d = [g]
+    for _ in range(5):
+        d.append(deriv(d[-1]))
+    return I[j] + ev(g) / 2 - ev(d[1]) / 12 + ev(d[3]) / 720 - ev(d[5]) / 30240
+
+
 def restart_numeric_mzv(idx, tol):
-    """Oracle: numeric_mzv as a loop that rebuilds the whole truncation
-    from m = 1 at every cutoff, recursing into itself for the tail."""
+    """Oracle: an independent series for an MZV to within tol.  It sums
+    below a doubling cutoff, rebuilding the truncation from m = 1 each
+    time, adds an Euler-Maclaurin tail whose coefficients recurse into
+    itself, and stops when two cutoffs agree within tol/2."""
     from schurmzv.stuffle import regularize
 
     k = idx[-1]
@@ -164,7 +194,7 @@ class TestFloatLadder:
     def test_numeric_mzv_matches_restart_loop(self, monkeypatch):
         monkeypatch.setattr(mzv, "_numeric_cache", {})
         rng = random.Random(1908)
-        # These four run their cutoffs past one or more chunks at 1e-8.
+        # These four run the oracle's cutoffs past one or more chunks at 1e-8.
         seen = [(1, 1, 2), (2, 2), (1, 1, 1, 2), (2, 1, 1, 3)]
         while len(seen) < 16:
             idx = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 2))) + (rng.randint(2, 4),)
@@ -173,7 +203,7 @@ class TestFloatLadder:
         for idx in seen:
             for tol in (1e-8, 1e-6):
                 mzv._numeric_cache.clear()
-                assert numeric_mzv(idx, tol) == restart_numeric_mzv(idx, tol)
+                assert abs(numeric_mzv(idx, tol) - restart_numeric_mzv(idx, tol)) <= tol
 
 
 class TestExpandTableau:
@@ -237,6 +267,30 @@ class TestNumeric:
 
     def test_depth_two_weight_four(self):
         assert numeric_mzv((1, 3), 1e-8) == pytest.approx(PI**4 / 360, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exact_identities(self, n):
+        cases = {
+            (2,) * n: PI ** (2 * n) / math.factorial(2 * n + 1),
+            (1, 3) * n: 2 * PI ** (4 * n) / math.factorial(4 * n + 2),
+            (1,) * (n - 1) + (2,): (PI**2 / 6, ZETA3, PI**4 / 90, ZETA5)[n - 1],
+            (1, 2): ZETA3,
+        }
+        for idx, want in cases.items():
+            assert numeric_mzv(idx) == pytest.approx(want, rel=1e-14), idx
+
+    def test_value_does_not_depend_on_earlier_calls(self, monkeypatch):
+        monkeypatch.setattr(mzv, "_numeric_cache", {})
+        first = numeric_mzv((1, 2), 1e-8)
+        numeric_mzv((1, 2), 1e-10)
+        assert numeric_mzv((1, 2), 1e-8) == first
+        mzv._numeric_cache.clear()
+        numeric_mzv((1, 2), 1e-10)
+        assert numeric_mzv((1, 2), 1e-8) == first
+
+    def test_interior_run_of_ones(self):
+        # The reference is the convolution at 40 digits in mpmath, rounded.
+        assert numeric_mzv((2, 1, 1, 1, 2, 2)) == pytest.approx(0.014231121868288644, rel=1e-15)
 
     def test_non_admissible_rejected(self):
         with pytest.raises(PreconditionError):

@@ -92,6 +92,13 @@ class TestFromCells:
     def test_roundtrip_random(self, s):
         assert from_cells(s.cells) == s
 
+    @given(skew_shapes())
+    def test_membership_matches_cells(self, s):
+        box = range(0, len(s.lam) + 2)
+        cols = range(0, (s.lam[0] if s.lam else 0) + 2)
+        inside = {(i, j) for i in box for j in cols if (i, j) in s}
+        assert inside == s.cell_set == set(s.cells)
+
     def test_non_contiguous_row(self):
         with pytest.raises(PreconditionError):
             from_cells([(1, 1), (1, 3)])

@@ -139,6 +139,12 @@ class TestRing:
                     op()
             assert a != b and not a == b
 
+    def test_constants_hash_like_their_scalar(self):
+        assert 1 in {Sym.one()}
+        assert 0 in {QSElement.zero()}
+        assert Fraction(1, 2) in {Sym.rational(Fraction(1, 2))}
+        assert Sym.one() in {1} and QSElement.from_index(()) in {1}
+
     def test_substitute_t(self):
         v = Sym.Z(3) * Sym.T() + Sym.P()
         assert v.substitute_t(0) == Sym.P()
