@@ -18,12 +18,17 @@ closed evaluation of any {1,3} checkerboard value.  A column-guide variant
 is kept alongside as an independent cross-check; its entries are the
 column families (1,3,...), (3,1,...) resolved through the regularized
 closed forms.
+
+The (1,3) stair and column closed forms are memoized (``lru_cache``): a
+determinant asks for the same few of them in nearly every entry, and
+their values are immutable, so every caller may share one copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -175,6 +180,7 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
     return diagonal_tableau(shape, by_content)
 
 
+@lru_cache(maxsize=None)
 def zeta_13(n: int) -> ZetaSymbolValue:
     """The alternating column value ((1,3) repeated n times) as 2/(4n+2)! P^n."""
     if n < 0:
@@ -182,6 +188,7 @@ def zeta_13(n: int) -> ZetaSymbolValue:
     return ZetaSymbolValue.P() ** n * Fraction(2, factorial(4 * n + 2))
 
 
+@lru_cache(maxsize=None)
 def zeta_3_13(n: int) -> ZetaSymbolValue:
     """The column value (3, then (1,3) n times), expanded into single zetas.
 
@@ -198,6 +205,7 @@ def zeta_3_13(n: int) -> ZetaSymbolValue:
     return out
 
 
+@lru_cache(maxsize=None)
 def closed_form_13(kind: StairKind) -> ZetaSymbolValue:
     """Closed form of a (1,3) stair value in the symbol ring.
 
@@ -245,6 +253,7 @@ def sstar13_bernoulli(n: int) -> ZetaSymbolValue:
     return ZetaSymbolValue.P() ** n * w.re
 
 
+@lru_cache(maxsize=None)
 def reg13_formulas(n: int) -> Tuple[ZetaSymbolValue, ZetaSymbolValue]:
     """Closed forms of the two regularized alternating column families.
 

@@ -210,7 +210,26 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
+#: Setting flags a command reads in one mode only: (command, flag, mode
+#: flag, whether the setting is read with that mode on).
+_MODE_SETTINGS = (
+    ("eval", "ladder", "extrapolate", True),
+    ("jt-check", "tol", "regularized", True),
+    ("jt-check", "cap", "regularized", False),
+)
+
+
 def resolve_settings(args: argparse.Namespace) -> Settings:
+    for command, knob, mode, with_mode in _MODE_SETTINGS:
+        if (
+            args.command == command
+            and getattr(args, knob) is not None
+            and getattr(args, mode) != with_mode
+        ):
+            raise ParseError(
+                f"{command} reads --{knob} only "
+                f"{'with' if with_mode else 'without'} --{mode}"
+            )
     tolerance = DEFAULT_TOLERANCE
     cap = DEFAULT_FILLING_CAP
     ladder = DEFAULT_LADDER

@@ -510,6 +510,7 @@ def bernoulli_poly(k: int, x: Union[GaussianRational, Scalar]) -> GaussianRation
     return total
 
 
+@lru_cache(maxsize=None)
 def z4_power(n: int) -> Fraction:
     """zeta({4}^n) = z4_power(n) * pi^(4n); equals 2^(2n+1)/(4n+2)!."""
     if n < 0:
@@ -517,6 +518,7 @@ def z4_power(n: int) -> Fraction:
     return Fraction(2 ** (2 * n + 1), math.factorial(4 * n + 2))
 
 
+@lru_cache(maxsize=None)
 def z4_star_power(n: int) -> Fraction:
     """zeta-star({4}^n) = z4_star_power(n) * pi^(4n), as the finite
     Bernoulli double-product sum."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from schurmzv.checkerboard import (
     StairKind,
+    _column_value,
     alpha,
     check_checkerboard,
     closed_form_12,
@@ -38,6 +39,8 @@ from schurmzv.symbolic import (
     ZetaSymbolValue,
     numeric_value,
     sym_det,
+    z4_power,
+    z4_star_power,
     zeta_four_block_star,
 )
 
@@ -471,3 +474,81 @@ class TestG13AndAlpha:
             alpha(0)
         with pytest.raises(PreconditionError):
             g13(0)
+
+
+#: Every stair a 7x7 box cuts out: A and B of at most 13 cells, S and SStar
+#: of at most 12.
+BOX7_STAIRS = [StairKind(k, 1, 3, n) for k in ("A", "B", "S", "SStar") for n in range(7)]
+#: Every alternating {1,3} column of at most 13 cells: (top, bottom, length).
+BOX7_COLUMNS = [
+    (top, bottom, length)
+    for length in range(1, 14)
+    for top in (1, 3)
+    for bottom in (1, 3)
+    if (top == bottom) == (length % 2 == 1)
+]
+CLOSED_FORM_CACHES = (
+    closed_form_13, zeta_13, zeta_3_13, reg13_formulas, z4_power, z4_star_power,
+)
+
+
+def column_builder_values(n):
+    return (zeta_13(n), zeta_3_13(n), *reg13_formulas(n))
+
+
+def same_terms(a, b):
+    """Equal, term for term and in the same term order."""
+    return list(a.terms.items()) == list(b.terms.items())
+
+
+class TestClosedFormCaches:
+    """The (1,3) closed forms are built once and shared; a shared value
+    must be what the undecorated builder makes and must stay unchanged."""
+
+    @pytest.mark.parametrize("kind", BOX7_STAIRS, ids=repr)
+    def test_stair_matches_uncached(self, kind):
+        cached = closed_form_13(kind)
+        assert cached is closed_form_13(kind)
+        assert same_terms(cached, closed_form_13.__wrapped__(kind))
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_column_builders_match_uncached(self, n):
+        for f in (zeta_13, zeta_3_13):
+            assert same_terms(f(n), f.__wrapped__(n))
+        cached = reg13_formulas(n)
+        assert cached is reg13_formulas(n)
+        for got, want in zip(cached, reg13_formulas.__wrapped__(n)):
+            assert same_terms(got, want)
+
+    def test_every_box7_column_is_a_cached_builder_value(self):
+        built = {id(v) for n in range(7) for v in column_builder_values(n)}
+        for column in BOX7_COLUMNS:
+            assert id(_column_value(*column)) in built
+
+    def test_arithmetic_leaves_cached_values_unchanged(self):
+        values = [closed_form_13(k) for k in BOX7_STAIRS]
+        values += [v for n in range(7) for v in column_builder_values(n)]
+        before = [list(v.terms.items()) for v in values]
+        one = ZetaSymbolValue.one()
+        for v in values:
+            results = [
+                v + v, v + 1, 2 + v, v - v, v - one, 1 - v, -v,
+                v * 3, Fraction(1, 2) * v, v * 1, v * 0, v * v, v * one, one * v,
+                sym_det([[v]]), sym_det([[v, one], [v, v]]), sym_det([[one, v], [v, one]]),
+            ]
+            # A result sharing its term dict with v would empty v here.
+            for r in results:
+                r.terms.clear()
+        assert [list(v.terms.items()) for v in values] == before
+        assert [closed_form_13(k) for k in BOX7_STAIRS] == values[: len(BOX7_STAIRS)]
+
+    def test_a_7x7_box_fills_the_caches_within_its_key_domain(self):
+        for f in CLOSED_FORM_CACHES:
+            f.cache_clear()
+        for even in (1, 3):
+            k = checkerboard((7,) * 7, even=even, odd=4 - even)
+            assert evaluate_checkerboard_13(k).value == evaluate_checkerboard_13_column(k)
+        # four stair kinds and seven pair counts; one key per n <= 6 elsewhere
+        assert closed_form_13.cache_info().currsize <= 28
+        for f in CLOSED_FORM_CACHES[1:]:
+            assert f.cache_info().currsize <= 7

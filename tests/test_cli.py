@@ -439,6 +439,40 @@ class TestPlumbing:
                     assert "unrecognized arguments" in capsys.readouterr().err
         assert accepted == 10
 
+        # Within a command, a setting flag that the chosen mode never reads
+        # is refused before any file is opened, naming the flag.
+        unread = {
+            ("eval", "-M", "3", "--ladder", "8,16", "f"): "--ladder",
+            ("jt-check", "-M", "3", "--tol", "1e-6", "--ribbon", "r", "f"): "--tol",
+            ("jt-check", "--regularized", "--cap", "5", "--ribbon", "r", "f"): "--cap",
+        }
+        for argv, flag in unread.items():
+            rc, doc = run_json(None, capsys, *argv)
+            assert rc == 2
+            assert doc["error"]["type"] == "ParseError"
+            assert flag in doc["error"]["message"]
+        read = [
+            ("eval", "-M", "3", "--extrapolate", "--ladder", "8,16", "f"),
+            ("jt-check", "--regularized", "--tol", "1e-6", "--ribbon", "r", "f"),
+            ("jt-check", "-M", "3", "--cap", "5", "--ribbon", "r", "f"),
+        ]
+        for argv in read:
+            cli.resolve_settings(cli.build_parser().parse_args(argv))
+
+    def test_config_keys_in_every_mode(self, tmp_path):
+        """A config file may hold every key whatever the mode; only flags
+        are checked against what the mode reads."""
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tolerance = 1e-6\ncap = 5\nladder = 8,16\n")
+        for argv in [
+            ("eval", "-M", "3", "f"),
+            ("eval", "-M", "3", "--extrapolate", "f"),
+            ("jt-check", "-M", "3", "--ribbon", "r", "f"),
+            ("jt-check", "--regularized", "--ribbon", "r", "f"),
+        ]:
+            args = cli.build_parser().parse_args([*argv, "--config", str(cfg)])
+            assert cli.resolve_settings(args) == cli.Settings(1e-6, 5, (8, 16))
+
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not valid JSON")

@@ -315,6 +315,13 @@ class TestZ4Series:
             acc = sum((-1) ** k * z4_power(k) * z4_star_power(n - k) for k in range(n + 1))
             assert acc == (1 if n == 0 else 0)
 
+    @pytest.mark.parametrize("f", [z4_power, z4_star_power], ids=lambda f: f.__name__)
+    def test_cached_values_match_uncached(self, f):
+        # n <= 6 covers every {4}-block a 7x7 checkerboard box reaches.
+        for n in range(7):
+            assert f(n) is f(n)
+            assert f(n) == f.__wrapped__(n)
+
     def test_ring_elements(self):
         assert zeta_four_block(1) == Sym.rational(Fraction(1, 90)) * Sym.P()
         assert zeta_four_block_star(0) == Sym.one()
