@@ -35,7 +35,7 @@ print("\nregularized", idx, "has T-degree", poly.degree)
 print("truncation vs regularized polynomial at T = log M + gamma:")
 for M in (2**8, 2**10, 2**12, 2**14):
     zm = truncated_mzv_float(idx, M)
-    zs = eval_tpoly(poly, math.log(M) + EULER_GAMMA, 1e-9)
+    zs = eval_tpoly(poly, math.log(M) + EULER_GAMMA)
     bound = math.log(M) ** 2 / M
     print(
         f"  M = {M:5d}: zeta_M = {zm:.8f}, zeta* = {zs:.8f}, "

@@ -3,9 +3,9 @@
 Every command writes one JSON document ``{"command", "input", "result",
 "diagnostics"}`` to stdout, or an indented human-readable account with
 ``--pretty``.  Exact rationals are serialized as strings ``"p/q"``; floating
-point companions live in fields named ``*_numeric`` with the tolerance that
-produced them recorded alongside.  Commands are pure: the same inputs and
-flags yield byte-identical output.
+point companions live in fields named ``*_numeric``.  The input echo holds
+only the flags given.  Commands are pure: the same inputs and flags yield
+byte-identical output.
 
 Grid file format (shared by every command that reads a diagram): one line
 per row, cells separated by whitespace; ``.`` marks a cell of ``mu`` (a
@@ -72,8 +72,11 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_INTERNAL = 5
 
+#: Changes no value; perfbench/workloads.py passes it to numeric_mzv.
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_LADDER = (1024, 2048, 4096)
+DEFAULT_T_SAMPLES = "0,1"
+DEFAULT_CHECK_TOL = 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +181,6 @@ def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
 class Settings:
     """Resolved numeric knobs: config file first, then flags on top."""
 
-    tolerance: float
     cap: int
     ladder: Tuple[int, ...]
 
@@ -197,7 +199,7 @@ def _read_config(path: str) -> Dict[str, str]:
         if "=" not in line:
             raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ("tolerance", "cap", "ladder"):
+        if key not in ("cap", "ladder"):
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = value
     return out
@@ -210,42 +212,43 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
-#: Setting flags a command reads in one mode only: (command, flag, mode
-#: flag, whether the setting is read with that mode on).
+#: Flags a command reads in one mode only: (command, flag, mode flag,
+#: whether the flag is read with that mode on).
 _MODE_SETTINGS = (
-    ("eval", "ladder", "extrapolate", True),
-    ("jt-check", "tol", "regularized", True),
-    ("jt-check", "cap", "regularized", False),
+    ("eval", "--ladder", "--extrapolate", True),
+    ("jt-check", "--cap", "--regularized", False),
+    ("jt-check", "-M", "--regularized", False),
+    ("jt-check", "--T", "--regularized", True),
+    ("jt-check", "--check-tol", "--regularized", True),
 )
 
 
+def _dest(flag: str) -> str:
+    return flag.lstrip("-").replace("-", "_")
+
+
 def resolve_settings(args: argparse.Namespace) -> Settings:
-    for command, knob, mode, with_mode in _MODE_SETTINGS:
+    for command, flag, mode, with_mode in _MODE_SETTINGS:
         if (
             args.command == command
-            and getattr(args, knob) is not None
-            and getattr(args, mode) != with_mode
+            and getattr(args, _dest(flag)) is not None
+            and getattr(args, _dest(mode)) != with_mode
         ):
             raise ParseError(
-                f"{command} reads --{knob} only "
-                f"{'with' if with_mode else 'without'} --{mode}"
+                f"{command} reads {flag} only "
+                f"{'with' if with_mode else 'without'} {mode}"
             )
-    tolerance = DEFAULT_TOLERANCE
     cap = DEFAULT_FILLING_CAP
     ladder = DEFAULT_LADDER
     if getattr(args, "config", None):
         raw = _read_config(args.config)
         try:
-            if "tolerance" in raw:
-                tolerance = float(raw["tolerance"])
             if "cap" in raw:
                 cap = int(raw["cap"])
             if "ladder" in raw:
                 ladder = tuple(int(m) for m in raw["ladder"].split(","))
         except ValueError as exc:
             raise ParseError(f"config {args.config}: {exc}") from exc
-    if getattr(args, "tol", None) is not None:
-        tolerance = args.tol
     if getattr(args, "cap", None) is not None:
         cap = args.cap
     if getattr(args, "ladder", None) is not None:
@@ -255,15 +258,14 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
             raise ParseError(f"--ladder: {exc}") from exc
     if getattr(args, "M", None) is not None and args.M < 1:
         raise ParseError(f"-M must be at least 1, got {args.M}")
-    if _finite("tolerance", tolerance) <= 0:
-        raise ParseError(f"tolerance must be positive, got {tolerance}")
     if getattr(args, "check_tol", None) is not None:
-        _finite("--check-tol", args.check_tol)
+        if _finite("--check-tol", args.check_tol) < 0:
+            raise ParseError(f"--check-tol must not be negative, got {args.check_tol}")
     if cap < 1:
         raise ParseError(f"cap must be at least 1, got {cap}")
     if not ladder or any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
         raise ParseError(f"ladder must be strictly increasing levels >= 2, got {ladder}")
-    return Settings(tolerance=tolerance, cap=cap, ladder=ladder)
+    return Settings(cap=cap, ladder=ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +410,14 @@ def _cmd_jt_check(
     theta = decomposition_from_ribbon(tab.shape, ribbon)
     diagnostics: Dict[str, object] = {"ribbon_shift": shift}
     if args.regularized:
+        t_text = DEFAULT_T_SAMPLES if args.T is None else args.T
+        check_tol = DEFAULT_CHECK_TOL if args.check_tol is None else args.check_tol
         try:
-            t_samples = tuple(_finite("--T", float(s)) for s in args.T.split(","))
+            t_samples = tuple(_finite("--T", float(s)) for s in t_text.split(","))
         except ValueError as exc:
             raise ParseError(f"--T: {exc}") from exc
-        report = regularized_jt_check(
-            diagonal, theta, t_samples, entry_tol=settings.tolerance
-        )
-        within = report.max_discrepancy <= args.check_tol
+        report = regularized_jt_check(diagonal, theta, t_samples)
+        within = report.max_discrepancy <= check_tol
         result = {
             "n": len(report.t_samples),
             "t_samples": list(report.t_samples),
@@ -427,12 +429,11 @@ def _cmd_jt_check(
             "lhs_degree": report.lhs_degree,
             "within_tolerance": within,
         }
-        diagnostics["entry_tolerance"] = settings.tolerance
-        diagnostics["comparison_tolerance"] = args.check_tol
+        diagnostics["comparison_tolerance"] = check_tol
         pretty = (
             f"regularized check at T in {list(report.t_samples)}: "
             f"max discrepancy {report.max_discrepancy:.3e} "
-            f"({'within' if within else 'ABOVE'} {args.check_tol}), "
+            f"({'within' if within else 'ABOVE'} {check_tol}), "
             f"determinant spread {report.det_t_spread:.3e}, "
             f"admissible={report.admissible}"
         )
@@ -466,7 +467,7 @@ def _cmd_checkerboard_eval(
     tab, _ = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
     t_value = _finite("--T", args.T) if args.T is not None else 0.0
-    numeric = numeric_value(report.value, t_value=t_value, tol=settings.tolerance)
+    numeric = numeric_value(report.value, t_value=t_value)
     result = {
         "symbolic": to_json_dict(report.value),
         "rendered": render(report.value),
@@ -479,11 +480,8 @@ def _cmd_checkerboard_eval(
         "value_numeric": numeric,
     }
     diagnostics = {
-        "tolerance": settings.tolerance,
         "t_value_numeric": t_value,
-        "value_numeric_abs_sum": numeric_abs_sum(
-            report.value, t_value=t_value, tol=settings.tolerance
-        ),
+        "value_numeric_abs_sum": numeric_abs_sum(report.value, t_value=t_value),
     }
     pretty_lines = [
         f"value = {render(report.value)}",
@@ -576,10 +574,9 @@ def _cmd_mzv(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, 
         idx = tuple(int(s) for s in args.index.split(","))
     except ValueError as exc:
         raise ParseError(f"--index: {exc}") from exc
-    value = numeric_mzv(idx, settings.tolerance)
+    value = numeric_mzv(idx)
     result = {"index": list(idx), "value_numeric": value}
-    diagnostics = {"tolerance": settings.tolerance}
-    return result, diagnostics, f"z{idx} ~ {value:.12g}"
+    return result, {}, f"z{idx} ~ {value:.12g}"
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +587,7 @@ def _add_common(parser: argparse.ArgumentParser, *knobs: str) -> None:
     """--pretty, and --config with a flag for each knob the command reads."""
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
     if knobs:
-        parser.add_argument("--config", help="key=value file: tolerance, cap, ladder")
-    if "tol" in knobs:
-        parser.add_argument("--tol", type=float, help="numeric tolerance override")
+        parser.add_argument("--config", help="key=value file: cap, ladder")
     if "cap" in knobs:
         parser.add_argument("--cap", type=int, help="enumeration cap override")
     if "ladder" in knobs:
@@ -635,17 +630,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ribbon", required=True, help="ribbon grid file")
     p.add_argument("--regularized", action="store_true",
                    help="compare regularized values instead of exact truncations")
-    p.add_argument("--T", default="0,1",
-                   help="comma-separated T samples for --regularized")
-    p.add_argument("--check-tol", type=float, default=1e-4,
-                   help="acceptance threshold for --regularized discrepancies")
+    p.add_argument("--T", help="comma-separated T samples for --regularized "
+                               f"(default {DEFAULT_T_SAMPLES})")
+    p.add_argument("--check-tol", type=float,
+                   help="acceptance threshold for --regularized discrepancies "
+                        f"(default {DEFAULT_CHECK_TOL:g})")
     p.add_argument("tableau", help="diagonal-constant tableau grid file")
-    _add_common(p, "tol", "cap")
+    _add_common(p, "cap")
     p.set_defaults(handler=_cmd_jt_check)
 
     p = sub.add_parser("mzv", help="numeric multiple zeta value")
     p.add_argument("--index", required=True, help="comma-separated exponents")
-    _add_common(p, "tol")
+    _add_common(p)
     p.set_defaults(handler=_cmd_mzv)
 
     p = sub.add_parser("checkerboard", help="two-valued diagonal tableaux")
@@ -655,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--T", type=float,
                    help="T value for the numeric companion (default 0)")
     c.add_argument("tableau", help="tableau grid file")
-    _add_common(c, "tol")
+    _add_common(c)
     c.set_defaults(handler=_cmd_checkerboard_eval)
 
     c = csub.add_parser("alpha", help="exact ratio constants")

@@ -7,7 +7,7 @@ under which truncated evaluation is a ring homomorphism.  Divergent indices
 variable T, normalized so the single part 1 maps to T; the truncated value
 then tracks the polynomial at log M + gamma up to O(log^J M / M).
 Float values of the coefficients come from mzv.numeric_mzv, at full double
-precision whatever tolerance is passed; it needs nothing from this module.
+precision; it needs nothing from this module.
 
 Symbolic operations here are pure.  Two module caches live here, both
 unbounded and both keyed by index: ``stuffle_product`` is an lru_cache, and
@@ -231,9 +231,8 @@ def schur_regularize(k: Tableau) -> TPoly:
     return TPoly._from_terms(acc)
 
 
-def _coefficient_values(p: TPoly, tol: float) -> Tuple[float, ...]:
-    """The float value of each T-power's coefficient, in power order; tol
-    does not change them."""
+def _coefficient_values(p: TPoly) -> Tuple[float, ...]:
+    """The float value of each T-power's coefficient, in power order."""
     values = []
     for coeff in p.coeffs:
         num = 0.0
@@ -241,7 +240,7 @@ def _coefficient_values(p: TPoly, tol: float) -> Tuple[float, ...]:
             if idx == ():
                 num += float(c)
             else:
-                num += float(c) * numeric_mzv(idx, tol)
+                num += float(c) * numeric_mzv(idx)
         values.append(num)
     return tuple(values)
 
@@ -254,9 +253,9 @@ def _at(values: Sequence[float], t_value: float) -> float:
     return total
 
 
-def eval_tpoly(p: TPoly, t_value: float, tol: float = 1e-8) -> float:
+def eval_tpoly(p: TPoly, t_value: float) -> float:
     """Substitute numeric values for admissible indices and T."""
-    return _at(_coefficient_values(p, tol), t_value)
+    return _at(_coefficient_values(p), t_value)
 
 
 @dataclass(frozen=True)
@@ -274,8 +273,6 @@ def regularized_jt_check(
     k: DiagonalTableau,
     theta: OutsideDecomposition,
     t_samples: Sequence[float],
-    *,
-    entry_tol: float = 1e-8,
 ) -> RegJTReport:
     """Compare the regularized tableau value against the determinant of the
     regularized ribbon-entry matrix at each T sample.
@@ -293,11 +290,11 @@ def regularized_jt_check(
         raise PreconditionError("tableau shape does not match the decomposition host")
     flat = k.to_tableau()
     lhs_poly = schur_regularize(flat)
-    lhs_coeffs = _coefficient_values(lhs_poly, entry_tol)
+    lhs_coeffs = _coefficient_values(lhs_poly)
     entry_coeffs = ribbon_matrix(
         theta,
         lambda p, q, r: _coefficient_values(
-            schur_regularize(fill_ribbon(k, subribbon_of(r, p, q))), entry_tol
+            schur_regularize(fill_ribbon(k, subribbon_of(r, p, q)))
         ),
         (0.0,),
         (1.0,),

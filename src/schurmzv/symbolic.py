@@ -371,9 +371,9 @@ def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
     return det(rows, ZetaSymbolValue.zero(), ZetaSymbolValue.one())
 
 
-def _numeric_terms(v: ZetaSymbolValue, t_value: float, tol: float) -> List[float]:
+def _numeric_terms(v: ZetaSymbolValue, t_value: float) -> List[float]:
     """Float value of each term, in term order: P -> pi^4, T -> t_value,
-    zk -> zeta(k) from numeric_mzv, at full precision whatever tol is."""
+    zk -> zeta(k) from numeric_mzv, at full precision."""
     from .mzv import numeric_mzv
 
     out = []
@@ -385,31 +385,31 @@ def _numeric_terms(v: ZetaSymbolValue, t_value: float, tol: float) -> List[float
             elif g == "T":
                 x *= t_value**e
             else:
-                x *= numeric_mzv((int(g[1:]),), tol) ** e
+                x *= numeric_mzv((int(g[1:]),)) ** e
         out.append(x)
     return out
 
 
-def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:
+def numeric_value(v: ZetaSymbolValue, t_value: float = 0.0) -> float:
     """Float evaluation, summing _numeric_terms left to right.
 
     The terms of a closed form can cancel heavily; numeric_abs_sum tells
     how far the rounding of this sum can reach.
     """
     total = 0.0
-    for x in _numeric_terms(v, t_value, tol):
+    for x in _numeric_terms(v, t_value):
         total += x
     return total
 
 
-def numeric_abs_sum(v: ZetaSymbolValue, t_value: float = 0.0, tol: float = 1e-9) -> float:
+def numeric_abs_sum(v: ZetaSymbolValue, t_value: float = 0.0) -> float:
     """Sum of the absolute values of _numeric_terms.
 
     Summing n terms in floats can be off by up to about
     n * 2^-53 * numeric_abs_sum, so a numeric_value smaller than that
     carries no correct digit.
     """
-    return math.fsum(abs(x) for x in _numeric_terms(v, t_value, tol))
+    return math.fsum(abs(x) for x in _numeric_terms(v, t_value))
 
 
 @lru_cache(maxsize=None)

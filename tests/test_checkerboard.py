@@ -172,8 +172,8 @@ class TestColumnFamilies:
         assert zeta_3_13(1) == Z(3) * Fraction(1, 360) * P() - Z(7) * Fraction(1, 4)
 
     def test_zeta_3_13_numeric(self):
-        got = numeric_value(zeta_3_13(1), tol=1e-10)
-        want = numeric_mzv((3, 1, 3), tol=1e-10)
+        got = numeric_value(zeta_3_13(1))
+        want = numeric_mzv((3, 1, 3))
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -199,8 +199,8 @@ class TestReg13Formulas:
         shape = make_skew((1, 1, 1))
         column = diagonal_tableau(shape, {0: 1, -1: 3, -2: 1})
         reg = schur_regularize(column.to_tableau())
-        got = eval_tpoly(reg, t_value, tol=1e-9)
-        want = numeric_value(first, t_value=float(t_value), tol=1e-10)
+        got = eval_tpoly(reg, t_value)
+        want = numeric_value(first, t_value=float(t_value))
         assert got == pytest.approx(want, abs=1e-6)
 
     @pytest.mark.parametrize("t_value", [0, 1])
@@ -209,8 +209,8 @@ class TestReg13Formulas:
         shape = make_skew((1, 1))
         column = diagonal_tableau(shape, {0: 3, -1: 1})
         reg = schur_regularize(column.to_tableau())
-        got = eval_tpoly(reg, t_value, tol=1e-9)
-        want = numeric_value(second, t_value=float(t_value), tol=1e-10)
+        got = eval_tpoly(reg, t_value)
+        want = numeric_value(second, t_value=float(t_value))
         assert got == pytest.approx(want, abs=1e-6)
 
     def test_second_n2_numeric(self):
@@ -220,8 +220,8 @@ class TestReg13Formulas:
         shape = make_skew((1, 1, 1, 1))
         column = diagonal_tableau(shape, {0: 3, -1: 1, -2: 3, -3: 1})
         reg = schur_regularize(column.to_tableau())
-        got = eval_tpoly(reg, 0, tol=1e-9)
-        want = numeric_value(second, t_value=0.0, tol=1e-10)
+        got = eval_tpoly(reg, 0)
+        want = numeric_value(second, t_value=0.0)
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -266,9 +266,9 @@ class TestL12:
 
     def test_numeric_matches_a_stair(self):
         total = sum(
-            mult * numeric_mzv(idx, tol=1e-10) for idx, mult in l12(1).items()
+            mult * numeric_mzv(idx) for idx, mult in l12(1).items()
         )
-        want = numeric_value(closed_form_12(StairKind("A", 1, 2, 1)), tol=1e-10)
+        want = numeric_value(closed_form_12(StairKind("A", 1, 2, 1)))
         assert total == pytest.approx(want, abs=1e-8)
 
 
@@ -393,7 +393,7 @@ class TestEvaluate13:
                 mult * truncated_mzv_float(idx, M)
                 for idx, mult in expand_tableau(t.to_tableau()).items()
             )
-            closed = numeric_value(rep.value, t_value=t_value, tol=1e-10)
+            closed = numeric_value(rep.value, t_value=t_value)
             assert truncated == pytest.approx(closed, abs=1e-3)
 
     @settings(max_examples=25, deadline=None)
@@ -430,7 +430,7 @@ class TestClosedFormVsTruncation:
     )
     def test_truncation_converges_to_closed_form(self, kind):
         closed = closed_form_13(kind) if kind.b == 3 else closed_form_12(kind)
-        want = numeric_value(closed, tol=1e-10)
+        want = numeric_value(closed)
         combination = expand_tableau(stair_tableau(kind).to_tableau())
         points = []
         for M in (4096, 8192, 16384, 32768):

@@ -345,7 +345,7 @@ class TestCheckerboard:
 class TestMzv:
     def test_value(self, tmp_path, capsys):
         rc, doc = run_json(
-            tmp_path, capsys, "mzv", "--index", "1,3", "--tol", "1e-8"
+            tmp_path, capsys, "mzv", "--index", "1,3"
         )
         assert rc == 0
         assert doc["result"]["value_numeric"] == pytest.approx(
@@ -367,7 +367,7 @@ class TestPlumbing:
 
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
-        cfg.write_text("# knobs\nladder = 128,256\ntolerance = 1e-6\n")
+        cfg.write_text("# knobs\nladder = 128,256\n")
         path = grid(tmp_path, "hook.tab", HOOK_111)
         rc, doc = run_json(
             tmp_path, capsys,
@@ -384,6 +384,18 @@ class TestPlumbing:
             tmp_path, capsys, "eval", "-M", "3", "--config", str(cfg), path
         )
         assert rc == 2
+
+    def test_config_tolerance_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("tolerance = 1e-6\n")
+        for argv in [
+            ("eval", "-M", "3", "f"),
+            ("jt-check", "--regularized", "--ribbon", "r", "f"),
+        ]:
+            rc, doc = run_json(tmp_path, capsys, *argv, "--config", str(cfg))
+            assert rc == 2
+            assert doc["error"]["type"] == "ParseError"
+            assert "unknown config key 'tolerance'" in doc["error"]["message"]
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
@@ -412,15 +424,16 @@ class TestPlumbing:
 
     def test_settings_only_where_read(self, capsys):
         """Each subcommand takes exactly the settings it reads; any other
-        setting flag is an argparse usage error (exit 2)."""
+        setting flag, and --tol on every subcommand, is an argparse usage
+        error (exit 2)."""
         commands = {
             ("eval", "-M", "3", "f"): {"config", "cap", "ladder"},
             ("expand", "f"): set(),
             ("regularize", "f"): set(),
             ("decompose", "--ribbon", "r", "f"): set(),
-            ("jt-check", "--ribbon", "r", "f"): {"config", "tol", "cap"},
-            ("mzv", "--index", "2"): {"config", "tol"},
-            ("checkerboard", "eval", "f"): {"config", "tol"},
+            ("jt-check", "--ribbon", "r", "f"): {"config", "cap"},
+            ("mzv", "--index", "2"): set(),
+            ("checkerboard", "eval", "f"): set(),
             ("checkerboard", "alpha", "--n", "1"): set(),
             ("checkerboard", "tessellate", "--kind", "A", "f"): set(),
         }
@@ -437,23 +450,27 @@ class TestPlumbing:
                         cli.main(full)
                     assert exc.value.code == 2
                     assert "unrecognized arguments" in capsys.readouterr().err
-        assert accepted == 10
+        assert accepted == 5
 
-        # Within a command, a setting flag that the chosen mode never reads
-        # is refused before any file is opened, naming the flag.
+        # Within a command, a flag that the chosen mode never reads is
+        # refused before any file is opened, naming the flag as typed.
         unread = {
             ("eval", "-M", "3", "--ladder", "8,16", "f"): "--ladder",
-            ("jt-check", "-M", "3", "--tol", "1e-6", "--ribbon", "r", "f"): "--tol",
             ("jt-check", "--regularized", "--cap", "5", "--ribbon", "r", "f"): "--cap",
+            ("jt-check", "--regularized", "-M", "3", "--ribbon", "r", "f"): "-M",
+            ("jt-check", "-M", "3", "--T", "0,1", "--ribbon", "r", "f"): "--T",
+            ("jt-check", "-M", "3", "--check-tol", "1e-3", "--ribbon", "r", "f"):
+                "--check-tol",
         }
         for argv, flag in unread.items():
             rc, doc = run_json(None, capsys, *argv)
             assert rc == 2
             assert doc["error"]["type"] == "ParseError"
-            assert flag in doc["error"]["message"]
+            assert f"reads {flag} only" in doc["error"]["message"]
         read = [
             ("eval", "-M", "3", "--extrapolate", "--ladder", "8,16", "f"),
-            ("jt-check", "--regularized", "--tol", "1e-6", "--ribbon", "r", "f"),
+            ("jt-check", "--regularized", "--T", "0,1", "--check-tol", "1e-3",
+             "--ribbon", "r", "f"),
             ("jt-check", "-M", "3", "--cap", "5", "--ribbon", "r", "f"),
         ]
         for argv in read:
@@ -463,7 +480,7 @@ class TestPlumbing:
         """A config file may hold every key whatever the mode; only flags
         are checked against what the mode reads."""
         cfg = tmp_path / "cfg"
-        cfg.write_text("tolerance = 1e-6\ncap = 5\nladder = 8,16\n")
+        cfg.write_text("cap = 5\nladder = 8,16\n")
         for argv in [
             ("eval", "-M", "3", "f"),
             ("eval", "-M", "3", "--extrapolate", "f"),
@@ -471,7 +488,7 @@ class TestPlumbing:
             ("jt-check", "--regularized", "--ribbon", "r", "f"),
         ]:
             args = cli.build_parser().parse_args([*argv, "--config", str(cfg)])
-            assert cli.resolve_settings(args) == cli.Settings(1e-6, 5, (8, 16))
+            assert cli.resolve_settings(args) == cli.Settings(5, (8, 16))
 
 
 def _refuse_constant(name):
@@ -489,16 +506,6 @@ class TestNonFiniteNumbers:
         assert "finite" in doc["error"]["message"]
         return doc
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
-    def test_tol_flag(self, tmp_path, capsys, tol):
-        doc = self.refused(tmp_path, capsys, "mzv", "--index", "2", "--tol", tol)
-        assert doc["input"]["tol"] == tol
-
-    def test_config_tolerance(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("tolerance = nan\n")
-        self.refused(tmp_path, capsys, "mzv", "--index", "2", "--config", str(cfg))
-
     def test_check_tol(self, tmp_path, capsys):
         tab = grid(tmp_path, "sq.tab", SQUARE)
         ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
@@ -506,6 +513,18 @@ class TestNonFiniteNumbers:
             tmp_path, capsys,
             "jt-check", "--regularized", "--check-tol", "nan", "--ribbon", ribbon, tab,
         )
+
+    def test_negative_check_tol(self, tmp_path, capsys):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
+        rc, doc = run_json(
+            tmp_path, capsys,
+            "jt-check", "--regularized", "--check-tol", "-1", "--ribbon", ribbon, tab,
+        )
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert "--check-tol must not be negative" in doc["error"]["message"]
+        assert doc["input"]["check_tol"] == -1
 
     @pytest.mark.parametrize("samples", ["nan,1", "0,inf", "-inf"])
     def test_regularized_t_samples(self, tmp_path, capsys, samples):

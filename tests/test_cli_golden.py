@@ -7,7 +7,12 @@ expected files were written by the CLI before the subribbon loops were
 folded into ``ribbons.ribbon_matrix``.  The float fields of the nine
 ``checkerboard_eval_sq*`` and ``jt_check_regularized_*`` documents were
 rewritten when ``numeric_mzv`` became the Hölder convolution, which moved
-them closer to 30-digit references.  A refactor must leave every file
+them closer to 30-digit references.  When the tolerance setting, which
+changed no value, was retired, fifteen documents lost keys and nothing
+else: ``diagnostics.tolerance`` (the six ``checkerboard_eval_*``),
+``diagnostics.entry_tolerance`` (the four ``jt_check_regularized_*``), and
+the ``input.T``/``input.check_tol`` echoes of flags nobody passed (those
+four and the five exact ``jt_check_*``).  A refactor must leave every file
 unchanged; a change that makes numbers more accurate rewrites only the
 fields it moves.
 
@@ -17,6 +22,7 @@ tests/test_ribbons.py with its four-piece guide, whose table has empty and
 undefined entries; ``host4`` is (3,2)/(1), cut into columns.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -89,3 +95,17 @@ def test_cli_output_is_pinned(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected_path(name, argv).read_text()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, argv in CASES.items() if "--pretty" not in argv)
+)
+def test_input_echo_holds_only_given_flags(name):
+    """Every key of the echoed input names a flag of the call, or is the
+    positional file argument, which comes last."""
+    argv = CASES[name]
+    echo = json.loads(expected_path(name, argv).read_text())["input"]
+    for key, value in echo.items():
+        spellings = {"-" + key, "--" + key.replace("_", "-")}
+        given = any(tok.split("=", 1)[0] in spellings for tok in argv)
+        assert given or value == argv[-1], key
