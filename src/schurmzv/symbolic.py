@@ -7,6 +7,11 @@ are assumed.  Even zetas never appear as generators: zeta(4l) is rewritten
 as a rational multiple of P^l, and zeta(k) for k == 2 (mod 4) is refused,
 since it does not lie in this ring.
 
+A monomial is stored as its exponents indexed by generator slot (P, T,
+Z3, Z5, ...), so multiplying two monomials adds two tuples elementwise.
+The constructor and ``coefficient`` take (generator, exponent) pairs, and
+``render`` and ``to_json_dict`` order terms on those pairs.
+
 The additive core of these values, TermMap, is shared with the
 quasi-shuffle algebra (stuffle.QSElement), and ``det`` is the one
 determinant routine, over any commutative ring.  At load time this module
@@ -24,7 +29,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from operator import add
+from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
 
@@ -33,65 +39,57 @@ Scalar = Union[int, Fraction]
 #: a commutative ring element: Fraction, ZetaSymbolValue, QSElement, ...
 R = TypeVar("R")
 
-#: monomial: sorted tuple of (generator, exponent), exponents positive
-Monomial = Tuple[Tuple[str, int], ...]
+#: monomial: exponents by generator slot, P at 0, T at 1 and Zk at
+#: (k+1)/2, with no trailing zero; () is the unit
+Monomial = Tuple[int, ...]
+
+#: a monomial as (generator name, exponent) pairs, in any order
+GeneratorPairs = Tuple[Tuple[str, int], ...]
 
 
-def _gen_sort_key(g: str) -> Tuple[int, int]:
+def _slot(g: str) -> int:
+    """Slot of generator g in a monomial; P, T and Zk for odd k >= 3 only."""
     if g == "P":
-        return (0, 0)
-    if g == "T":
-        return (1, 0)
-    if g.startswith("Z"):
-        return (2, int(g[1:]))
-    raise InternalCheckError(f"unknown generator {g!r}")
-
-
-def _gen_weight(g: str) -> int:
-    if g == "P":
-        return 4
+        return 0
     if g == "T":
         return 1
-    return int(g[1:])
+    k = g[1:] if isinstance(g, str) and g.startswith("Z") else ""
+    if k.isascii() and k.isdigit() and k[0] != "0" and int(k) % 2 and int(k) >= 3:
+        return (int(k) + 1) // 2
+    raise PreconditionError(f"generators are P, T and Zk for odd k >= 3, got {g!r}")
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    """Product of two sorted monomials, by merging."""
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        (g1, e1), (g2, e2) = m1[i], m2[j]
-        if g1 == g2:
-            out.append((g1, e1 + e2))
-            i += 1
-            j += 1
-        elif _gen_sort_key(g1) < _gen_sort_key(g2):
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    return (*out, *m1[i:], *m2[j:])
+def _gen_name(slot: int) -> str:
+    return "P" if slot == 0 else "T" if slot == 1 else f"Z{2 * slot - 1}"
 
 
-def _normal_monomial(mono) -> Monomial:
-    """Sort (generator, exponent) pairs, merge a repeated generator by
-    adding its exponents, and drop zero exponents."""
-    out = []
-    for g, e in sorted(mono, key=lambda p: _gen_sort_key(p[0])):
-        if out and out[-1][0] == g:
-            out[-1] = (g, out[-1][1] + e)
-        else:
-            out.append((g, e))
-    return tuple((g, e) for g, e in out if e)
+def _gen_weight(slot: int) -> int:
+    return 4 if slot == 0 else 2 * slot - 1
+
+
+def _monomial(pairs: GeneratorPairs) -> Monomial:
+    """Exponent vector of (generator, exponent) pairs; a repeated generator
+    adds its exponents."""
+    exps: List[int] = []
+    for g, e in pairs:
+        i = _slot(g)
+        if i >= len(exps):
+            exps.extend([0] * (i + 1 - len(exps)))
+        exps[i] += e
+    if any(e < 0 for e in exps):
+        raise PreconditionError(f"negative exponent in monomial {pairs!r}")
+    while exps and not exps[-1]:
+        exps.pop()
+    return tuple(exps)
+
+
+def _pairs(mono: Monomial) -> GeneratorPairs:
+    """(generator, exponent) pairs of a monomial, in slot order."""
+    return tuple((_gen_name(i), e) for i, e in enumerate(mono) if e)
 
 
 def monomial_weight(mono: Monomial) -> int:
-    return sum(_gen_weight(g) * e for g, e in mono)
+    return sum(_gen_weight(i) * e for i, e in enumerate(mono))
 
 
 class TermMap:
@@ -205,16 +203,20 @@ class TermMap:
 
 
 class ZetaSymbolValue(TermMap):
-    """Sparse polynomial in P, T, Z3, Z5, ... with Fraction coefficients."""
+    """Sparse polynomial in P, T, Z3, Z5, ... with Fraction coefficients.
+
+    The constructor takes monomials as (generator, exponent) pairs; the
+    keys of ``terms`` are exponent vectors (see Monomial).
+    """
 
     __slots__ = ()
 
-    def __init__(self, terms: Dict[Monomial, Scalar] | None = None):
+    def __init__(self, terms: Dict[GeneratorPairs, Scalar] | None = None):
         clean: Dict[Monomial, Fraction] = {}
-        for mono, c in (terms or {}).items():
+        for pairs, c in (terms or {}).items():
+            key = _monomial(pairs)
             c = Fraction(c)
             if c:
-                key = _normal_monomial(mono)
                 clean[key] = clean.get(key, Fraction(0)) + c
         self.terms = {m: c for m, c in clean.items() if c}
 
@@ -224,12 +226,7 @@ class ZetaSymbolValue(TermMap):
 
     @classmethod
     def gen(cls, name: str) -> "ZetaSymbolValue":
-        _gen_sort_key(name)  # validates
-        if name.startswith("Z"):
-            k = int(name[1:])
-            if k < 3 or k % 2 == 0:
-                raise PreconditionError(f"zeta generator must have odd index >= 3, got {k}")
-        return cls._canonical({((name, 1),): Fraction(1)})
+        return cls._canonical({(0,) * _slot(name) + (1,): Fraction(1)})
 
     @classmethod
     def P(cls) -> "ZetaSymbolValue":
@@ -244,11 +241,16 @@ class ZetaSymbolValue(TermMap):
         return cls.gen(f"Z{k}")
 
     def _product(self, other: "ZetaSymbolValue") -> Dict[Monomial, Fraction]:
-        """Term dict of self * other: every pair of monomials merged."""
+        """Term dict of self * other: every pair of monomials multiplied, by
+        adding their exponent vectors."""
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
+            n1 = len(m1)
             for m2, c2 in other.terms.items():
-                key = _mono_mul(m1, m2)
+                if n1 >= len(m2):
+                    key = (*map(add, m1, m2), *m1[len(m2):])
+                else:
+                    key = (*map(add, m1, m2), *m2[n1:])
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return out
 
@@ -269,19 +271,24 @@ class ZetaSymbolValue(TermMap):
             raise InternalCheckError(f"value is not weight-homogeneous: weights {sorted(ws)}")
         return ws.pop()
 
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(_normal_monomial(mono), Fraction(0))
+    def coefficient(self, pairs: GeneratorPairs) -> Fraction:
+        return self.terms.get(_monomial(pairs), Fraction(0))
+
+    def generators(self) -> Set[str]:
+        """Names of the generators in the support."""
+        return {_gen_name(i) for m in self.terms for i, e in enumerate(m) if e}
 
     def has_generator(self, name: str) -> bool:
-        return any(g == name for m in self.terms for g, _ in m)
+        i = _slot(name)
+        return any(len(m) > i and m[i] for m in self.terms)
 
     def substitute_t(self, t: Scalar) -> "ZetaSymbolValue":
         """Replace T by an exact rational."""
         t = Fraction(t)
         out = ZetaSymbolValue.zero()
         for m, c in self.terms.items():
-            rest = tuple((g, e) for g, e in m if g != "T")
-            te = sum(e for g, e in m if g == "T")
+            rest = tuple((g, e) for g, e in _pairs(m) if g != "T")
+            te = m[1] if len(m) > 1 else 0
             out = out + ZetaSymbolValue({rest: c * t**te})
         return out
 
@@ -289,11 +296,11 @@ class ZetaSymbolValue(TermMap):
         return f"Sym<{render(self)}>"
 
 
-def _render_mono(mono: Monomial, sep: str) -> str:
-    if not mono:
+def _render_mono(pairs: GeneratorPairs, sep: str) -> str:
+    if not pairs:
         return "1"
     bits = []
-    for g, e in mono:
+    for g, e in pairs:
         if g == "P":
             bits.append(f"pi^{4 * e}")
         elif g == "T":
@@ -304,12 +311,19 @@ def _render_mono(mono: Monomial, sep: str) -> str:
     return sep.join(bits)
 
 
+def _display_order(v: ZetaSymbolValue) -> List[Tuple[GeneratorPairs, Fraction]]:
+    """Terms as (pairs, coefficient), by weight and then by the pairs, whose
+    names compare as strings: "Z11" sorts before "Z3"."""
+    keyed = sorted((monomial_weight(m), _pairs(m), c) for m, c in v.terms.items())
+    return [(pairs, c) for _, pairs, c in keyed]
+
+
 def render(v: ZetaSymbolValue) -> str:
     """Human-readable text, e.g. "1/32*z3*z5*z11 + ...". """
     if not v.terms:
         return "0"
     parts = []
-    for mono, c in sorted(v.terms.items(), key=lambda kv: (monomial_weight(kv[0]), kv[0])):
+    for mono, c in _display_order(v):
         ms = _render_mono(mono, "*")
         if mono == ():
             parts.append(str(c))
@@ -325,10 +339,7 @@ def render(v: ZetaSymbolValue) -> str:
 
 def to_json_dict(v: ZetaSymbolValue) -> Dict[str, str]:
     """JSON-friendly map monomial -> coefficient, rationals as "p/q"."""
-    return {
-        _render_mono(m, "*"): str(c)
-        for m, c in sorted(v.terms.items(), key=lambda kv: (monomial_weight(kv[0]), kv[0]))
-    }
+    return {_render_mono(m, "*"): str(c) for m, c in _display_order(v)}
 
 
 def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
@@ -379,13 +390,15 @@ def _numeric_terms(v: ZetaSymbolValue, t_value: float) -> List[float]:
     out = []
     for mono, c in v.terms.items():
         x = float(c)
-        for g, e in mono:
-            if g == "P":
+        for i, e in enumerate(mono):
+            if not e:
+                continue
+            if i == 0:
                 x *= (math.pi**4) ** e
-            elif g == "T":
+            elif i == 1:
                 x *= t_value**e
             else:
-                x *= numeric_mzv((int(g[1:]),)) ** e
+                x *= numeric_mzv((2 * i - 1,)) ** e
         out.append(x)
     return out
 
@@ -562,8 +575,7 @@ def zeta_single(k: int) -> ZetaSymbolValue:
 
 
 def _p_power(n: int, coeff: Fraction) -> ZetaSymbolValue:
-    mono: Monomial = (("P", n),) if n else ()
-    return ZetaSymbolValue({mono: coeff})
+    return ZetaSymbolValue({(("P", n),): coeff})
 
 
 def zeta_four_block(n: int) -> ZetaSymbolValue:

@@ -333,7 +333,7 @@ class TestEvaluate13:
         assert rep.display_matrix == SQUARE_DISPLAY
         assert rep.value == sym_det(SQUARE_DISPLAY) * Fraction(1, 32)
         assert rep.value.homogeneous_weight() == 19
-        gens = {g for mono in rep.value.terms for g, _ in mono}
+        gens = rep.value.generators()
         assert gens <= {"P", "Z3", "Z5", "Z7", "Z11"}
 
     def test_display_factorization_holds_generally(self):
@@ -371,7 +371,7 @@ class TestEvaluate13:
             rep = evaluate_checkerboard_13(t)
             assert rep.tessellated == kind
             assert rep.admissible
-            gens = {g for mono in rep.value.terms for g, _ in mono}
+            gens = rep.value.generators()
             assert gens <= allowed
 
     def test_non_13_entries_rejected(self):

@@ -33,6 +33,83 @@ Sym = ZetaSymbolValue
 GENS = ("P", "T", "Z3", "Z5", "Z11")
 
 
+def _gen_sort_key(g):
+    return (0, 0) if g == "P" else (1, 0) if g == "T" else (2, int(g[1:]))
+
+
+def _mono_mul(m1, m2):
+    """Oracle: product of two sorted (generator, exponent) monomials, by merging."""
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (g1, e1), (g2, e2) = m1[i], m2[j]
+        if g1 == g2:
+            out.append((g1, e1 + e2))
+            i += 1
+            j += 1
+        elif _gen_sort_key(g1) < _gen_sort_key(g2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
+
+
+def _normal_monomial(mono):
+    """Oracle: sort (generator, exponent) pairs, merge a repeated generator by
+    adding its exponents, and drop zero exponents."""
+    out = []
+    for g, e in sorted(mono, key=lambda p: _gen_sort_key(p[0])):
+        if out and out[-1][0] == g:
+            out[-1] = (g, out[-1][1] + e)
+        else:
+            out.append((g, e))
+    return tuple((g, e) for g, e in out if e)
+
+
+def pair_product(a, b):
+    """Oracle: product of two term dicts keyed by sorted pair monomials."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = _mono_mul(m1, m2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _pair_text(g, e):
+    if g == "P":
+        return f"pi^{4 * e}"
+    base = "T" if g == "T" else f"z{g[1:]}"
+    return base if e == 1 else f"{base}^{e}"
+
+
+def pair_render(terms):
+    """Oracle: text of a pair-keyed term dict, by weight and then by the
+    pairs, names compared as strings."""
+    def weight(mono):
+        return sum((4 if g == "P" else 1 if g == "T" else int(g[1:])) * e for g, e in mono)
+
+    parts = []
+    for mono, c in sorted(terms.items(), key=lambda kv: (weight(kv[0]), kv[0])):
+        ms = "*".join(_pair_text(g, e) for g, e in mono)
+        parts.append(str(c) if not mono else ms if c == 1 else f"-{ms}" if c == -1 else f"{c}*{ms}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+def random_pair_terms(rng):
+    """One to four terms in P, T, Z3 ... Z15 with small rational coefficients,
+    keyed by sorted pair monomials."""
+    gens = ("P", "T") + tuple(f"Z{k}" for k in range(3, 16, 2))
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        pairs = ((g, rng.randint(1, 3)) for g in rng.sample(gens, rng.randint(0, 3)))
+        mono = _normal_monomial(pairs)
+        terms[mono] = terms.get(mono, 0) + Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 4))
+    return {m: c for m, c in terms.items() if c}
+
+
 def cofactor_det(rows, zero=Sym.zero(), one=Sym.one()):
     """Oracle: n! cofactor expansion along the first row, skipping zero entries."""
     n = len(rows)
@@ -120,8 +197,10 @@ class TestRing:
     @given(a=values, b=values, q=st.fractions(min_value=-2, max_value=2, max_denominator=3))
     def test_results_are_canonical(self, a, b, q):
         for r in (a + b, a - b, a * b, -a, a * q, q * a, a + q, q - a, (a + b) - b):
-            assert r.terms == Sym(r.terms).terms
-            assert all(type(c) is Fraction for c in r.terms.values())
+            for mono, c in r.terms.items():
+                assert type(mono) is tuple and all(type(e) is int and e >= 0 for e in mono)
+                assert not mono or mono[-1]
+                assert type(c) is Fraction and c
         assert (a + b) - b == a
         assert a - a == Sym.zero()
 
@@ -130,6 +209,37 @@ class TestRing:
         assert Sym({(("Z3", 1), ("P", 1), ("Z3", 1)): 2}) == 2 * Sym.P() * Sym.Z(3) ** 2
         assert Sym({(("T", 2), ("T", -2)): 5}) == 5
         assert (Sym.P() ** 3).coefficient((("P", 2), ("P", 1))) == 1
+
+    @pytest.mark.parametrize("name", ["Z4", "Z1", "Z0", "Z", "Z03", "Z-3", "z3", "X", "PT"])
+    def test_constructor_refuses_unknown_generators(self, name):
+        with pytest.raises(PreconditionError):
+            Sym({((name, 1),): 1})
+        with pytest.raises(PreconditionError):
+            Sym.gen(name)
+
+    def test_constructor_refuses_negative_exponents(self):
+        for mono in ((("T", -1),), (("T", 1), ("T", -2)), (("P", 1), ("Z3", -1))):
+            with pytest.raises(PreconditionError):
+                Sym({mono: 1})
+        with pytest.raises(PreconditionError):
+            Sym.one().coefficient((("Z5", -1),))
+
+    def test_generators(self):
+        v = Sym.P() * Sym.Z(11) ** 2 + 3 * Sym.T()
+        assert v.generators() == {"P", "T", "Z11"}
+        assert Sym.one().generators() == set() == Sym.zero().generators()
+        assert v.has_generator("Z11") and not v.has_generator("Z3")
+
+    def test_products_match_pair_oracle(self):
+        """The exponent-vector product against the merge of sorted pairs:
+        same terms in the same order, and the same text."""
+        rng = random.Random(20260101)
+        for _ in range(200):
+            a, b = random_pair_terms(rng), random_pair_terms(rng)
+            got = Sym(a) * Sym(b)
+            oracle = pair_product(a, b)
+            assert list(got.terms.items()) == list(Sym(oracle).terms.items())
+            assert render(got) == pair_render(oracle)
 
     def test_rings_do_not_mix(self):
         q, z = QSElement.one(), Sym.one()
@@ -226,6 +336,16 @@ class TestRender:
         v = Sym.P() + Sym.rational(Fraction(-1, 2)) * Sym.Z(3) * Sym.T()
         d = to_json_dict(v)
         assert d == {"T*z3": "-1/2", "pi^4": "1"}
+
+    def test_order_at_tied_weights(self):
+        """Equal weights sort on the generator names as strings, not on
+        their indices: z11 before z3."""
+        z = Sym.Z
+        w14 = z(7) ** 2 + z(5) * z(9) + z(3) * z(11) + Sym.P() * z(3) * z(7)
+        assert list(to_json_dict(w14)) == ["pi^4*z3*z7", "z3*z11", "z5*z9", "z7^2"]
+        assert render(w14) == "pi^4*z3*z7 + z3*z11 + z5*z9 + z7^2"
+        w24 = z(3) * z(21) + z(11) * z(13)
+        assert list(to_json_dict(w24)) == ["z11*z13", "z3*z21"]
 
 
 class TestBernoulli:
