@@ -10,10 +10,11 @@ Float truncations come from one routine, a ladder of running sums.
 numeric_mzv sums a Hölder convolution of polylogarithms at 1/2 instead,
 with a stated error bound; numpy is imported only in these two.
 ``_numeric_cache`` maps an admissible index to its value, which does not
-depend on the tolerance asked for or on earlier calls.  It is unbounded.
-Its reads and writes are single dict operations, so threads may share it;
-two threads may compute the same entry.  The README section "Caches and
-threads" covers it with the two caches in ``stuffle``.
+depend on the tolerance asked for or on earlier calls; numeric_mzv looks a
+tuple index up before checking it, and checks only on a miss.  It is
+unbounded.  Its reads and writes are single dict operations, so threads
+may share it; two threads may compute the same entry.  The README section
+"Caches and threads" covers it with the two caches in ``stuffle``.
 """
 
 from __future__ import annotations
@@ -234,15 +235,19 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     within (2(d+1)(N+3) + L + 2) 2^-52 of zeta, relatively, to first order.
 
     ``tol`` must be at least TOL_FLOOR; it does not change the value.
+    A tuple index is looked up in ``_numeric_cache`` before it is checked:
+    every key is a checked admissible index, so a hit needs no check.  Any
+    other sequence is checked and computed.
     """
+    if not tol >= TOL_FLOOR:  # also refuses nan
+        raise PreconditionError(f"tolerance {tol} below the floor {TOL_FLOOR}")
+    if type(idx) is tuple:
+        cached = _numeric_cache.get(idx)
+        if cached is not None:
+            return cached
     idx = check_index(idx)
     if not is_admissible_index(idx):
         raise PreconditionError(f"index {idx} is not admissible (last part < 2)")
-    if not tol >= TOL_FLOOR:  # also refuses nan
-        raise PreconditionError(f"tolerance {tol} below the floor {TOL_FLOOR}")
-    cached = _numeric_cache.get(idx)
-    if cached is not None:
-        return cached
     import numpy as np
 
     w = "".join("0" * (k - 1) + "1" for k in reversed(idx))

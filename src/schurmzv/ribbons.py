@@ -2,7 +2,12 @@
 
 A ribbon is an edge-connected skew shape with exactly one cell on each
 diagonal; reading its cells by increasing content gives a walk of "up" and
-"right" steps.  An outside decomposition cuts a host shape into ribbons that
+"right" steps.  Every ribbon the library builds (subribbons, pieces and
+containing ribbons) comes from such a walk through ``ribbon_from_walk``,
+which reads ``lam/mu`` off the walk's row runs: a walk inside the positive
+quadrant is a ribbon by construction, so no cell set is listed or checked.
+``Ribbon(shape)`` is the validating entry point for shapes from outside,
+such as ribbon files and tests.  An outside decomposition cuts a host shape into ribbons that
 all follow one direction per diagonal, and the minimal containing ribbon
 records exactly those directions.  ``ribbon_matrix`` builds the matrix of
 the determinant identities from it: entry (i, j) is the subribbon spanning
@@ -27,10 +32,7 @@ from .shapes import (
     Tableau,
     content,
     content_set,
-    from_cells,
     is_edge_connected,
-    tableau_from_entries,
-    translation_equivalent,
 )
 
 UP = "U"
@@ -55,7 +57,12 @@ def is_ribbon(shape: SkewShape) -> bool:
 
 @dataclass(frozen=True)
 class Ribbon:
-    """A validated ribbon; exposes its walk by increasing content."""
+    """A ribbon; exposes its walk by increasing content.
+
+    ``Ribbon(shape)`` validates a shape from outside.  The library builds
+    every other ribbon with :func:`ribbon_from_walk`, which skips that
+    check because a walk is a ribbon by construction.
+    """
 
     shape: SkewShape
 
@@ -64,18 +71,15 @@ class Ribbon:
             raise PreconditionError(f"{self.shape} is not a ribbon")
 
     @cached_property
-    def cells_by_content(self) -> Tuple[Cell, ...]:
-        return tuple(sorted(self.shape.cells, key=content))
-
-    @property
     def start(self) -> Cell:
         """The cell of smallest content."""
-        return self.cells_by_content[0]
+        return min(self.shape.cells, key=content)
 
     @property
     def end(self) -> Cell:
         """The cell of largest content."""
-        return self.cells_by_content[-1]
+        (i, j), ups = self.start, self.steps.count(UP)
+        return i - ups, j + len(self.steps) - ups
 
     @property
     def cmin(self) -> int:
@@ -83,17 +87,17 @@ class Ribbon:
 
     @property
     def cmax(self) -> int:
-        return content(self.end)
+        return content(self.start) + len(self.steps)
 
     @property
     def n_cells(self) -> int:
-        return self.shape.n_cells
+        return len(self.steps) + 1
 
     @cached_property
     def steps(self) -> Tuple[str, ...]:
         """The walk directions: steps[k] moves from content cmin+k to cmin+k+1."""
         out = []
-        cells = self.cells_by_content
+        cells = sorted(self.shape.cells, key=content)
         for (i, j), nxt in zip(cells, cells[1:]):
             if nxt == (i - 1, j):
                 out.append(UP)
@@ -107,24 +111,51 @@ class Ribbon:
 
 
 def ribbon_from_walk(start: Cell, steps: Tuple[str, ...]) -> Ribbon:
-    """Build a ribbon from its smallest-content cell and its step sequence."""
-    cells = [start]
+    """Build a ribbon from its smallest-content cell and its step sequence.
+
+    The walk's row runs give ``lam/mu`` directly, in the canonical form
+    :func:`~schurmzv.shapes.from_cells` would return: row ``i`` spans the
+    columns the walk visits there, and the empty rows above the top run
+    are anchored at its right end.  Raises :class:`PreconditionError` on an
+    unknown step letter or a walk that leaves the positive quadrant.
+    """
+    steps = tuple(steps)
+    i0, j0 = int(start[0]), int(start[1])
+    lam, mu = [], []  # bottom row first
+    lo = j = j0
     for s in steps:
-        i, j = cells[-1]
-        if s == UP:
-            cells.append((i - 1, j))
-        elif s == RIGHT:
-            cells.append((i, j + 1))
+        if s == RIGHT:
+            j += 1
+        elif s == UP:
+            lam.append(j)
+            mu.append(lo - 1)
+            lo = j
         else:
             raise PreconditionError(f"unknown step {s!r}; use {UP!r} or {RIGHT!r}")
-    return Ribbon(from_cells(cells))
+    lam.append(j)
+    mu.append(lo - 1)
+    top = i0 - len(lam) + 1
+    if top < 1 or j0 < 1:
+        raise PreconditionError(
+            f"walk from {(i0, j0)} with steps {''.join(steps)} leaves the "
+            "positive quadrant; cells must have positive coordinates"
+        )
+    lam.reverse()
+    mu.reverse()
+    while mu and mu[-1] == 0:
+        mu.pop()
+    pad = (j,) * (top - 1)
+    r = object.__new__(Ribbon)
+    object.__setattr__(r, "shape", SkewShape(pad + tuple(lam), pad + tuple(mu)))
+    r.__dict__.update(start=(i0, j0), steps=steps)
+    return r
 
 
 def anchored_ribbon(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
     """The furthest-left ribbon with the given smallest content and steps."""
-    ups = sum(1 for s in steps if s == UP)
-    i0 = max(ups + 1, 1 - cmin)
-    return ribbon_from_walk((i0, i0 + cmin), tuple(steps))
+    steps = tuple(steps)
+    i0 = max(steps.count(UP) + 1, 1 - cmin)
+    return ribbon_from_walk((i0, i0 + cmin), steps)
 
 
 def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
@@ -208,11 +239,12 @@ def decomposition_from_ribbon(shape: SkewShape, r: Ribbon) -> OutsideDecompositi
     pieces = []
     covered = 0
     for s in starts:
-        walk = [s]
-        while (nxt := successor(walk[-1])) is not None:
-            walk.append(nxt)
-        pieces.append(Ribbon(from_cells(walk)))
-        covered += len(walk)
+        end = s
+        while (nxt := successor(end)) is not None:
+            end = nxt
+        lo, hi = content(s) - r.cmin, content(end) - r.cmin
+        pieces.append(ribbon_from_walk(s, r.steps[lo:hi]))
+        covered += hi - lo + 1
     if covered != shape.n_cells:
         raise InternalCheckError("direction-following chains fail to cover the host")
     return OutsideDecomposition(shape, tuple(pieces))
@@ -273,7 +305,7 @@ def minimal_containing_ribbon(theta: OutsideDecomposition) -> Ribbon:
         )
     r = anchored_ribbon(cmin, tuple(dirs[c] for c in range(cmin, cmax)))
     for p in theta.pieces:
-        if not translation_equivalent(subribbon_of(r, p.cmin, p.cmax).shape, p.shape):
+        if r.steps[p.cmin - cmin : p.cmax - cmin] != p.steps:
             raise InternalCheckError(
                 f"piece with contents [{p.cmin},{p.cmax}] does not embed in the ribbon"
             )
@@ -373,17 +405,26 @@ def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
 
 
 def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
-    """Decorate a ribbon with the host's diagonal values of equal content."""
+    """Decorate a ribbon with the host's diagonal values of equal content.
+
+    The rows are the walk's runs: an up step starts the next row above.
+    """
     values = k.value_map
-    shape = ribbon.shape
-    missing = [content(c) for c in shape.cells if content(c) not in values]
+    cmin, cmax = ribbon.cmin, ribbon.cmax
+    missing = [c for c in range(cmin, cmax + 1) if c not in values]
     if missing:
         raise PreconditionError(
-            f"host tableau has no diagonal values for contents {sorted(set(missing))}"
+            f"host tableau has no diagonal values for contents {missing}"
         )
-    return tableau_from_entries(
-        shape, {cell: values[content(cell)] for cell in shape.cells}
-    )
+    runs = [[values[cmin]]]
+    for c, s in enumerate(ribbon.steps, start=cmin + 1):
+        if s == UP:
+            runs.append([])
+        runs[-1].append(values[c])
+    bottom = ribbon.start[0]
+    above = ((),) * (bottom - len(runs))
+    below = ((),) * (len(ribbon.shape.lam) - bottom)
+    return Tableau(ribbon.shape, above + tuple(map(tuple, reversed(runs))) + below)
 
 
 def fill_subribbon(

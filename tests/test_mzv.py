@@ -301,6 +301,20 @@ class TestNumeric:
             with pytest.raises(PreconditionError):
                 numeric_mzv((2,), tol)
 
+    def test_cache_hit_matches_miss(self, monkeypatch):
+        monkeypatch.setattr(mzv, "_numeric_cache", {})
+        miss = numeric_mzv((2, 1, 3))
+        assert mzv._numeric_cache == {(2, 1, 3): miss}
+        assert numeric_mzv((2, 1, 3)) == miss
+        assert numeric_mzv([2, 1, 3]) == miss
+        for tol in (1e-12, float("nan")):
+            with pytest.raises(PreconditionError):
+                numeric_mzv((2, 1, 3), tol)
+        for bad in ((2, 1), [2, 1], (0, 3), [2, 0, 3], ()):
+            with pytest.raises(PreconditionError):
+                numeric_mzv(bad)
+        assert list(mzv._numeric_cache) == [(2, 1, 3)]
+
 
 class TestRichardson:
     def test_constant(self):

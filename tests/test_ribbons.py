@@ -4,6 +4,8 @@ The 12-cell host (4,3,3,2,1)/(1) with the guide ribbon (6,6,6,5,3)/(6,6,4,2)
 is the worked golden case: four pieces of sizes 1, 4, 6, 1.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,13 +23,19 @@ from schurmzv.ribbons import (
     ribbon_from_walk,
     ribbon_matrix,
     subribbon_of,
+    fill_ribbon,
     subribbon_table,
 )
 from schurmzv.shapes import (
+    SkewShape,
+    content,
     content_set,
     diagonal_tableau,
     from_cells,
+    furthest_left,
+    is_edge_connected,
     make_skew,
+    tableau_from_entries,
     translation_equivalent,
 )
 
@@ -202,10 +210,12 @@ class TestSubribbonTable:
         assert len(set(calls)) == len(calls) == table.count(SubribbonStatus.DEFINED)
 
 
-@st.composite
-def connected_skew_shapes(draw, max_cells=8):
-    """Grow a random edge-connected skew shape cell by cell."""
-    n = draw(st.integers(1, max_cells))
+def grow_connected_shape(n, pick):
+    """Grow an edge-connected skew shape from (4, 4) in n - 1 tries.
+
+    ``pick`` chooses each try's cell from the sorted frontier; a try that
+    would leave the skew shapes or disconnect the cells is skipped.
+    """
     cells = {(4, 4)}
     for _ in range(n - 1):
         frontier = sorted(
@@ -216,17 +226,21 @@ def connected_skew_shapes(draw, max_cells=8):
                 if nb not in cells and nb[0] > 0 and nb[1] > 0
             }
         )
-        pick = draw(st.integers(0, len(frontier) - 1))
-        cand = cells | {frontier[pick]}
+        cand = cells | {pick(frontier)}
         try:
             s = from_cells(cand)
         except PreconditionError:
             continue
-        from schurmzv.shapes import is_edge_connected
-
         if is_edge_connected(s):
             cells = cand
     return from_cells(cells)
+
+
+@st.composite
+def connected_skew_shapes(draw, max_cells=8):
+    """Grow a random edge-connected skew shape cell by cell."""
+    n = draw(st.integers(1, max_cells))
+    return grow_connected_shape(n, lambda fr: fr[draw(st.integers(0, len(fr) - 1))])
 
 
 class TestRoundTripProperty:
@@ -261,3 +275,128 @@ class TestRoundTripProperty:
         ribbon_matrix(theta, lambda p, q, r: calls.append((p, q)), 0, 1)
         assert len(set(calls)) == len(calls)
         assert len(calls) == subribbon_table(theta).count(SubribbonStatus.DEFINED)
+
+
+def walk_cells(start, steps):
+    """The cells a U/R walk visits, listed one by one (the oracle)."""
+    cells = [start]
+    for s in steps:
+        i, j = cells[-1]
+        cells.append((i - 1, j) if s == UP else (i, j + 1))
+    return cells
+
+
+def cell_ribbon(cells):
+    """A ribbon through the validating path: from_cells, then Ribbon."""
+    return Ribbon(from_cells(cells))
+
+
+def assert_same_ribbon(got, want):
+    assert got.shape == want.shape
+    assert got.steps == want.steps
+    assert (got.start, got.end) == (want.start, want.end)
+    assert (got.cmin, got.cmax) == (want.cmin, want.cmax)
+    assert got == want and hash(got) == hash(want)
+
+
+def random_walks(seed, n):
+    rng = random.Random(seed)
+    for _ in range(n):
+        steps = tuple(rng.choice((UP, RIGHT)) for _ in range(rng.randint(0, 10)))
+        yield rng, rng.randint(-6, 6), steps
+
+
+class TestWalkOracle:
+    """Walk-built ribbons against the cell-set path they replace."""
+
+    def test_ribbon_from_walk(self):
+        for rng, cmin, steps in random_walks(1201, 400):
+            ups = steps.count(UP)
+            i0 = max(ups + 1, 1 - cmin) + rng.randint(0, 3)
+            start = (i0, i0 + cmin)
+            assert_same_ribbon(
+                ribbon_from_walk(start, steps), cell_ribbon(walk_cells(start, steps))
+            )
+
+    def test_anchored_and_every_subribbon(self):
+        for rng, cmin, steps in random_walks(1202, 150):
+            far = (20, 20 + cmin)  # any legal start; the oracle slides it left
+            r = anchored_ribbon(cmin, steps)
+            assert_same_ribbon(r, Ribbon(furthest_left(from_cells(walk_cells(far, steps)))))
+            cells = sorted(walk_cells(far, steps), key=content)
+            for p in range(r.cmin, r.cmax + 1):
+                for q in range(p, r.cmax + 1):
+                    sub = [c for c in cells if p <= content(c) <= q]
+                    assert_same_ribbon(
+                        subribbon_of(r, p, q), Ribbon(furthest_left(from_cells(sub)))
+                    )
+
+    def test_decomposition_pieces_are_their_chains(self):
+        rng = random.Random(1203)
+        for _ in range(150):
+            host = grow_connected_shape(rng.randint(1, 10), rng.choice)
+            span = content_set(host)
+            steps = tuple(rng.choice((UP, RIGHT)) for _ in range(span[-1] - span[0]))
+            guide = anchored_ribbon(span[0], steps)
+            # Follow the guide's direction on each diagonal from every host
+            # cell that no host cell leads into.
+            dirs = dict(zip(range(span[0], span[-1]), steps))
+            succ = {}
+            for c in host.cells:
+                if content(c) in dirs:
+                    nxt = walk_cells(c, (dirs[content(c)],))[1]
+                    if nxt in host.cell_set:
+                        succ[c] = nxt
+            chains = []
+            for c in sorted(set(host.cells) - set(succ.values())):
+                chain = [c]
+                while chain[-1] in succ:
+                    chain.append(succ[chain[-1]])
+                chains.append(chain)
+            chains.sort(key=lambda ch: (content(ch[0]), -ch[0][0]))
+            pieces = decomposition_from_ribbon(host, guide).pieces
+            assert len(pieces) == len(chains)
+            for piece, chain in zip(pieces, chains):
+                assert_same_ribbon(piece, cell_ribbon(chain))
+
+    def test_fill_ribbon_matches_cell_map(self):
+        extra = [Ribbon(SkewShape((3, 2, 2), (1, 2, 2)))]  # empty rows below
+        for rng, cmin, steps in random_walks(1204, 300):
+            r = anchored_ribbon(cmin, steps)
+            shifted = cell_ribbon(walk_cells((r.start[0] + 2, r.start[1] + 2), steps))
+            for ribbon in [r, shifted] + extra:
+                values = {c: rng.randint(1, 9) for c in range(ribbon.cmin, ribbon.cmax + 1)}
+                k = diagonal_tableau(ribbon.shape, values)
+                want = tableau_from_entries(
+                    ribbon.shape, {c: values[content(c)] for c in ribbon.shape.cells}
+                )
+                assert fill_ribbon(k, ribbon) == want
+
+    def test_fill_ribbon_missing_contents(self):
+        r = anchored_ribbon(-1, (UP, RIGHT, RIGHT))
+        k = diagonal_tableau(make_skew((1,)), {0: 2})
+        with pytest.raises(PreconditionError, match=r"contents \[-1, 1, 2\]"):
+            fill_ribbon(k, r)
+
+    @pytest.mark.parametrize(
+        "start, steps",
+        [
+            ((0, 2), ()),
+            ((2, 0), (RIGHT,)),
+            ((-1, -1), (RIGHT, RIGHT)),
+            ((2, 1), (UP, UP)),
+            ((3, 5), (RIGHT, UP, UP, UP)),
+        ],
+    )
+    def test_walk_outside_the_quadrant(self, start, steps):
+        with pytest.raises(PreconditionError):
+            from_cells(walk_cells(start, steps))
+        with pytest.raises(PreconditionError):
+            ribbon_from_walk(start, steps)
+
+    @pytest.mark.parametrize("steps", [("X",), (UP, "u"), (RIGHT, "UR")])
+    def test_unknown_step_letter(self, steps):
+        with pytest.raises(PreconditionError):
+            ribbon_from_walk((5, 5), steps)
+        with pytest.raises(PreconditionError):
+            anchored_ribbon(0, steps)
