@@ -16,8 +16,16 @@ each cell's content, so a guiding ribbon should be drawn in the same frame
 as its host; if its content range is offset, it is re-anchored onto the
 host's diagonals and the shift is reported.
 
+Flags: there is no config file.  Each subcommand takes only the flags it
+reads, and a flag its chosen mode never reads is refused before any file is
+opened: ``eval`` reads ``--ladder`` only with ``--extrapolate``, and
+``jt-check`` reads ``-M`` only without ``--regularized``, ``--T`` and
+``--check-tol`` only with it.  The filling budget is a fixed guard,
+``evaluate.FILLING_CAP`` (10^8 fillings per truncated sum), reported as
+``diagnostics.cap`` by ``eval`` and exact ``jt-check``.
+
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 resource cap exceeded, 5 internal consistency failure.
+4 filling budget exceeded, 5 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,7 +54,7 @@ from .errors import (
     ResourceLimitError,
     SchurMzvError,
 )
-from .evaluate import DEFAULT_FILLING_CAP, jacobi_trudi_check_exact, truncated_schur_zeta
+from .evaluate import FILLING_CAP, jacobi_trudi_check_exact, truncated_schur_zeta
 from .mzv import (
     expand_tableau,
     numeric_mzv,
@@ -174,35 +181,7 @@ def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
 
 
 # ---------------------------------------------------------------------------
-# configuration
-
-
-@dataclass(frozen=True)
-class Settings:
-    """Resolved numeric knobs: config file first, then flags on top."""
-
-    cap: int
-    ladder: Tuple[int, ...]
-
-
-def _read_config(path: str) -> Dict[str, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read config {path}: {exc}") from exc
-    out: Dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in ("cap", "ladder"):
-            raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = value
-    return out
+# flags
 
 
 def _finite(what: str, value: float) -> float:
@@ -212,11 +191,23 @@ def _finite(what: str, value: float) -> float:
     return value
 
 
+def _ladder(args: argparse.Namespace) -> Tuple[int, ...]:
+    """The ``--ladder`` levels, or DEFAULT_LADDER when the flag is absent."""
+    if args.ladder is None:
+        return DEFAULT_LADDER
+    try:
+        ladder = tuple(int(m) for m in args.ladder.split(","))
+    except ValueError as exc:
+        raise ParseError(f"--ladder: {exc}") from exc
+    if any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
+        raise ParseError(f"ladder must be strictly increasing levels >= 2, got {ladder}")
+    return ladder
+
+
 #: Flags a command reads in one mode only: (command, flag, mode flag,
 #: whether the flag is read with that mode on).
 _MODE_SETTINGS = (
     ("eval", "--ladder", "--extrapolate", True),
-    ("jt-check", "--cap", "--regularized", False),
     ("jt-check", "-M", "--regularized", False),
     ("jt-check", "--T", "--regularized", True),
     ("jt-check", "--check-tol", "--regularized", True),
@@ -227,7 +218,9 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def resolve_settings(args: argparse.Namespace) -> Settings:
+def check_flags(args: argparse.Namespace) -> None:
+    """Refuse flags the chosen mode never reads and out-of-range values,
+    before any file is opened."""
     for command, flag, mode, with_mode in _MODE_SETTINGS:
         if (
             args.command == command
@@ -238,34 +231,13 @@ def resolve_settings(args: argparse.Namespace) -> Settings:
                 f"{command} reads {flag} only "
                 f"{'with' if with_mode else 'without'} {mode}"
             )
-    cap = DEFAULT_FILLING_CAP
-    ladder = DEFAULT_LADDER
-    if getattr(args, "config", None):
-        raw = _read_config(args.config)
-        try:
-            if "cap" in raw:
-                cap = int(raw["cap"])
-            if "ladder" in raw:
-                ladder = tuple(int(m) for m in raw["ladder"].split(","))
-        except ValueError as exc:
-            raise ParseError(f"config {args.config}: {exc}") from exc
-    if getattr(args, "cap", None) is not None:
-        cap = args.cap
-    if getattr(args, "ladder", None) is not None:
-        try:
-            ladder = tuple(int(m) for m in args.ladder.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--ladder: {exc}") from exc
+    if args.command == "eval":
+        _ladder(args)
     if getattr(args, "M", None) is not None and args.M < 1:
         raise ParseError(f"-M must be at least 1, got {args.M}")
     if getattr(args, "check_tol", None) is not None:
         if _finite("--check-tol", args.check_tol) < 0:
             raise ParseError(f"--check-tol must not be negative, got {args.check_tol}")
-    if cap < 1:
-        raise ParseError(f"cap must be at least 1, got {cap}")
-    if not ladder or any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
-        raise ParseError(f"ladder must be strictly increasing levels >= 2, got {ladder}")
-    return Settings(cap=cap, ladder=ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -291,9 +263,9 @@ def _shape_dict(shape: SkewShape) -> Dict[str, object]:
 # commands
 
 
-def _cmd_eval(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, str]:
+def _cmd_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, echo = _load_tableau(args.tableau)
-    value = truncated_schur_zeta(tab, args.M, cap=settings.cap)
+    value = truncated_schur_zeta(tab, args.M)
     result: Dict[str, object] = {
         "M": args.M,
         "value": _frac(value),
@@ -301,27 +273,28 @@ def _cmd_eval(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict,
         "weight": tab.weight,
         "shape": _shape_dict(tab.shape),
     }
-    diagnostics: Dict[str, object] = {"cap": settings.cap}
+    diagnostics: Dict[str, object] = {"cap": FILLING_CAP}
     pretty = [
         f"truncated value at M={args.M}: {value} (~{float(value):.12g})",
         f"shape {tab.shape}, weight {tab.weight}",
     ]
     if args.extrapolate:
-        totals = [0.0] * len(settings.ladder)
+        ladder = _ladder(args)
+        totals = [0.0] * len(ladder)
         for idx, mult in sorted(expand_tableau(tab).items()):
-            values = truncated_mzv_float_ladder(idx, settings.ladder)
+            values = truncated_mzv_float_ladder(idx, ladder)
             totals = [t + mult * v for t, v in zip(totals, values)]
-        accelerated = richardson_extrapolate(list(zip(settings.ladder, totals)))
-        result["ladder"] = list(settings.ladder)
+        accelerated = richardson_extrapolate(list(zip(ladder, totals)))
+        result["ladder"] = list(ladder)
         result["extrapolated_numeric"] = accelerated
         pretty.append(
-            f"ladder {','.join(str(m) for m in settings.ladder)} "
+            f"ladder {','.join(str(m) for m in ladder)} "
             f"extrapolates to ~{accelerated:.12g}"
         )
     return result, diagnostics, "\n".join(pretty)
 
 
-def _cmd_expand(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, str]:
+def _cmd_expand(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     combination = expand_tableau(tab)
     terms = [
@@ -335,9 +308,7 @@ def _cmd_expand(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dic
     return result, {}, f"{len(terms)} indices: {pretty_terms}"
 
 
-def _cmd_regularize(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_regularize(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     poly = schur_regularize(tab)
     coefficients = [_index_terms(c.terms) for c in poly.coeffs]
@@ -364,9 +335,7 @@ def _cmd_regularize(
 _TABLE_MARKS = {"empty": "∅", "undefined": "×"}
 
 
-def _cmd_decompose(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_decompose(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     host, _, _ = _load_grid(args.shape)
     ribbon, shift = _load_ribbon(args.ribbon, host)
     theta = decomposition_from_ribbon(host, ribbon)
@@ -401,9 +370,7 @@ def _cmd_decompose(
     return result, diagnostics, "\n".join(pretty_lines)
 
 
-def _cmd_jt_check(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_jt_check(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     diagonal = as_diagonal(tab)
     ribbon, shift = _load_ribbon(args.ribbon, tab.shape)
@@ -440,7 +407,7 @@ def _cmd_jt_check(
         return result, diagnostics, pretty
     if args.M is None:
         raise ParseError("jt-check needs -M unless --regularized is given")
-    report_exact = jacobi_trudi_check_exact(diagonal, theta, args.M, cap=settings.cap)
+    report_exact = jacobi_trudi_check_exact(diagonal, theta, args.M)
     result = {
         "M": args.M,
         "n": report_exact.n,
@@ -448,7 +415,7 @@ def _cmd_jt_check(
         "rhs": _frac(report_exact.rhs),
         "equal": report_exact.equal,
     }
-    diagnostics["cap"] = settings.cap
+    diagnostics["cap"] = FILLING_CAP
     pretty = (
         f"M={args.M}: lhs {report_exact.lhs} "
         f"{'==' if report_exact.equal else '!='} det {report_exact.rhs} "
@@ -461,9 +428,7 @@ def _kind_list(kinds) -> List[Dict[str, object]]:
     return [{"kind": k.kind, "a": k.a, "b": k.b, "n": k.n} for k in kinds]
 
 
-def _cmd_checkerboard_eval(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
     t_value = _finite("--T", args.T) if args.T is not None else 0.0
@@ -511,9 +476,7 @@ def _parse_n_range(text: str) -> List[int]:
     return list(range(lo, hi + 1))
 
 
-def _cmd_checkerboard_alpha(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_checkerboard_alpha(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     ns = _parse_n_range(args.n)
     rows = [{"n": n, "alpha": _frac(alpha(n))} for n in ns]
     result = {"alphas": rows}
@@ -521,9 +484,7 @@ def _cmd_checkerboard_alpha(
     return result, {}, pretty
 
 
-def _cmd_checkerboard_tessellate(
-    args: argparse.Namespace, settings: Settings
-) -> Tuple[dict, dict, str]:
+def _cmd_checkerboard_tessellate(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     shape, entries, _ = _load_grid(args.shape)
     attempts = []
     if entries is None:
@@ -569,7 +530,7 @@ def _cmd_checkerboard_tessellate(
     return result, {}, "\n".join(pretty_lines)
 
 
-def _cmd_mzv(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, str]:
+def _cmd_mzv(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     try:
         idx = tuple(int(s) for s in args.index.split(","))
     except ValueError as exc:
@@ -583,15 +544,8 @@ def _cmd_mzv(args: argparse.Namespace, settings: Settings) -> Tuple[dict, dict, 
 # parser and dispatch
 
 
-def _add_common(parser: argparse.ArgumentParser, *knobs: str) -> None:
-    """--pretty, and --config with a flag for each knob the command reads."""
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--pretty", action="store_true", help="human-readable output")
-    if knobs:
-        parser.add_argument("--config", help="key=value file: cap, ladder")
-    if "cap" in knobs:
-        parser.add_argument("--cap", type=int, help="enumeration cap override")
-    if "ladder" in knobs:
-        parser.add_argument("--ladder", help="comma-separated truncation levels")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -605,8 +559,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", type=int, required=True, help="truncation level")
     p.add_argument("--extrapolate", action="store_true",
                    help="also report a Richardson estimate over the ladder")
+    p.add_argument("--ladder", help="comma-separated truncation levels for "
+                                    "--extrapolate (default "
+                                    f"{','.join(map(str, DEFAULT_LADDER))})")
     p.add_argument("tableau", help="tableau grid file")
-    _add_common(p, "cap", "ladder")
+    _add_common(p)
     p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("expand", help="indices and multiplicities of a tableau sum")
@@ -636,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="acceptance threshold for --regularized discrepancies "
                         f"(default {DEFAULT_CHECK_TOL:g})")
     p.add_argument("tableau", help="diagonal-constant tableau grid file")
-    _add_common(p, "cap")
+    _add_common(p)
     p.set_defaults(handler=_cmd_jt_check)
 
     p = sub.add_parser("mzv", help="numeric multiple zeta value")
@@ -691,8 +648,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         f" {args.subcommand}" if getattr(args, "subcommand", None) else ""
     )
     try:
-        settings = resolve_settings(args)
-        result, diagnostics, pretty = args.handler(args, settings)
+        check_flags(args)
+        result, diagnostics, pretty = args.handler(args)
     except SchurMzvError as exc:
         code = {
             ParseError: EXIT_PARSE,

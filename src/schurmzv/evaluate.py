@@ -19,7 +19,9 @@ from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
 from .symbolic import det
 
-DEFAULT_FILLING_CAP = 10**8
+#: The most fillings one call may enumerate; more raise ResourceLimitError.
+#: Each call reads it once, into a local its leaf compares against.
+FILLING_CAP = 10**8
 
 WeightFunction = Callable[[int, int], object]
 
@@ -48,15 +50,15 @@ def _fill_plan(shape: SkewShape):
     return cells, left, up, below
 
 
-def enumerate_ssyt(
-    shape: SkewShape, M: int, *, cap: int = DEFAULT_FILLING_CAP
-) -> Iterator[SsytFilling]:
+def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[SsytFilling]:
     """Yield every semistandard filling with entries < M, in lexicographic
     order of the row-reading word.
 
     The empty shape has exactly one (empty) filling.  Raises
-    :class:`ResourceLimitError` when more than ``cap`` fillings are produced.
+    :class:`ResourceLimitError` when more than ``FILLING_CAP`` fillings are
+    produced.
     """
+    cap = FILLING_CAP
     cells, left, up, below = _fill_plan(shape)
     n = len(cells)
     vals = [0] * n
@@ -82,9 +84,7 @@ def enumerate_ssyt(
     return rec(0)
 
 
-def s_f_m(
-    k: Tableau, M: int, f: WeightFunction, *, cap: int = DEFAULT_FILLING_CAP
-) -> object:
+def s_f_m(k: Tableau, M: int, f: WeightFunction) -> object:
     """Sum of prod f(m_cell, k_cell) over all semistandard fillings < M.
 
     Generic over any commutative ring whose elements combine with the
@@ -92,7 +92,7 @@ def s_f_m(
     """
     total = 0
     entries = k.entries
-    for filling in enumerate_ssyt(k.shape, M, cap=cap):
+    for filling in enumerate_ssyt(k.shape, M):
         term = 1
         for cell, m in filling.values.items():
             term = term * f(m, entries[cell])
@@ -100,15 +100,15 @@ def s_f_m(
     return total
 
 
-def truncated_schur_zeta(
-    k: Tableau, M: int, *, cap: int = DEFAULT_FILLING_CAP
-) -> Fraction:
+def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     """Exact truncation of the nested zeta sum attached to the tableau.
 
     Equals s_f_m with f(m, d) = m^-d but accumulates one integer numerator
     over the common denominator lcm(1..M-1)^weight, which keeps the rational
-    reductions out of the inner loop.
+    reductions out of the inner loop.  Raises :class:`ResourceLimitError`
+    when more than ``FILLING_CAP`` fillings are summed.
     """
+    cap = FILLING_CAP
     cells, left, up, below = _fill_plan(k.shape)
     if not cells:
         return Fraction(1)
@@ -157,9 +157,7 @@ def _complete_homogeneous(x: Sequence[Fraction], kmax: int) -> List[Fraction]:
     return h
 
 
-def schur_poly_check(
-    shape: SkewShape, M: int, x: Sequence[Fraction], *, cap: int = DEFAULT_FILLING_CAP
-) -> Fraction:
+def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fraction:
     """Skew Schur polynomial at x, cross-checked against its h-determinant.
 
     Evaluates the filling sum with weight f(m, _) = x[m-1] and compares it
@@ -176,7 +174,7 @@ def schur_poly_check(
             for lo, hi in (shape.row_span(i) for i in range(1, len(shape.lam) + 1))
         ),
     )
-    value = s_f_m(ones, M, lambda m, _d: x[m - 1], cap=cap)
+    value = s_f_m(ones, M, lambda m, _d: x[m - 1])
     ell = len(shape.lam)
     mu = shape.padded_mu
     kmax = max([shape.lam[i] - mu[j] - i + j for i in range(ell) for j in range(ell)] + [0])
@@ -212,11 +210,7 @@ class JTReport:
 
 
 def jacobi_trudi_check_exact(
-    k: DiagonalTableau,
-    theta: OutsideDecomposition,
-    M: int,
-    *,
-    cap: int = DEFAULT_FILLING_CAP,
+    k: DiagonalTableau, theta: OutsideDecomposition, M: int
 ) -> JTReport:
     """Compare the tableau sum with its subribbon determinant at level M.
 
@@ -226,12 +220,10 @@ def jacobi_trudi_check_exact(
     """
     if k.shape != theta.host:
         raise PreconditionError("diagonal tableau must live on the decomposition host")
-    lhs = truncated_schur_zeta(k.to_tableau(), M, cap=cap)
+    lhs = truncated_schur_zeta(k.to_tableau(), M)
     mat = ribbon_matrix(
         theta,
-        lambda p, q, r: truncated_schur_zeta(
-            fill_ribbon(k, subribbon_of(r, p, q)), M, cap=cap
-        ),
+        lambda p, q, r: truncated_schur_zeta(fill_ribbon(k, subribbon_of(r, p, q)), M),
         Fraction(0),
         Fraction(1),
     )

@@ -26,7 +26,7 @@ from itertools import product
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import PreconditionError
-from .shapes import Tableau
+from .shapes import Tableau, int_parts
 
 Index = Tuple[int, ...]
 IndexCombination = Dict[Index, int]
@@ -38,7 +38,7 @@ TOL_FLOOR = 1e-10
 
 
 def check_index(idx: Sequence[int]) -> Index:
-    t = tuple(int(k) for k in idx)
+    t = int_parts(idx, "index")
     if not t:
         raise PreconditionError("index must be nonempty")
     if any(k < 1 for k in t):

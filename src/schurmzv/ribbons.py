@@ -171,18 +171,22 @@ def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
 class OutsideDecomposition:
     """An ordered cut of a host shape into perimeter-to-perimeter ribbons.
 
-    Pieces keep host coordinates.  Each piece must begin on the left or
-    bottom perimeter of the host and end on the right or top perimeter.
+    Pieces keep host coordinates.  The host must be nonempty and
+    edge-connected, which is checked here, once per decomposition.  Each
+    piece must begin on the left or bottom perimeter of the host and end on
+    the right or top perimeter.
     """
 
     host: SkewShape
     pieces: Tuple[Ribbon, ...]
 
     def __post_init__(self) -> None:
-        covered = [c for p in self.pieces for c in p.shape.cells]
-        if len(covered) != len(set(covered)) or set(covered) != self.host.cell_set:
-            raise PreconditionError("pieces must partition the host cells")
         hs = self.host.cell_set
+        if not hs or not is_edge_connected(self.host):
+            raise PreconditionError("host must be a nonempty edge-connected skew shape")
+        covered = [c for p in self.pieces for c in p.shape.cells]
+        if len(covered) != len(set(covered)) or set(covered) != hs:
+            raise PreconditionError("pieces must partition the host cells")
         for p in self.pieces:
             si, sj = p.start
             if (si, sj - 1) in hs and (si + 1, sj) in hs:
@@ -206,10 +210,9 @@ def decomposition_from_ribbon(shape: SkewShape, r: Ribbon) -> OutsideDecompositi
     Each diagonal of the host inherits the up/right direction that ``r``
     takes there; maximal direction-following chains of host cells are the
     pieces.  Pieces are ordered by smallest content, bottom-most first on
-    ties.  Requires an edge-connected host with c(host) = c(r).
+    ties.  Requires c(host) = c(r) and an edge-connected host, which
+    :class:`OutsideDecomposition` checks.
     """
-    if not shape.cells or not is_edge_connected(shape):
-        raise PreconditionError("host must be a nonempty edge-connected skew shape")
     if content_set(shape) != tuple(range(r.cmin, r.cmax + 1)):
         raise PreconditionError(
             f"ribbon contents [{r.cmin},{r.cmax}] do not match host contents "
@@ -261,11 +264,10 @@ def minimal_containing_ribbon(theta: OutsideDecomposition) -> Ribbon:
     The pieces pin a direction on every diagonal: interior steps directly,
     and end/start cells through the host cells adjacent to them (an exit
     into the host rules out that direction's continuation).  For an
-    edge-connected host every diagonal gets pinned.
+    edge-connected host, which every decomposition has, every diagonal gets
+    pinned.
     """
     host = theta.host
-    if not is_edge_connected(host):
-        raise PreconditionError("host must be edge-connected")
     contents = content_set(host)
     cmin, cmax = contents[0], contents[-1]
     dirs: Dict[int, str] = {}

@@ -20,13 +20,29 @@ Partition = Tuple[int, ...]
 Cell = Tuple[int, int]
 
 
+def int_parts(parts: Iterable, what: str) -> Tuple[int, ...]:
+    """The parts as ints; refuses any part that differs from its ``int()``.
+
+    So ``2.0`` and numpy integers pass, while ``2.9`` and ``"3"`` raise
+    :class:`PreconditionError` instead of being truncated or parsed.
+    """
+    given = tuple(parts)
+    try:
+        out = tuple(map(int, given))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise PreconditionError(f"{what} has a non-integer part: {given}") from exc
+    if out != given:
+        raise PreconditionError(f"{what} has a non-integer part: {given}")
+    return out
+
+
 def check_partition(parts: Sequence[int], *, name: str = "partition") -> Partition:
     """Validate and normalise a partition given as a sequence of row lengths.
 
     Trailing zeros are stripped; the result is a weakly decreasing tuple of
     positive integers (possibly empty).
     """
-    parts = tuple(int(p) for p in parts)
+    parts = int_parts(parts, name)
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     if any(p <= 0 for p in parts):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmzv import cli
+from schurmzv import cli, evaluate
 from schurmzv.checkerboard import StairKind, stair_tableau
 from schurmzv.errors import ParseError
 from schurmzv.shapes import as_diagonal, make_skew
@@ -142,11 +142,22 @@ class TestEval:
         assert doc["result"]["ladder"] == [256, 512]
         assert "extrapolated_numeric" in doc["result"]
 
-    def test_cap_exceeded(self, tmp_path, capsys):
+    @pytest.mark.parametrize("ladder", ["16,8", "1,8", "8,8", "8,x", ""])
+    def test_bad_ladder_refused_before_reading(self, capsys, ladder):
+        rc, doc = run_json(
+            None, capsys, "eval", "-M", "3", "--extrapolate", f"--ladder={ladder}", "absent.tab"
+        )
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert "ladder" in doc["error"]["message"]
+
+    def test_cap_exceeded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
         path = grid(tmp_path, "sq.tab", SQUARE)
-        rc, doc = run_json(tmp_path, capsys, "eval", "-M", "9", "--cap", "10", path)
+        rc, doc = run_json(tmp_path, capsys, "eval", "-M", "9", path)
         assert rc == 4
         assert doc["error"]["type"] == "ResourceLimitError"
+        assert "more than 10 fillings" in doc["error"]["message"]
 
     def test_bad_grid(self, tmp_path, capsys):
         path = grid(tmp_path, "bad.tab", "1 3\n3 1\n. 2\n")
@@ -240,6 +251,17 @@ class TestJTCheck:
         )
         assert rc == 2
         assert doc["error"]["type"] == "ParseError"
+
+    def test_cap_exceeded(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = grid(tmp_path, "stair.shape", STAIR_SHAPE)
+        rc, doc = run_json(
+            tmp_path, capsys, "jt-check", "-M", "9", "--ribbon", ribbon, tab
+        )
+        assert rc == 4
+        assert doc["error"]["type"] == "ResourceLimitError"
+        assert "more than 10 fillings" in doc["error"]["message"]
 
     def test_regularized_square(self, tmp_path, capsys):
         tab = grid(tmp_path, "sq.tab", SQUARE)
@@ -365,50 +387,6 @@ class TestPlumbing:
         rc2, out2 = run(tmp_path, capsys, *argv)
         assert (rc1, out1) == (rc2, out2)
 
-    def test_config_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("# knobs\nladder = 128,256\n")
-        path = grid(tmp_path, "hook.tab", HOOK_111)
-        rc, doc = run_json(
-            tmp_path, capsys,
-            "eval", "-M", "4", "--extrapolate", "--config", str(cfg), path,
-        )
-        assert rc == 0
-        assert doc["result"]["ladder"] == [128, 256]
-
-    def test_config_unknown_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("speed = fast\n")
-        path = grid(tmp_path, "hook.tab", HOOK_111)
-        rc, doc = run_json(
-            tmp_path, capsys, "eval", "-M", "3", "--config", str(cfg), path
-        )
-        assert rc == 2
-
-    def test_config_tolerance_is_unknown(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("tolerance = 1e-6\n")
-        for argv in [
-            ("eval", "-M", "3", "f"),
-            ("jt-check", "--regularized", "--ribbon", "r", "f"),
-        ]:
-            rc, doc = run_json(tmp_path, capsys, *argv, "--config", str(cfg))
-            assert rc == 2
-            assert doc["error"]["type"] == "ParseError"
-            assert "unknown config key 'tolerance'" in doc["error"]["message"]
-
-    def test_flag_overrides_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("ladder = 128,256\n")
-        path = grid(tmp_path, "hook.tab", HOOK_111)
-        rc, doc = run_json(
-            tmp_path, capsys,
-            "eval", "-M", "4", "--extrapolate",
-            "--config", str(cfg), "--ladder", "64,128", path,
-        )
-        assert rc == 0
-        assert doc["result"]["ladder"] == [64, 128]
-
     def test_pretty_is_not_json(self, tmp_path, capsys):
         path = grid(tmp_path, "hook.tab", HOOK_111)
         rc, out = run(tmp_path, capsys, "eval", "-M", "3", "--pretty", path)
@@ -424,14 +402,14 @@ class TestPlumbing:
 
     def test_settings_only_where_read(self, capsys):
         """Each subcommand takes exactly the settings it reads; any other
-        setting flag, and --tol on every subcommand, is an argparse usage
-        error (exit 2)."""
+        setting flag, and the retired --tol, --config and --cap on every
+        subcommand, is an argparse usage error (exit 2)."""
         commands = {
-            ("eval", "-M", "3", "f"): {"config", "cap", "ladder"},
+            ("eval", "-M", "3", "f"): {"ladder"},
             ("expand", "f"): set(),
             ("regularize", "f"): set(),
             ("decompose", "--ribbon", "r", "f"): set(),
-            ("jt-check", "--ribbon", "r", "f"): {"config", "cap"},
+            ("jt-check", "--ribbon", "r", "f"): set(),
             ("mzv", "--index", "2"): set(),
             ("checkerboard", "eval", "f"): set(),
             ("checkerboard", "alpha", "--n", "1"): set(),
@@ -450,13 +428,12 @@ class TestPlumbing:
                         cli.main(full)
                     assert exc.value.code == 2
                     assert "unrecognized arguments" in capsys.readouterr().err
-        assert accepted == 5
+        assert accepted == 1
 
         # Within a command, a flag that the chosen mode never reads is
         # refused before any file is opened, naming the flag as typed.
         unread = {
             ("eval", "-M", "3", "--ladder", "8,16", "f"): "--ladder",
-            ("jt-check", "--regularized", "--cap", "5", "--ribbon", "r", "f"): "--cap",
             ("jt-check", "--regularized", "-M", "3", "--ribbon", "r", "f"): "-M",
             ("jt-check", "-M", "3", "--T", "0,1", "--ribbon", "r", "f"): "--T",
             ("jt-check", "-M", "3", "--check-tol", "1e-3", "--ribbon", "r", "f"):
@@ -471,24 +448,10 @@ class TestPlumbing:
             ("eval", "-M", "3", "--extrapolate", "--ladder", "8,16", "f"),
             ("jt-check", "--regularized", "--T", "0,1", "--check-tol", "1e-3",
              "--ribbon", "r", "f"),
-            ("jt-check", "-M", "3", "--cap", "5", "--ribbon", "r", "f"),
+            ("jt-check", "-M", "3", "--ribbon", "r", "f"),
         ]
         for argv in read:
-            cli.resolve_settings(cli.build_parser().parse_args(argv))
-
-    def test_config_keys_in_every_mode(self, tmp_path):
-        """A config file may hold every key whatever the mode; only flags
-        are checked against what the mode reads."""
-        cfg = tmp_path / "cfg"
-        cfg.write_text("cap = 5\nladder = 8,16\n")
-        for argv in [
-            ("eval", "-M", "3", "f"),
-            ("eval", "-M", "3", "--extrapolate", "f"),
-            ("jt-check", "-M", "3", "--ribbon", "r", "f"),
-            ("jt-check", "--regularized", "--ribbon", "r", "f"),
-        ]:
-            args = cli.build_parser().parse_args([*argv, "--config", str(cfg)])
-            assert cli.resolve_settings(args) == cli.Settings(5, (8, 16))
+            cli.check_flags(cli.build_parser().parse_args(argv))
 
 
 def _refuse_constant(name):

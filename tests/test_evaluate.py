@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurmzv import evaluate
 from schurmzv.errors import PreconditionError, ResourceLimitError
 from schurmzv.evaluate import (
     det_fraction,
@@ -63,9 +64,12 @@ class TestEnumerate:
                 if (i + 1, j) in v:
                     assert m < v[(i + 1, j)]
 
-    def test_cap(self):
-        with pytest.raises(ResourceLimitError):
-            list(enumerate_ssyt(make_skew((3,)), 9, cap=10))
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        # C(5, 3) = 10 weakly increasing rows of three entries below 4.
+        assert len(list(enumerate_ssyt(make_skew((3,)), 4))) == 10
+        with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
+            list(enumerate_ssyt(make_skew((3,)), 9))
 
 
 class TestSfm:
@@ -100,6 +104,13 @@ class TestTruncatedSchurZeta:
 
     def test_empty_is_one(self):
         assert truncated_schur_zeta(EMPTY_T, 9) == 1
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        row = Tableau(make_skew((3,)), ((1, 2, 3),))
+        assert truncated_schur_zeta(row, 4) == s_f_m(row, 4, lambda m, d: Fraction(1, m**d))
+        with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
+            truncated_schur_zeta(row, 5)
 
     def test_matches_generic_path(self):
         t = Tableau(make_skew((2, 2), (1,)), ((3,), (1, 2)))
@@ -235,6 +246,13 @@ class TestJacobiTrudi:
         k = diagonal_tableau(host, {-2: 2, -1: 1, 0: 3, 1: 2})
         rep = jacobi_trudi_check_exact(k, theta, 6)
         assert rep.equal
+
+    def test_cap(self, monkeypatch):
+        theta = decomposition_from_ribbon(GOLDEN_HOST, GOLDEN_GUIDE)
+        k = diagonal_tableau(GOLDEN_HOST, GOLDEN_K)
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
+            jacobi_trudi_check_exact(k, theta, 5)
 
     def test_host_mismatch_rejected(self):
         theta = decomposition_from_ribbon(GOLDEN_HOST, GOLDEN_GUIDE)

@@ -127,6 +127,13 @@ class TestTruncated:
             for M in (1, 2, 3, 6):
                 assert truncated_mzv(idx, M) == brute_mzv(idx, M)
 
+    def test_non_integer_parts_rejected(self):
+        # int() once truncated these: [1.5, 2.5] summed as (1, 2).
+        for bad in ([1.5, 2.5], [2.9], ["3"], ["abc"], [float("nan")], [float("inf")]):
+            with pytest.raises(PreconditionError, match="non-integer"):
+                truncated_mzv(bad, 4)
+        assert truncated_mzv([1.0, np.int64(2)], 4) == truncated_mzv((1, 2), 4)
+
     def test_short_cutoff_is_zero(self):
         assert truncated_mzv((1, 2, 1), 3) == 0
         assert truncated_mzv((2,), 1) == 0
@@ -300,6 +307,18 @@ class TestNumeric:
         for tol in (1e-12, float("nan")):
             with pytest.raises(PreconditionError):
                 numeric_mzv((2,), tol)
+
+    def test_non_integer_parts_rejected(self, monkeypatch):
+        # int() once truncated [2.9] to (2,) and returned zeta(2).
+        for cache in ({}, {(2,): numeric_mzv((2,))}):
+            monkeypatch.setattr(mzv, "_numeric_cache", dict(cache))
+            for bad in ([2.9], (2.9,), ("3",), ["abc"], (1.5, 2.5)):
+                with pytest.raises(PreconditionError, match="non-integer"):
+                    numeric_mzv(bad)
+            # Integral values pass, and a warm hit agrees with a cold call.
+            for good in ((2.0,), [np.int64(2)], (np.float64(2.0),)):
+                assert numeric_mzv(good) == pytest.approx(PI**2 / 6, rel=1e-15)
+            assert list(mzv._numeric_cache) == [(2,)]
 
     def test_cache_hit_matches_miss(self, monkeypatch):
         monkeypatch.setattr(mzv, "_numeric_cache", {})

@@ -9,10 +9,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schurmzv import ribbons
 from schurmzv.errors import PreconditionError
 from schurmzv.ribbons import (
     RIGHT,
     UP,
+    OutsideDecomposition,
     Ribbon,
     SubribbonStatus,
     anchored_ribbon,
@@ -102,6 +104,29 @@ class TestDecomposeGolden:
         r = anchored_ribbon(-1, (UP, UP))
         with pytest.raises(PreconditionError):
             decomposition_from_ribbon(host, r)
+        # The two cells as pieces partition the host and sit on its
+        # perimeter, so only the connectivity check refuses them.
+        pieces = (Ribbon(from_cells([(2, 1)])), Ribbon(from_cells([(1, 2)])))
+        with pytest.raises(PreconditionError, match="edge-connected"):
+            OutsideDecomposition(host, pieces)
+
+    def test_empty_host_rejected(self):
+        with pytest.raises(PreconditionError):
+            decomposition_from_ribbon(make_skew(()), anchored_ribbon(0, ()))
+        with pytest.raises(PreconditionError, match="nonempty"):
+            OutsideDecomposition(make_skew(()), ())
+
+    def test_one_connectivity_check_per_decomposition(self, monkeypatch):
+        calls = []
+
+        def spy(shape):
+            calls.append(shape)
+            return is_edge_connected(shape)
+
+        monkeypatch.setattr(ribbons, "is_edge_connected", spy)
+        theta = decomposition_from_ribbon(HOST, GUIDE)
+        ribbon_matrix(theta, lambda p, q, r: 1, 0, 1)
+        assert calls == [HOST]
 
     def test_host_itself_a_ribbon(self):
         host = make_skew((3, 1))

@@ -1,5 +1,6 @@
 """Tests for skew shapes, canonicalisation and tableaux."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -63,6 +64,13 @@ class TestMakeSkew:
     def test_not_decreasing(self):
         with pytest.raises(PreconditionError):
             make_skew((1, 2))
+
+    def test_non_integer_parts_rejected(self):
+        # int() once truncated [2.6, 1.2] to the shape (2,1)/().
+        for lam, mu in [((2.6, 1.2), ()), ((3, 2), (1.5,)), (("2", 1), ()), ((2, None), ())]:
+            with pytest.raises(PreconditionError, match="non-integer"):
+                make_skew(lam, mu)
+        assert make_skew((3.0, 2), (np.int64(1),)) == make_skew((3, 2), (1,))
 
     def test_trailing_zeros_stripped(self):
         assert make_skew((3, 2, 0), (1, 0)) == make_skew((3, 2), (1,))
