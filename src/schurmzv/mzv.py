@@ -1,14 +1,14 @@
 """Multiple zeta values: exact truncations, tableau expansion, numerics.
 
 Indices follow the increasing-variable convention: (k_1,...,k_r) sums over
-0 < m_1 < ... < m_r, so admissibility means the *last* part is >= 2.  The
-star variant uses weak inequalities.  A tableau's nested sum expands into an
-integer combination of plain indices by enumerating its compatible total
-quasi-orders.
+0 < m_1 < ... < m_r, so admissibility means the *last* part is >= 2.  A
+tableau's nested sum expands into an integer combination of plain indices
+by enumerating its compatible total quasi-orders.
 
-Float truncations come from one routine, a ladder of running sums.
-numeric_mzv sums a Hölder convolution of polylogarithms at 1/2 instead,
-with a stated error bound; numpy is imported only in these two.
+Float truncations come from one routine, a ladder of running sums, which
+is the only place numpy is imported.  numeric_mzv sums a Hölder
+convolution of polylogarithms at 1/2 instead, in plain floats with a
+stated error bound, and gives the same bits on every CPU.
 ``_numeric_cache`` maps an admissible index to its value, which does not
 depend on the tolerance asked for or on earlier calls; numeric_mzv looks a
 tuple index up before checking it, and checks only on a miss.  It is
@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -59,17 +60,6 @@ def truncated_mzv(idx: Sequence[int], M: int) -> Fraction:
         prev = A[:]
         for j, k in enumerate(idx, start=1):
             A[j] = prev[j] + Fraction(1, m**k) * prev[j - 1]
-    return A[len(idx)]
-
-
-def truncated_mzsv(idx: Sequence[int], M: int) -> Fraction:
-    """Exact sum over 0 < m_1 <= ... <= m_r < M of prod m_i^-k_i."""
-    idx = check_index(idx)
-    A = [Fraction(1)] + [Fraction(0)] * len(idx)
-    for m in range(1, M):
-        for j, k in enumerate(idx, start=1):
-            # A[j-1] was already updated at this m, which makes the tie legal.
-            A[j] = A[j] + Fraction(1, m**k) * A[j - 1]
     return A[len(idx)]
 
 
@@ -189,28 +179,37 @@ def expand_tableau(k: Tableau) -> IndexCombination:
     return result
 
 
-def _li_suffixes(parts: Sequence[int], powers, terms):
+def _li_suffixes(
+    parts: Sequence[int], inv: List[List[float]], terms: List[List[float]]
+) -> List[float]:
     """out[j] = Li(parts(w[j:]); 1/2) for the word w of parts, j = 0..weight,
-    from powers[r, n-1] = n^-r and terms = 2^-n powers, n = 1..N."""
-    import numpy as np
-
+    from inv[a][n-1] = n^-a and terms[a][n-1] = 2^-n n^-a, n = 1..N."""
     L = sum(parts)
-    out = np.empty(L + 1)
-    out[L] = 1.0
+    out = [1.0] * (L + 1)
     # H[n-1] = sum over n > n_1 > ... of prod n_i^-a_i, for the blocks passed.
-    H = np.ones(powers.shape[1])
-    step = np.empty(len(H) - 1)
+    # After the first block H holds one more entry, for n = N + 1, which
+    # no product reads: map stops at the shorter list.
+    H = [1.0] * len(inv[0])
     for s in reversed(parts):
         L -= s
         # w[L + s - a:] starts with the part a, for a = s..1.
-        out[L:L + s] = np.dot(terms[s:0:-1], H)
-        np.multiply(powers[s, :-1], H[:-1], out=step)
-        np.add.accumulate(step, out=H[1:])
-        H[0] = 0.0
+        for a in range(1, s + 1):
+            out[L + s - a] = math.fsum(map(mul, terms[a], H))
+        if L:
+            H = list(accumulate(map(mul, inv[s], H), initial=0.0))
     return out
 
 
 _numeric_cache: Dict[Index, float] = {}
+
+
+def _series_length(L: int, d: int) -> int:
+    """numeric_mzv's cutoff N for weight L and larger depth d: the least N
+    whose tail bound (see numeric_mzv) is at most 2^-53."""
+    N = 0
+    while N < (need := 54 + d + (d - 1) * math.log2(1 + math.log(N + 1)) + L * math.log2(d)):
+        N = math.ceil(need)
+    return N
 
 
 def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
@@ -230,9 +229,15 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     (1 + ln n)^(d-1) and each value is at least 2^-d d^-L, so the cut
     costs a relative 2^(1-N+d) (1+ln(N+1))^(d-1) d^L at most (the ratio of
     successive tail terms stays below 3/4); N is the least that makes this
-    2^-53.  Every term is positive and passes through at most
-    2(d+1)(N+3) + L + 1 operations, each within one ulp, so the result is
-    within (2(d+1)(N+3) + L + 2) 2^-52 of zeta, relatively, to first order.
+    2^-53.  Each n^-a is 1 / n**a, correctly rounded, and 2^-n scales
+    exactly; the H recurrences add left to right, and every dot product
+    and the final sum is math.fsum, correctly rounded.  Every term is
+    positive, so relative errors add along a chain: an H value after k
+    blocks is within kN roundings, an Li value of a word within
+    (depth - 1)N + 3, and the depths of w and w' add up to L.  So the
+    result is within ((L-2)N + 9) 2^-53 of zeta, relatively, to first
+    order, the cut included.  No step depends on the CPU or on the Python
+    version.
 
     ``tol`` must be at least TOL_FLOOR; it does not change the value.
     A tuple index is looked up in ``_numeric_cache`` before it is checked:
@@ -248,20 +253,17 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     idx = check_index(idx)
     if not is_admissible_index(idx):
         raise PreconditionError(f"index {idx} is not admissible (last part < 2)")
-    import numpy as np
-
     w = "".join("0" * (k - 1) + "1" for k in reversed(idx))
     dual = w[::-1].translate(str.maketrans("01", "10"))
     # parts(): cut a word ending in 1 after each 1, run lengths outermost first.
     p, q = ([len(run) + 1 for run in x.split("1")[:-1]] for x in (w, dual))
-    L, d = len(w), max(len(p), len(q))
-    N = 0  # the least N that makes the tail bound above 2^-53
-    while N < (need := 54 + d + (d - 1) * math.log2(1 + math.log(N + 1)) + L * math.log2(d)):
-        N = math.ceil(need)
-    n = np.arange(1, N + 1, dtype=np.float64)
-    powers = n ** -np.arange(max(p + q) + 1, dtype=np.float64)[:, None]
-    terms = powers * 0.5**n
-    val = float(_li_suffixes(p, powers, terms) @ _li_suffixes(q, powers, terms)[::-1])
+    N = _series_length(len(w), max(len(p), len(q)))
+    inv = [[1 / n**a for n in range(1, N + 1)] for a in range(max(p + q) + 1)]
+    # Scaling by 2^-n is exact, so these are 1 / (n**a << n), correctly rounded.
+    half = [0.5**n for n in range(1, N + 1)]
+    terms = [list(map(mul, row, half)) for row in inv]
+    li_p, li_q = _li_suffixes(p, inv, terms), _li_suffixes(q, inv, terms)
+    val = math.fsum(map(mul, li_p, reversed(li_q)))
     _numeric_cache[idx] = val
     return val
 

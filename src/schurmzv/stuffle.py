@@ -35,7 +35,7 @@ from .mzv import (
 )
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import DiagonalTableau, Tableau, is_admissible
-from .symbolic import Scalar, TermMap
+from .symbolic import Scalar, TermMap, det
 
 
 class QSElement(TermMap):
@@ -280,12 +280,10 @@ def regularized_jt_check(
     Entries come from the ribbon matrix of the decomposition: defined
     subribbons are filled from k's diagonals and regularized, empty ones
     contribute 1 and undefined ones 0.  Each polynomial's coefficients are
-    evaluated once; determinants are taken numerically per sample.  For
-    admissible k the spread of the determinant across samples measures the
-    (expected) cancellation of T.
+    evaluated once; each sample's determinant is symbolic.det over floats.
+    For admissible k the spread of the determinant across samples measures
+    the (expected) cancellation of T.
     """
-    import numpy as np
-
     if k.shape != theta.host:
         raise PreconditionError("tableau shape does not match the decomposition host")
     flat = k.to_tableau()
@@ -304,10 +302,7 @@ def regularized_jt_check(
     det_vals: List[float] = []
     for t in t_samples:
         lhs_vals.append(_at(lhs_coeffs, t))
-        mat = np.array(
-            [[_at(c, t) for c in row] for row in entry_coeffs], dtype=np.float64
-        )
-        det_vals.append(float(np.linalg.det(mat)))
+        det_vals.append(det([[_at(c, t) for c in row] for row in entry_coeffs], 0.0, 1.0))
     disc = max(abs(a - b) for a, b in zip(lhs_vals, det_vals)) if t_samples else 0.0
     spread = (max(det_vals) - min(det_vals)) if det_vals else 0.0
     return RegJTReport(

@@ -7,12 +7,16 @@ expected files were written by the CLI before the subribbon loops were
 folded into ``ribbons.ribbon_matrix``.  The float fields of the nine
 ``checkerboard_eval_sq*`` and ``jt_check_regularized_*`` documents were
 rewritten when ``numeric_mzv`` became the Hölder convolution, which moved
-them closer to 30-digit references.  When the tolerance setting, which
-changed no value, was retired, fifteen documents lost keys and nothing
-else: ``diagnostics.tolerance`` (the six ``checkerboard_eval_*``),
-``diagnostics.entry_tolerance`` (the four ``jt_check_regularized_*``), and
-the ``input.T``/``input.check_tol`` echoes of flags nobody passed (those
-four and the five exact ``jt_check_*``).  A refactor must leave every file
+them closer to 30-digit references.  They were rewritten again when
+``numeric_mzv`` and the regularized check's determinant left numpy: each
+moved number stays within n 2^-53 times the absolute sum of its n terms,
+and the documents no longer depend on which BLAS kernel the CPU gets.
+When the tolerance setting, which changed no value, was retired, fifteen
+documents lost keys and nothing else: ``diagnostics.tolerance`` (the six
+``checkerboard_eval_*``), ``diagnostics.entry_tolerance`` (the four
+``jt_check_regularized_*``), and the ``input.T``/``input.check_tol``
+echoes of flags nobody passed (those four and the five exact
+``jt_check_*``).  A refactor must leave every file
 unchanged; a change that makes numbers more accurate rewrites only the
 fields it moves.
 

@@ -1,8 +1,11 @@
-"""numpy is imported only by the float ladder and the regularized check:
-neither the exact determinant (schurmzv.evaluate) nor the CLI loads it.
+"""numpy is imported only by the float ladder, so ``eval --extrapolate`` is
+the one subcommand that loads it: the exact determinant
+(schurmzv.evaluate), numeric MZVs, regularization, the regularized check
+and every checkerboard command run without it.
 
-Each check runs in a fresh interpreter, since this test process has long
-since imported numpy itself.
+Each call runs in a fresh interpreter, since this test process has long
+since imported numpy itself and a module loaded by one call would hide
+whether the next one loads it too.
 """
 
 import os
@@ -10,45 +13,53 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = r"""
 import contextlib, io, sys
-from pathlib import Path
-import schurmzv.evaluate
-print("evaluate", "numpy" in sys.modules)
-from schurmzv import cli
-
-tmp = Path(sys.argv[1])
-def grid(name, text):
-    (tmp / name).write_text(text)
-    return str(tmp / name)
-
-square = grid("sq.tab", "3 1 3\n1 3 1\n3 1 3\n")
-stair = grid("stair.shape", ". x x\nx x\nx\n")
-shape = grid("shape.tab", "x x x\nx x x\nx x x\n")
-calls = {
-    "import": [],
-    "expand": ["expand", square],
-    "decompose": ["decompose", "--ribbon", stair, shape],
-    "jt-check": ["jt-check", "-M", "4", "--ribbon", stair, square],
-}
-for name, argv in calls.items():
-    if argv:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0, name
-    print(name, "numpy" in sys.modules)
+argv = sys.argv[1:]
+if argv:
+    from schurmzv import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+else:
+    import schurmzv.evaluate
+print("numpy" in sys.modules)
 """
 
+GRIDS = {
+    "sq.tab": "3 1 3\n1 3 1\n3 1 3\n",
+    "stair.shape": ". x x\nx x\nx\n",
+    "shape.tab": "x x x\nx x x\nx x x\n",
+}
 
-def test_cli_paths_leave_numpy_unimported(tmp_path):
+CALLS = {
+    "evaluate": [],
+    "eval": ["eval", "-M", "4", "sq.tab"],
+    "expand": ["expand", "sq.tab"],
+    "regularize": ["regularize", "sq.tab"],
+    "decompose": ["decompose", "--ribbon", "stair.shape", "shape.tab"],
+    "jt-check": ["jt-check", "-M", "4", "--ribbon", "stair.shape", "sq.tab"],
+    "jt-check --regularized": ["jt-check", "--regularized", "--ribbon", "stair.shape", "sq.tab"],
+    "mzv": ["mzv", "--index", "2,1,3"],
+    "checkerboard eval": ["checkerboard", "eval", "sq.tab"],
+    "checkerboard alpha": ["checkerboard", "alpha", "--n", "1..3"],
+    "checkerboard tessellate": ["checkerboard", "tessellate", "--kind", "A", "stair.shape"],
+    "eval --extrapolate": ["eval", "-M", "4", "--extrapolate", "--ladder", "8,16", "sq.tab"],
+}
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_only_the_float_ladder_loads_numpy(name, tmp_path):
+    for file, text in GRIDS.items():
+        (tmp_path / file).write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, "-c", PROBE, *CALLS[name]],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:-1] == [
-        "evaluate False", "import False", "expand False", "decompose False", "jt-check False",
-    ]
+    assert proc.stdout == f"{name == 'eval --extrapolate'}\n"

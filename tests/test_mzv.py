@@ -1,7 +1,13 @@
+import inspect
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,11 +20,12 @@ from schurmzv.mzv import (
     _CHUNK,
     EULER_GAMMA,
     TOL_FLOOR,
+    _series_length,
+    check_index,
     expand_tableau,
     is_admissible_index,
     numeric_mzv,
     richardson_extrapolate,
-    truncated_mzsv,
     truncated_mzv,
     truncated_mzv_float,
     truncated_mzv_float_ladder,
@@ -30,6 +37,17 @@ from test_ribbons import connected_skew_shapes
 PI = math.pi
 ZETA3 = 1.2020569031595942854
 ZETA5 = 1.0369277551433699263
+
+
+def truncated_mzsv(idx, M):
+    """Oracle: exact sum over 0 < m_1 <= ... <= m_r < M of prod m_i^-k_i."""
+    idx = check_index(idx)
+    A = [Fraction(1)] + [Fraction(0)] * len(idx)
+    for m in range(1, M):
+        for j, k in enumerate(idx, start=1):
+            # A[j-1] was already updated at this m, which makes the tie legal.
+            A[j] = A[j] + Fraction(1, m**k) * A[j - 1]
+    return A[len(idx)]
 
 
 def brute_mzv(idx, M):
@@ -113,6 +131,63 @@ def restart_numeric_mzv(idx, tol):
         prev = val
         N *= 2
     raise InternalCheckError(f"{idx} failed to stabilize")
+
+
+def mp_mzv(idx):
+    """Oracle: numeric_mzv's convolution in mpmath at 30 digits, with every
+    sum cut where its tail bound falls below 2^-110 instead of 2^-53."""
+    w = "".join("0" * (k - 1) + "1" for k in reversed(idx))
+    dual = w[::-1].translate(str.maketrans("01", "10"))
+    p, q = ([len(run) + 1 for run in x.split("1")[:-1]] for x in (w, dual))
+    L, d = len(w), max(len(p), len(q))
+    N = 0
+    while N < (need := 111 + d + (d - 1) * math.log2(1 + math.log(N + 1)) + L * math.log2(d)):
+        N = math.ceil(need)
+    with mpmath.workdps(30):
+        inv = [[mpmath.mpf(1) / n**a for n in range(1, N + 1)] for a in range(max(p + q) + 1)]
+        half = [mpmath.mpf(2) ** -n for n in range(1, N + 1)]
+
+        def li(parts):
+            out = [mpmath.mpf(1)] * (sum(parts) + 1)
+            at = len(out) - 1
+            H = [mpmath.mpf(1)] * N
+            for s in reversed(parts):
+                at -= s
+                G = [h * x for h, x in zip(half, H)]
+                for a in range(1, s + 1):
+                    out[at + s - a] = mpmath.fdot(inv[a], G)
+                acc = [mpmath.mpf(0)]
+                for x, h in zip(inv[s], H[:-1]):
+                    acc.append(acc[-1] + x * h)
+                H = acc
+            return out
+
+        return mpmath.fdot(li(p), li(q)[::-1])
+
+
+def seeded_indices(n=300, seed=2026):
+    """n random admissible indices of depth at most 6 and weight at most 18."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < n:
+        idx = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 5))) + (rng.randint(2, 5),)
+        if sum(idx) <= 18:
+            out.append(idx)
+    return out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+BITS_PROBE = "import random\n" + inspect.getsource(seeded_indices) + """
+import hashlib
+from schurmzv.mzv import numeric_mzv
+text = " ".join(float.hex(numeric_mzv(idx)) for idx in seeded_indices())
+print(hashlib.sha256(text.encode()).hexdigest())
+"""
+
+#: sha256 of the space-separated float.hex values of numeric_mzv over
+#: seeded_indices(), the same on every CPU.
+BITS_PIN = "c83f1ad8c05bc5ebbd7c2be39f13553ace2907c1f2994eb2fd6444e3f0327ee0"
 
 
 class TestTruncated:
@@ -298,6 +373,35 @@ class TestNumeric:
     def test_interior_run_of_ones(self):
         # The reference is the convolution at 40 digits in mpmath, rounded.
         assert numeric_mzv((2, 1, 1, 1, 2, 2)) == pytest.approx(0.014231121868288644, rel=1e-15)
+
+    @pytest.mark.parametrize("coretype", [None, "NEHALEM"])
+    def test_bits_do_not_depend_on_the_cpu(self, coretype):
+        # numpy's BLAS picks a kernel for the CPU at load, and a different
+        # kernel once moved the last bits of dot products summed through it.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        proc = subprocess.run(
+            [sys.executable, "-c", BITS_PROBE],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == BITS_PIN + "\n"
+
+    def test_within_the_stated_bound(self):
+        for idx in seeded_indices()[::10]:
+            L, r = sum(idx), len(idx)
+            N = _series_length(L, max(r, L - r))
+            ref = mp_mzv(idx)
+            with mpmath.workdps(30):
+                err = abs(mpmath.mpf(numeric_mzv(idx)) - ref) / ref
+                assert err <= ((L - 2) * N + 9) * mpmath.mpf(2) ** -53, idx
+
+    @pytest.mark.parametrize("idx", [(3,), (2, 2), (1, 3)])
+    def test_correctly_rounded(self, idx):
+        assert numeric_mzv(idx) == float(mp_mzv(idx))
 
     def test_non_admissible_rejected(self):
         with pytest.raises(PreconditionError):
