@@ -26,7 +26,6 @@ their values are immutable, so every caller may share one copy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -34,6 +33,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InternalCheckError, PreconditionError
 from .mzv import Index
+from .record import Record
 from .ribbons import (
     RIGHT,
     UP,
@@ -74,8 +74,7 @@ _KINDS = (KIND_A, KIND_B, KIND_S, KIND_SSTAR)
 KIND_PREFERENCE = (KIND_S, KIND_SSTAR, KIND_A, KIND_B)
 
 
-@dataclass(frozen=True)
-class StairKind:
+class StairKind(Record):
     """One of the four stair families, with entry values and pair count.
 
     ``n`` counts the (a, b) pairs: A and B stairs have ``2n + 1`` cells,
@@ -102,15 +101,6 @@ class StairKind:
     @property
     def n_cells(self) -> int:
         return 2 * self.n + (1 if self.kind in (KIND_A, KIND_B) else 0)
-
-
-def is_checkerboard(t: DiagonalTableau) -> bool:
-    """Whether consecutive diagonals alternate between two values."""
-    try:
-        check_checkerboard(t)
-    except PreconditionError:
-        return False
-    return True
 
 
 def check_checkerboard(t: DiagonalTableau) -> Tuple[int, int]:
@@ -231,26 +221,6 @@ def closed_form_13(kind: StairKind) -> ZetaSymbolValue:
         (z4_star_power(k) / Fraction(4**k)) * z4_power(n - k) for k in range(n + 1)
     )
     return ZetaSymbolValue.P() ** n * coeff
-
-
-def sstar13_bernoulli(n: int) -> ZetaSymbolValue:
-    """SStar(1,3,n) through the Bernoulli polynomial at (1-i)/2.
-
-    Evaluates 2 i B_{4n+1}((1-i)/2) 4^n / (4n+1)! and multiplies by P^n;
-    the polynomial value is purely imaginary, so the product is a genuine
-    rational, which is asserted.
-    """
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    x = GaussianRational.of(Fraction(1, 2), Fraction(-1, 2))
-    w = GaussianRational.of(0, 2) * bernoulli_poly(4 * n + 1, x) * Fraction(
-        4**n, factorial(4 * n + 1)
-    )
-    if not w.is_real():
-        raise InternalCheckError(
-            f"Bernoulli stair value has nonzero imaginary part: {w!r}"
-        )
-    return ZetaSymbolValue.P() ** n * w.re
 
 
 @lru_cache(maxsize=None)
@@ -401,8 +371,7 @@ def tessellation_check(
     return all(sk.kind == kind for sk in kinds), theta
 
 
-@dataclass(frozen=True)
-class CheckerboardReport:
+class CheckerboardReport(Record):
     """Full record of one closed-form checkerboard evaluation.
 
     ``matrix`` holds the raw subribbon closed forms in piece order

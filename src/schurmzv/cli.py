@@ -25,7 +25,9 @@ opened: ``eval`` reads ``--ladder`` only with ``--extrapolate``, and
 ``diagnostics.cap`` by ``eval`` and exact ``jt-check``.
 
 Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 filling budget exceeded, 5 internal consistency failure.
+4 resource limit (the filling budget, or an exact value with more digits
+than Python converts an integer to text, ``sys.get_int_max_str_digits()``),
+5 internal consistency failure.
 """
 
 from __future__ import annotations
@@ -245,7 +247,17 @@ def check_flags(args: argparse.Namespace) -> None:
 
 
 def _frac(q: Fraction) -> str:
-    return str(q)
+    """``q`` as ``"p/q"``; raises :class:`ResourceLimitError` when its
+    numerator or denominator has more digits than Python converts to text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
+    try:
+        return str(q)
+    except ValueError as exc:
+        digits = int(math.log10(max(abs(q.numerator), q.denominator))) + 1
+        raise ResourceLimitError(
+            f"exact value has {digits} digits, more than the limit of "
+            f"{sys.get_int_max_str_digits()} for converting an integer to text"
+        ) from exc
 
 
 def _index_terms(terms: Dict[Tuple[int, ...], Fraction]) -> List[Dict[str, object]]:
@@ -266,16 +278,17 @@ def _shape_dict(shape: SkewShape) -> Dict[str, object]:
 def _cmd_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, echo = _load_tableau(args.tableau)
     value = truncated_schur_zeta(tab, args.M)
+    text = _frac(value)
     result: Dict[str, object] = {
         "M": args.M,
-        "value": _frac(value),
+        "value": text,
         "value_numeric": float(value),
         "weight": tab.weight,
         "shape": _shape_dict(tab.shape),
     }
     diagnostics: Dict[str, object] = {"cap": FILLING_CAP}
     pretty = [
-        f"truncated value at M={args.M}: {value} (~{float(value):.12g})",
+        f"truncated value at M={args.M}: {text} (~{float(value):.12g})",
         f"shape {tab.shape}, weight {tab.weight}",
     ]
     if args.extrapolate:
@@ -417,8 +430,8 @@ def _cmd_jt_check(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     }
     diagnostics["cap"] = FILLING_CAP
     pretty = (
-        f"M={args.M}: lhs {report_exact.lhs} "
-        f"{'==' if report_exact.equal else '!='} det {report_exact.rhs} "
+        f"M={args.M}: lhs {result['lhs']} "
+        f"{'==' if report_exact.equal else '!='} det {result['rhs']} "
         f"({report_exact.n}x{report_exact.n})"
     )
     return result, diagnostics, pretty
@@ -455,7 +468,7 @@ def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
         f"weight {report.weight}, admissible={report.admissible}, "
         f"tessellated={report.tessellated}",
         "pieces: " + ", ".join(f"{k.kind}(n={k.n})" for k in report.pieces),
-        f"determinant = {report.prefactor} * det of:",
+        f"determinant = {result['prefactor']} * det of:",
     ]
     for row in report.display_matrix:
         pretty_lines.append("  [ " + " | ".join(render(e) for e in row) + " ]")

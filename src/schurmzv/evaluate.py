@@ -9,12 +9,12 @@ its cells.  Specializations give truncated Schur multiple zeta values
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterator, List, Sequence
+from typing import Callable, Dict, Iterator, Sequence
 
-from .errors import InternalCheckError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
+from .record import Record
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
 from .symbolic import det
@@ -26,8 +26,7 @@ FILLING_CAP = 10**8
 WeightFunction = Callable[[int, int], object]
 
 
-@dataclass
-class SsytFilling:
+class SsytFilling(Record):
     """One semistandard filling: cell -> summation variable m."""
 
     shape: SkewShape
@@ -149,55 +148,7 @@ def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     return det(matrix, Fraction(0), Fraction(1))
 
 
-def _complete_homogeneous(x: Sequence[Fraction], kmax: int) -> List[Fraction]:
-    h = [Fraction(1)] + [Fraction(0)] * kmax
-    for xi in x:
-        for kk in range(1, kmax + 1):
-            h[kk] += xi * h[kk - 1]
-    return h
-
-
-def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fraction:
-    """Skew Schur polynomial at x, cross-checked against its h-determinant.
-
-    Evaluates the filling sum with weight f(m, _) = x[m-1] and compares it
-    with det(h_{lam_i - mu_j - i + j}); a mismatch raises, since the two are
-    theorems of each other.
-    """
-    if len(x) != M - 1:
-        raise PreconditionError(f"need {M - 1} variable values, got {len(x)}")
-    x = [Fraction(v) for v in x]
-    ones = Tableau(
-        shape,
-        tuple(
-            tuple(1 for _ in range(lo, hi + 1))
-            for lo, hi in (shape.row_span(i) for i in range(1, len(shape.lam) + 1))
-        ),
-    )
-    value = s_f_m(ones, M, lambda m, _d: x[m - 1])
-    ell = len(shape.lam)
-    mu = shape.padded_mu
-    kmax = max([shape.lam[i] - mu[j] - i + j for i in range(ell) for j in range(ell)] + [0])
-    h = _complete_homogeneous(x, max(kmax, 0))
-    mat = [
-        [
-            h[shape.lam[i] - mu[j] - i + j]
-            if 0 <= shape.lam[i] - mu[j] - i + j <= kmax
-            else Fraction(0)
-            for j in range(ell)
-        ]
-        for i in range(ell)
-    ]
-    det = det_fraction(mat)
-    if Fraction(value) != det:
-        raise InternalCheckError(
-            f"filling sum {value} disagrees with h-determinant {det} for {shape}"
-        )
-    return det
-
-
-@dataclass(frozen=True)
-class JTReport:
+class JTReport(Record):
     """Both sides of the determinant identity at one truncation level."""
 
     lhs: Fraction

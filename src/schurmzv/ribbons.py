@@ -19,12 +19,12 @@ entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
+from .record import Record
 from .shapes import (
     Cell,
     DiagonalTableau,
@@ -55,8 +55,7 @@ def is_ribbon(shape: SkewShape) -> bool:
     return len(set(contents)) == len(contents)
 
 
-@dataclass(frozen=True)
-class Ribbon:
+class Ribbon(Record):
     """A ribbon; exposes its walk by increasing content.
 
     ``Ribbon(shape)`` validates a shape from outside.  The library builds
@@ -167,8 +166,7 @@ def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
     return anchored_ribbon(p, r.steps[p - r.cmin : q - r.cmin])
 
 
-@dataclass(frozen=True)
-class OutsideDecomposition:
+class OutsideDecomposition(Record):
     """An ordered cut of a host shape into perimeter-to-perimeter ribbons.
 
     Pieces keep host coordinates.  The host must be nonempty and
@@ -320,8 +318,7 @@ class SubribbonStatus(Enum):
     UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class SubribbonEntry:
+class SubribbonEntry(Record):
     """One cell of the subribbon table: a ribbon, or the empty/undefined marker."""
 
     status: SubribbonStatus
@@ -332,8 +329,7 @@ class SubribbonEntry:
             raise PreconditionError("ribbon present iff status is DEFINED")
 
 
-@dataclass(frozen=True)
-class SubribbonTable:
+class SubribbonTable(Record):
     """The n x n grid of subribbons for a decomposition, 1-based access."""
 
     ribbon: Ribbon

@@ -10,11 +10,11 @@ zeros of ``mu``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import PreconditionError
+from .record import Record
 
 Partition = Tuple[int, ...]
 Cell = Tuple[int, int]
@@ -57,8 +57,7 @@ def content(cell: Cell) -> int:
     return cell[1] - cell[0]
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(Record):
     """A skew diagram ``lam/mu``, canonicalised; build via :func:`make_skew`."""
 
     lam: Partition
@@ -216,8 +215,7 @@ def transpose_shape(shape: SkewShape) -> SkewShape:
     return from_cells([(j, i) for i, j in shape.cells])
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A skew shape with a positive integer written in every cell.
 
     Entries are exponents/decorations, not the summation variables, so no
@@ -285,8 +283,7 @@ def transpose_tableau(t: Tableau) -> Tableau:
     return tableau_from_entries(transpose_shape(t.shape), flipped)
 
 
-@dataclass(frozen=True)
-class DiagonalTableau:
+class DiagonalTableau(Record):
     """A tableau whose entries are constant along diagonals.
 
     ``by_content`` assigns one entry to each content occurring in the shape.

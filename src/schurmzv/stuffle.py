@@ -20,7 +20,6 @@ section "Caches and threads".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
@@ -33,6 +32,7 @@ from .mzv import (
     numeric_mzv,
     truncated_mzv,
 )
+from .record import Record
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import DiagonalTableau, Tableau, is_admissible
 from .symbolic import Scalar, TermMap, det
@@ -104,8 +104,7 @@ def qs_truncated(elem: QSElement, M: int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class TPoly:
+class TPoly(Record):
     """Polynomial in the regularization variable T with QSElement
     coefficients supported on admissible (or empty) indices."""
 
@@ -258,8 +257,7 @@ def eval_tpoly(p: TPoly, t_value: float) -> float:
     return _at(_coefficient_values(p), t_value)
 
 
-@dataclass(frozen=True)
-class RegJTReport:
+class RegJTReport(Record):
     t_samples: Tuple[float, ...]
     lhs_values: Tuple[float, ...]
     det_values: Tuple[float, ...]

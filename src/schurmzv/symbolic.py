@@ -15,8 +15,8 @@ The constructor and ``coefficient`` take (generator, exponent) pairs, and
 The additive core of these values, TermMap, is shared with the
 quasi-shuffle algebra (stuffle.QSElement), and ``det`` is the one
 determinant routine, over any commutative ring.  At load time this module
-imports nothing from the package but ``errors``, so every other module can
-build on it without a cycle.
+imports nothing from the package but ``errors`` and ``record``, so every
+other module can build on it without a cycle.
 
 Also provides Bernoulli numbers (B1 = -1/2), Bernoulli polynomials over
 Gaussian rationals, and the exact coefficient sequences for zeta({4}^n)
@@ -26,13 +26,13 @@ and its star variant.  All values are immutable and safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
+from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -439,8 +439,7 @@ def bernoulli_number(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     re: Fraction
     im: Fraction = Fraction(0)
 
@@ -572,17 +571,3 @@ def zeta_single(k: int) -> ZetaSymbolValue:
     l = k // 4
     coeff = -bernoulli_number(k) * Fraction(2**k, 2 * math.factorial(k))
     return ZetaSymbolValue({(("P", l),): coeff})
-
-
-def _p_power(n: int, coeff: Fraction) -> ZetaSymbolValue:
-    return ZetaSymbolValue({(("P", n),): coeff})
-
-
-def zeta_four_block(n: int) -> ZetaSymbolValue:
-    """zeta({4}^n) as a ring element (rational times P^n)."""
-    return _p_power(n, z4_power(n))
-
-
-def zeta_four_block_star(n: int) -> ZetaSymbolValue:
-    """zeta-star({4}^n) as a ring element."""
-    return _p_power(n, z4_star_power(n))

@@ -1,0 +1,112 @@
+"""Independent routes that only the tests read.
+
+Each one recomputes a library value a second way (a Bernoulli polynomial,
+a product of ``{4}`` blocks, an h-determinant) or restates a check in
+boolean form; the tests compare the two.
+"""
+
+from fractions import Fraction
+from math import factorial
+from typing import List, Sequence
+
+from schurmzv.checkerboard import check_checkerboard
+from schurmzv.errors import InternalCheckError, PreconditionError
+from schurmzv.evaluate import det_fraction, s_f_m
+from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau
+from schurmzv.symbolic import (
+    GaussianRational,
+    ZetaSymbolValue,
+    bernoulli_poly,
+    z4_power,
+    z4_star_power,
+)
+
+
+def is_checkerboard(t: DiagonalTableau) -> bool:
+    """Whether consecutive diagonals alternate between two values."""
+    try:
+        check_checkerboard(t)
+    except PreconditionError:
+        return False
+    return True
+
+
+def sstar13_bernoulli(n: int) -> ZetaSymbolValue:
+    """SStar(1,3,n) through the Bernoulli polynomial at (1-i)/2.
+
+    Evaluates 2 i B_{4n+1}((1-i)/2) 4^n / (4n+1)! and multiplies by P^n;
+    the polynomial value is purely imaginary, so the product is a genuine
+    rational, which is asserted.
+    """
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    x = GaussianRational.of(Fraction(1, 2), Fraction(-1, 2))
+    w = GaussianRational.of(0, 2) * bernoulli_poly(4 * n + 1, x) * Fraction(
+        4**n, factorial(4 * n + 1)
+    )
+    if not w.is_real():
+        raise InternalCheckError(
+            f"Bernoulli stair value has nonzero imaginary part: {w!r}"
+        )
+    return ZetaSymbolValue.P() ** n * w.re
+
+
+def _p_power(n: int, coeff: Fraction) -> ZetaSymbolValue:
+    return ZetaSymbolValue({(("P", n),): coeff})
+
+
+def zeta_four_block(n: int) -> ZetaSymbolValue:
+    """zeta({4}^n) as a ring element (rational times P^n)."""
+    return _p_power(n, z4_power(n))
+
+
+def zeta_four_block_star(n: int) -> ZetaSymbolValue:
+    """zeta-star({4}^n) as a ring element."""
+    return _p_power(n, z4_star_power(n))
+
+
+def _complete_homogeneous(x: Sequence[Fraction], kmax: int) -> List[Fraction]:
+    h = [Fraction(1)] + [Fraction(0)] * kmax
+    for xi in x:
+        for kk in range(1, kmax + 1):
+            h[kk] += xi * h[kk - 1]
+    return h
+
+
+def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fraction:
+    """Skew Schur polynomial at x, cross-checked against its h-determinant.
+
+    Evaluates the filling sum with weight f(m, _) = x[m-1] and compares it
+    with det(h_{lam_i - mu_j - i + j}); a mismatch raises, since the two are
+    theorems of each other.
+    """
+    if len(x) != M - 1:
+        raise PreconditionError(f"need {M - 1} variable values, got {len(x)}")
+    x = [Fraction(v) for v in x]
+    ones = Tableau(
+        shape,
+        tuple(
+            tuple(1 for _ in range(lo, hi + 1))
+            for lo, hi in (shape.row_span(i) for i in range(1, len(shape.lam) + 1))
+        ),
+    )
+    value = s_f_m(ones, M, lambda m, _d: x[m - 1])
+    ell = len(shape.lam)
+    mu = shape.padded_mu
+    kmax = max([shape.lam[i] - mu[j] - i + j for i in range(ell) for j in range(ell)] + [0])
+    h = _complete_homogeneous(x, max(kmax, 0))
+    mat = [
+        [
+            h[shape.lam[i] - mu[j] - i + j]
+            if 0 <= shape.lam[i] - mu[j] - i + j <= kmax
+            else Fraction(0)
+            for j in range(ell)
+        ]
+        for i in range(ell)
+    ]
+    det = det_fraction(mat)
+    if Fraction(value) != det:
+        raise InternalCheckError(
+            f"filling sum {value} disagrees with h-determinant {det} for {shape}"
+        )
+    return det

@@ -25,7 +25,6 @@ from schurmzv.checkerboard import (
     closed_form_13,
     evaluate_checkerboard_13,
     l12,
-    sstar13_bernoulli,
     stair_tableau,
     tessellation_check,
     zeta_13,
@@ -68,6 +67,8 @@ from schurmzv.stuffle import (
     stuffle_product,
 )
 from schurmzv.symbolic import ZetaSymbolValue, numeric_value, sym_det, zeta_single
+
+from oracles import sstar13_bernoulli, zeta_four_block, zeta_four_block_star
 
 P = ZetaSymbolValue.P
 Z = ZetaSymbolValue.Z
@@ -364,8 +365,6 @@ def test_criterion_09_bernoulli_generating_identities():
             assert sstar13_bernoulli(n) == closed_form_13(
                 StairKind(KIND_SSTAR, 1, 3, n)
             )
-        from schurmzv.symbolic import zeta_four_block, zeta_four_block_star
-
         for m in range(9):
             acc = ZetaSymbolValue.zero()
             for k in range(m + 1):

@@ -15,11 +15,9 @@ from schurmzv.checkerboard import (
     evaluate_checkerboard_13,
     evaluate_checkerboard_13_column,
     g13,
-    is_checkerboard,
     l12,
     piece_kinds,
     reg13_formulas,
-    sstar13_bernoulli,
     stair_tableau,
     tessellation_check,
     zeta_13,
@@ -41,9 +39,9 @@ from schurmzv.symbolic import (
     sym_det,
     z4_power,
     z4_star_power,
-    zeta_four_block_star,
 )
 
+from oracles import is_checkerboard, sstar13_bernoulli, zeta_four_block_star
 from test_ribbons import connected_skew_shapes
 
 P = ZetaSymbolValue.P

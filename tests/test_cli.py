@@ -159,6 +159,19 @@ class TestEval:
         assert doc["error"]["type"] == "ResourceLimitError"
         assert "more than 10 fillings" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("pretty", [[], ["--pretty"]])
+    def test_value_too_long_to_print(self, tmp_path, capsys, pretty):
+        # H_4999^(2) has 4,340 digits above and below the bar, past the
+        # default limit of 4300 on converting an int to text
+        path = grid(tmp_path, "one.tab", "2\n")
+        rc, doc = run_json(tmp_path, capsys, "eval", "-M", "5000", *pretty, path)
+        assert rc == 4
+        assert doc["error"]["type"] == "ResourceLimitError"
+        assert doc["error"]["message"] == (
+            "exact value has 4340 digits, more than the limit of 4300 "
+            "for converting an integer to text"
+        )
+
     def test_bad_grid(self, tmp_path, capsys):
         path = grid(tmp_path, "bad.tab", "1 3\n3 1\n. 2\n")
         rc, doc = run_json(tmp_path, capsys, "eval", "-M", "3", path)
@@ -262,6 +275,16 @@ class TestJTCheck:
         assert rc == 4
         assert doc["error"]["type"] == "ResourceLimitError"
         assert "more than 10 fillings" in doc["error"]["message"]
+
+    def test_value_too_long_to_print(self, tmp_path, capsys):
+        tab = grid(tmp_path, "one.tab", "2\n")
+        ribbon = grid(tmp_path, "one.shape", "x\n")
+        rc, doc = run_json(
+            tmp_path, capsys, "jt-check", "-M", "8000", "--ribbon", ribbon, tab
+        )
+        assert rc == 4
+        assert doc["error"]["type"] == "ResourceLimitError"
+        assert "6934 digits, more than the limit of 4300" in doc["error"]["message"]
 
     def test_regularized_square(self, tmp_path, capsys):
         tab = grid(tmp_path, "sq.tab", SQUARE)

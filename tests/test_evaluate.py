@@ -13,7 +13,6 @@ from schurmzv.evaluate import (
     enumerate_ssyt,
     jacobi_trudi_check_exact,
     s_f_m,
-    schur_poly_check,
     truncated_schur_zeta,
 )
 from schurmzv.ribbons import (
@@ -31,6 +30,7 @@ from schurmzv.shapes import (
     tableau_from_entries,
 )
 
+from oracles import schur_poly_check
 from test_ribbons import connected_skew_shapes
 
 EMPTY_T = Tableau(make_skew(()), ())

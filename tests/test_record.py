@@ -1,0 +1,148 @@
+"""Every value and report type is a ``Record`` with frozen-dataclass semantics.
+
+One sample instance per class, with the field names in declaration order,
+pins construction, equality, hashing, repr and frozenness.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from schurmzv.checkerboard import CheckerboardReport, StairKind, evaluate_checkerboard_13
+from schurmzv.errors import PreconditionError
+from schurmzv.evaluate import JTReport, SsytFilling
+from schurmzv.record import Record
+from schurmzv.ribbons import (
+    OutsideDecomposition,
+    Ribbon,
+    SubribbonEntry,
+    SubribbonStatus,
+    SubribbonTable,
+    anchored_ribbon,
+    decomposition_from_ribbon,
+    subribbon_table,
+)
+from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, diagonal_tableau, make_skew
+from schurmzv.stuffle import QSElement, RegJTReport, TPoly
+from schurmzv.symbolic import GaussianRational
+
+HOOK = make_skew((2, 1))
+THETA = decomposition_from_ribbon(HOOK, anchored_ribbon(-1, ("U", "R")))
+SQUARE = make_skew((2, 2))
+
+SAMPLES = {
+    SkewShape: (("lam", "mu"), HOOK),
+    Tableau: (("shape", "rows"), Tableau(HOOK, ((1, 2), (3,)))),
+    DiagonalTableau: (("shape", "by_content"), diagonal_tableau(HOOK, {-1: 1, 0: 2, 1: 3})),
+    Ribbon: (("shape",), Ribbon(HOOK)),
+    OutsideDecomposition: (("host", "pieces"), THETA),
+    SubribbonEntry: (("status", "ribbon"), SubribbonEntry(SubribbonStatus.DEFINED, Ribbon(HOOK))),
+    SubribbonTable: (("ribbon", "entries"), subribbon_table(THETA)),
+    SsytFilling: (("shape", "values"), SsytFilling(HOOK, {(1, 1): 1, (1, 2): 1, (2, 1): 2})),
+    JTReport: (("lhs", "rhs", "n"), JTReport(Fraction(1, 2), Fraction(1, 2), 1)),
+    TPoly: (("coeffs",), TPoly((QSElement.from_index((2,)), QSElement.one()))),
+    RegJTReport: (
+        ("t_samples", "lhs_values", "det_values", "max_discrepancy", "admissible",
+         "det_t_spread", "lhs_degree"),
+        RegJTReport((0.0, 1.0), (0.5, 1.5), (0.5, 1.5), 0.0, False, 1.0, 1),
+    ),
+    StairKind: (("kind", "a", "b", "n"), StairKind("A", 1, 3, 2)),
+    CheckerboardReport: (
+        ("value", "weight", "admissible", "guide", "decomposition", "pieces",
+         "tessellated", "matrix", "prefactor", "display_matrix"),
+        evaluate_checkerboard_13(diagonal_tableau(SQUARE, {-1: 1, 0: 3, 1: 1})),
+    ),
+    GaussianRational: (("re", "im"), GaussianRational.of(1, -2)),
+}
+
+
+def test_every_record_class_is_sampled():
+    ours = {c for c in Record.__subclasses__() if c.__module__.startswith("schurmzv.")}
+    assert ours == set(SAMPLES)
+
+
+@pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__name__)
+def test_record_parity(cls):
+    names, x = SAMPLES[cls]
+    values = tuple(getattr(x, f) for f in names)
+    assert type(x) is cls
+
+    # construction: positional and keyword, fields stored in order
+    for y in (cls(*values), cls(**dict(zip(names, values)))):
+        assert y == x and not (y != x)
+        assert list(vars(y))[: len(names)] == list(names)
+
+    # hashing: hash of the field tuple, or TypeError for an unhashable field
+    try:
+        expected = hash(values)
+    except TypeError:
+        with pytest.raises(TypeError):
+            hash(x)
+    else:
+        assert hash(x) == expected
+
+    # equality only between instances of one class
+    twin = type("Twin", (Record,), {"__annotations__": dict.fromkeys(names, "object")})
+    assert twin(*values) != x and x != twin(*values)
+    assert x != values
+
+    # repr, unless the class writes its own
+    if "__repr__" not in vars(cls):
+        shown = ", ".join(f"{f}={v!r}" for f, v in zip(names, values))
+        assert repr(x) == f"{cls.__qualname__}({shown})"
+
+    # frozen
+    for name in (names[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, values[0])
+    with pytest.raises(AttributeError):
+        delattr(x, names[0])
+    assert tuple(getattr(x, f) for f in names) == values
+
+    # bad calls
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(*values[:-1], **{names[-1]: values[-1], "extra": 1})
+    with pytest.raises(TypeError):
+        cls(*values, **{names[0]: values[0]})
+
+
+def test_repr_and_defaults():
+    assert repr(StairKind("A", 1, 3, 2)) == "StairKind(kind='A', a=1, b=3, n=2)"
+    assert repr(make_skew((2, 1))) == "SkewShape(lam=(2, 1), mu=())"
+    assert SubribbonEntry(SubribbonStatus.EMPTY).ribbon is None
+    assert SubribbonEntry(status=SubribbonStatus.EMPTY) == SubribbonEntry(SubribbonStatus.EMPTY, None)
+    assert GaussianRational(Fraction(3)).im == 0
+    assert GaussianRational(re=Fraction(3)) == GaussianRational.of(3, 0)
+    with pytest.raises(TypeError):
+        GaussianRational()
+    with pytest.raises(TypeError):
+        StairKind("A", 1, 3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Tableau(HOOK, ((1, 2), (3, 4))),
+        lambda: Tableau(HOOK, ((1, 0), (3,))),
+        lambda: Ribbon(make_skew((2, 2))),
+        lambda: StairKind("C", 1, 3, 2),
+        lambda: StairKind("A", 0, 3, 2),
+        lambda: StairKind(kind="A", a=1, b=3, n=-1),
+        lambda: SubribbonEntry(SubribbonStatus.EMPTY, Ribbon(HOOK)),
+        lambda: DiagonalTableau(HOOK, ((0, 2), (1, 3))),
+    ],
+)
+def test_post_init_checks_still_run(build):
+    with pytest.raises(PreconditionError):
+        build()
+
+
+def test_cached_properties_and_walk_built_ribbons():
+    shape = make_skew((3, 2), (1,))
+    assert shape.cells == ((1, 2), (1, 3), (2, 1), (2, 2))
+    assert vars(shape)["cells"] is shape.cells
+    r = anchored_ribbon(0, ("R", "U", "R"))
+    assert r == Ribbon(r.shape) and hash(r) == hash(Ribbon(r.shape))
+    assert r.steps == Ribbon(r.shape).steps

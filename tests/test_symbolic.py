@@ -21,11 +21,10 @@ from schurmzv.symbolic import (
     to_json_dict,
     z4_power,
     z4_star_power,
-    zeta_four_block,
-    zeta_four_block_star,
     zeta_single,
 )
 
+from oracles import zeta_four_block, zeta_four_block_star
 from test_evaluate import bareiss_det
 
 Sym = ZetaSymbolValue
