@@ -5,10 +5,11 @@ Indices follow the increasing-variable convention: (k_1,...,k_r) sums over
 tableau's nested sum expands into an integer combination of plain indices
 by enumerating its compatible total quasi-orders.
 
-Float truncations come from one routine, a ladder of running sums, which
-is the only place numpy is imported.  numeric_mzv sums a Hölder
-convolution of polylogarithms at 1/2 instead, in plain floats with a
-stated error bound, and gives the same bits on every CPU.
+One recurrence of running sums serves both kinds of truncation, exact in
+Fractions and in floats; a float truncation gives the same bits on every
+CPU.  numeric_mzv sums a Hölder convolution of polylogarithms at 1/2
+instead, in plain floats with a stated error bound, and gives the same
+bits on every CPU too.
 ``_numeric_cache`` maps an admissible index to its value, which does not
 depend on the tolerance asked for or on earlier calls; numeric_mzv looks a
 tuple index up before checking it, and checks only on a miss.  It is
@@ -21,16 +22,17 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, product
-from operator import mul
-from typing import Dict, Iterable, List, Sequence, Tuple
+from functools import lru_cache, partial
+from itertools import accumulate, count, islice, product, repeat, tee
+from operator import mul, truediv
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
 from .errors import PreconditionError
 from .shapes import Tableau, int_parts
 
 Index = Tuple[int, ...]
 IndexCombination = Dict[Index, int]
+Num = TypeVar("Num")
 
 EULER_GAMMA = 0.5772156649015328606065
 
@@ -52,79 +54,49 @@ def is_admissible_index(idx: Sequence[int]) -> bool:
     return bool(idx) and idx[-1] >= 2
 
 
+def _truncations(
+    idx: Sequence[int], Ms: Iterable[int], reciprocal: Callable[[int], Num], zero: Num
+) -> List[Num]:
+    """Truncations of idx at each cutoff in Ms, from one pass up to the largest.
+
+    Depth j is the iterator of its sums over 0 < m_1 < ... < m_j < M for
+    M = 1, 2, ...: a running sum of reciprocal(m**k_j) times depth j-1 at
+    M = m.  Pulling the last depth advances every depth by one, so a pass
+    holds O(depth) numbers at any cutoff, and each distinct part's row of
+    reciprocals is built once and shared through ``tee``.  The additions
+    run left to right in m, so a float result is the same on every CPU
+    whenever reciprocal rounds correctly.  Below M = len(idx) + 1 every
+    sum is ``zero``.
+    """
+    idx = check_index(idx)
+    Ms = list(Ms)
+    rows = {k: iter(tee(map(reciprocal, map(pow, count(1), repeat(k))), idx.count(k)))
+            for k in set(idx)}
+    sums = repeat(reciprocal(1))
+    for k in idx:
+        sums = accumulate(map(mul, next(rows[k]), sums), initial=zero)
+    at: Dict[int, Num] = {}
+    done = 0
+    for top in sorted({max(M, 1) for M in Ms}):
+        at[top] = next(islice(sums, top - done - 1, None))
+        done = top
+    return [at[max(M, 1)] for M in Ms]
+
+
 def truncated_mzv(idx: Sequence[int], M: int) -> Fraction:
     """Exact sum over 0 < m_1 < ... < m_r < M of prod m_i^-k_i."""
-    idx = check_index(idx)
-    A = [Fraction(1)] + [Fraction(0)] * len(idx)
-    for m in range(1, M):
-        prev = A[:]
-        for j, k in enumerate(idx, start=1):
-            A[j] = prev[j] + Fraction(1, m**k) * prev[j - 1]
-    return A[len(idx)]
-
-
-#: Cutoffs advance at most this many values of m per numpy pass, which caps
-#: the ladder's working arrays at a few MB whatever the cutoff.
-_CHUNK = 1 << 16
-
-
-class _FloatLadder:
-    """Float truncations of one index at a cutoff that only moves up.
-
-    ``sums[j]`` is the sum over 0 < m_1 < ... < m_{j+1} < ``M`` for the
-    first j+1 parts, so ``sums[-1]`` is the truncation at ``M``.  Each pass
-    extends every depth by one cumulative sum whose first element is the
-    running total so far, which keeps the additions sequential: the result
-    is bit-identical to one cumulative sum over 1..M-1, at any chunking.
-    """
-
-    __slots__ = ("idx", "M", "sums")
-
-    def __init__(self, idx: Index):
-        self.idx = idx
-        self.M = 1
-        self.sums = [0.0] * len(idx)
-
-    def advance(self, Ms: Sequence[int]) -> List[float]:
-        """Extend the cutoff to max(Ms) and return the truncation at each
-        cutoff in Ms, none of which may lie below the current one."""
-        import numpy as np
-
-        # Below M = len(idx) + 1 there are too few m for a chain: exactly 0.0.
-        out = dict.fromkeys(Ms, 0.0)
-        live = [M for M in out if M > len(self.idx)]
-        out.update((M, self.sums[-1]) for M in live if M <= self.M)
-        top = max(live, default=0)
-        while self.M < top:
-            lo, hi = self.M, min(top, self.M + _CHUNK)
-            m = np.arange(lo, hi, dtype=np.float64)
-            powers: Dict[int, np.ndarray] = {}
-            # cum: one depth's sum at cutoff lo, then at each cutoff up to
-            # hi.  Depth 0 is the empty product, 1.
-            cum = np.ones(hi - lo + 1)
-            for j, k in enumerate(self.idx):
-                if k not in powers:
-                    powers[k] = m ** (-float(k))
-                acc = np.empty(hi - lo + 1)
-                acc[0] = self.sums[j]
-                np.multiply(powers[k], cum[:-1], out=acc[1:])
-                cum = acc.cumsum()
-                self.sums[j] = cum[-1]
-            for M in live:
-                if lo < M <= hi:
-                    out[M] = cum[M - lo]
-            self.M = hi
-        return [float(out[M]) for M in Ms]
+    return _truncations(idx, [M], partial(Fraction, 1), Fraction(0))[0]
 
 
 def truncated_mzv_float(idx: Sequence[int], M: int) -> float:
-    """Float-precision truncation, linear time in M via cumulative sums."""
-    return _FloatLadder(check_index(idx)).advance([M])[0]
+    """Float truncation: each m^-k is 1 / m**k, correctly rounded, and the
+    sums add left to right, so the bits do not depend on the CPU."""
+    return truncated_mzv_float_ladder(idx, [M])[0]
 
 
 def truncated_mzv_float_ladder(idx: Sequence[int], Ms: Iterable[int]) -> List[float]:
-    """Truncations at several cutoffs from one pass up to the largest."""
-    return _FloatLadder(check_index(idx)).advance(list(Ms))
+    """Float truncations at several cutoffs from one pass up to the largest."""
+    return _truncations(idx, Ms, partial(truediv, 1), 0.0)
 
 
 def expand_tableau(k: Tableau) -> IndexCombination:

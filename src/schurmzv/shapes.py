@@ -23,8 +23,9 @@ Cell = Tuple[int, int]
 def int_parts(parts: Iterable, what: str) -> Tuple[int, ...]:
     """The parts as ints; refuses any part that differs from its ``int()``.
 
-    So ``2.0`` and numpy integers pass, while ``2.9`` and ``"3"`` raise
-    :class:`PreconditionError` instead of being truncated or parsed.
+    So ``2.0`` and integer types outside the builtins pass, while ``2.9``
+    and ``"3"`` raise :class:`PreconditionError` instead of being
+    truncated or parsed.
     """
     given = tuple(parts)
     try:

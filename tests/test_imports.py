@@ -1,12 +1,11 @@
 """What each command line call imports.
 
-numpy is imported only by the float ladder, so ``eval --extrapolate`` is
-the one subcommand that loads it: the exact determinant
-(schurmzv.evaluate), numeric MZVs, regularization, the regularized check
-and every checkerboard command run without it.
+The package imports no numpy: float truncations, the float ladder of
+``eval --extrapolate`` and numeric MZVs all run in plain Python floats.
+So no call loads numpy, and ``eval --extrapolate`` runs where ``import
+numpy`` fails.
 
-No call other than ``eval --extrapolate`` loads ``dataclasses`` or
-``inspect`` either (numpy may load them): the value types are
+No call loads ``dataclasses`` or ``inspect`` either: the value types are
 ``schurmzv.record.Record``s, so a call neither imports ``inspect`` nor
 generates methods with ``exec`` at start-up.
 
@@ -33,7 +32,7 @@ if argv:
         assert cli.main(argv) == 0, argv
 else:
     import schurmzv.evaluate
-print(*[m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules])
+print(*[m for m in ("numpy", "dataclasses", "inspect") if sys.modules.get(m)])
 """
 
 GRIDS = {
@@ -58,19 +57,27 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", list(CALLS))
-def test_imports_of_each_call(name, tmp_path):
+def run_call(tmp_path, code, argv):
+    """Run code with argv in a fresh interpreter in tmp_path, beside the
+    GRIDS files; return the words it printed."""
     for file, text in GRIDS.items():
         (tmp_path / file).write_text(text)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *CALLS[name]],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    if name == "eval --extrapolate":
-        assert "numpy" in loaded
-    else:
-        assert loaded == []
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("name", list(CALLS))
+def test_imports_of_each_call(name, tmp_path):
+    assert run_call(tmp_path, PROBE, CALLS[name]) == []
+
+
+def test_extrapolate_without_numpy(tmp_path):
+    # A None entry in sys.modules makes ``import numpy`` raise ImportError.
+    blocked = 'import sys\nsys.modules["numpy"] = None\n' + PROBE
+    assert run_call(tmp_path, blocked, CALLS["eval --extrapolate"]) == []

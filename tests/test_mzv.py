@@ -17,7 +17,6 @@ from schurmzv import mzv
 from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import truncated_schur_zeta
 from schurmzv.mzv import (
-    _CHUNK,
     EULER_GAMMA,
     TOL_FLOOR,
     _series_length,
@@ -189,6 +188,41 @@ print(hashlib.sha256(text.encode()).hexdigest())
 #: seeded_indices(), the same on every CPU.
 BITS_PIN = "c83f1ad8c05bc5ebbd7c2be39f13553ace2907c1f2994eb2fd6444e3f0327ee0"
 
+LADDER_PROBE = """
+from schurmzv.mzv import truncated_mzv_float_ladder
+for idx, Ms in (((5, 5, 5), (425,)), ((3, 3, 2, 5), (407,)), ((4, 6, 4, 5), (342,)),
+                ((2,), (1024, 2048, 4096)), ((1, 2), (8, 64, 4096)), ((1, 3, 1, 3), (4096,))):
+    print(*map(float.hex, truncated_mzv_float_ladder(idx, Ms)))
+"""
+
+#: What LADDER_PROBE prints on every CPU: each m^-k is 1 / m**k, correctly
+#: rounded.  numpy's vectorised pow on an AVX-512 CPU once made the first
+#: three one ulp low.
+LADDER_PIN = """\
+0x1.837c1d7a38337p-13
+0x1.057801057c9fep-15
+0x1.78851a56aeb97p-22
+0x1.a4da5e2485d2ep+0 0x1.a4fa64251b28dp+0 0x1.a50a65a52dd54p+0
+0x1.74bda12f684bep-1 0x1.1ca63dab774b1p+0 0x1.331baa43e7982p+0
+0x1.56b89b2a68eb6p-8
+"""
+
+
+def run_probe(code, **env_vars):
+    """Stdout of code run in a fresh interpreter on this checkout's src,
+    with each of env_vars set to its value, or unset where that is None."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    for name, value in env_vars.items():
+        env.pop(name, None)
+        if value is not None:
+            env[name] = value
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
 
 class TestTruncated:
     def test_single(self):
@@ -235,10 +269,11 @@ class TestTruncated:
 
     def test_float_agrees_with_exact(self):
         for idx in [(2,), (1, 2), (3, 1, 2)]:
-            for M in (2, 5, 30):
-                assert truncated_mzv_float(idx, M) == pytest.approx(
-                    float(truncated_mzv(idx, M)), abs=1e-12
-                )
+            for M in (-1, 0, 1, len(idx), len(idx) + 1, 2, 5, 30):
+                exact, approx = truncated_mzv(idx, M), truncated_mzv_float(idx, M)
+                assert approx == pytest.approx(float(exact), abs=1e-12)
+                # Too few m below M for a chain: both are exactly zero.
+                assert (exact == 0) == (approx == 0.0) == (M <= len(idx))
 
     def test_float_ladder(self):
         idx = (1, 2)
@@ -249,10 +284,9 @@ class TestTruncated:
 
 
 class TestFloatLadder:
-    # Cutoffs on both sides of the first and second chunk boundaries: the
-    # ladder has summed m < M, so M = _CHUNK + 1 ends exactly one chunk.
-    EDGES = (2, 3, _CHUNK - 1, _CHUNK, _CHUNK + 1, _CHUNK + 2,
-             2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 2, 2 * _CHUNK + 3)
+    # Two short cutoffs and long ones on both sides of 2^16 and 2^17.
+    EDGES = (2, 3, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, (1 << 16) + 2,
+             2 * (1 << 16), 2 * (1 << 16) + 1, 2 * (1 << 16) + 2, 2 * (1 << 16) + 3)
 
     @pytest.mark.parametrize("idx", [(2,), (1,), (1, 2), (3, 1, 2), (1, 1, 1, 2), (4, 2)])
     def test_bit_identical_to_whole_array(self, idx):
@@ -266,10 +300,13 @@ class TestFloatLadder:
         rng = random.Random(4096)
         for _ in range(10):
             idx = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
-            Ms = [rng.randint(1, 3 * _CHUNK) for _ in range(6)]
+            Ms = [rng.randint(1, 3 * (1 << 16)) for _ in range(6)]
+            # Cutoffs too short for a chain, unsorted and repeated.
+            Ms[2:2] = [len(idx), -1, 1, 0, len(idx), -1]
             Ms.append(Ms[0])
             arr = whole_array(idx, max(Ms))
             want = [float(arr[M - 2]) if M > len(idx) else 0.0 for M in Ms]
+            assert all(truncated_mzv(idx, M) == 0 for M in Ms if M <= len(idx))
             assert truncated_mzv_float_ladder(idx, Ms) == want
             assert truncated_mzv_float_ladder(idx, iter(Ms)) == want
 
@@ -378,17 +415,13 @@ class TestNumeric:
     def test_bits_do_not_depend_on_the_cpu(self, coretype):
         # numpy's BLAS picks a kernel for the CPU at load, and a different
         # kernel once moved the last bits of dot products summed through it.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        env.pop("OPENBLAS_CORETYPE", None)
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        proc = subprocess.run(
-            [sys.executable, "-c", BITS_PROBE],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == BITS_PIN + "\n"
+        assert run_probe(BITS_PROBE, OPENBLAS_CORETYPE=coretype) == BITS_PIN + "\n"
+
+    @pytest.mark.parametrize("disabled", [None, "X86_V4 AVX512_ICL AVX512_SPR"])
+    def test_ladder_bits_do_not_depend_on_the_cpu(self, disabled):
+        # numpy picks its pow kernel for the CPU at load; with AVX-512
+        # features disabled it picks another, with other last bits.
+        assert run_probe(LADDER_PROBE, NPY_DISABLE_CPU_FEATURES=disabled) == LADDER_PIN
 
     def test_within_the_stated_bound(self):
         for idx in seeded_indices()[::10]:
