@@ -17,7 +17,7 @@ from .errors import PreconditionError, ResourceLimitError
 from .record import Record
 from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
-from .symbolic import det
+from .symbolic import _integer_rows, det
 
 #: The most fillings one call may enumerate; more raise ResourceLimitError.
 #: Each call reads it once, into a local its leaf compares against.
@@ -145,7 +145,8 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
 
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant over the rationals; see :func:`symbolic.det`."""
-    return det(matrix, Fraction(0), Fraction(1))
+    rows, D = _integer_rows(matrix)
+    return Fraction(det(rows, 0, 1), D)
 
 
 class JTReport(Record):

@@ -10,7 +10,8 @@ zeros of ``mu``.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import PreconditionError
@@ -64,18 +65,20 @@ class SkewShape(Record):
     lam: Partition
     mu: Partition
 
-    @cached_property
+    @property
     def padded_mu(self) -> Partition:
         """``mu`` padded with zeros to the length of ``lam``."""
         return self.mu + (0,) * (len(self.lam) - len(self.mu))
 
-    @cached_property
+    @property
     def cells(self) -> Tuple[Cell, ...]:
-        """All cells in row-major order."""
-        out = []
-        for i, (lo, hi) in enumerate(zip(self.padded_mu, self.lam), start=1):
-            out.extend((i, j) for j in range(lo + 1, hi + 1))
-        return tuple(out)
+        """All cells in row-major order.
+
+        Memoized per value, not per instance: equal shapes share one tuple
+        from a bounded memo keyed by ``(lam, mu)``, and no instance keeps a
+        copy of its own.
+        """
+        return _cells(self.lam, self.mu)
 
     @property
     def cell_set(self) -> frozenset:
@@ -97,6 +100,18 @@ class SkewShape(Record):
         mu = ",".join(str(p) for p in self.mu)
         lam = ",".join(str(p) for p in self.lam)
         return f"({lam})/({mu})"
+
+
+#: entries in each memo of values derived from a shape's or tableau's fields
+MEMO_SIZE = 512
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _cells(lam: Partition, mu: Partition) -> Tuple[Cell, ...]:
+    out = []
+    for i, (lo, hi) in enumerate(zip(mu + (0,) * (len(lam) - len(mu)), lam), start=1):
+        out.extend((i, j) for j in range(lo + 1, hi + 1))
+    return tuple(out)
 
 
 EMPTY_SHAPE = SkewShape((), ())
@@ -304,9 +319,11 @@ class DiagonalTableau(Record):
             if not isinstance(v, int) or v < 1:
                 raise PreconditionError(f"entries must be positive integers, got {v!r}")
 
-    @cached_property
+    @property
     def value_map(self) -> Mapping[int, int]:
-        return dict(self.by_content)
+        """Read-only content -> entry map, shared by equal tableaux (memoized
+        on ``by_content``)."""
+        return _value_map(self.by_content)
 
     def value_at(self, c: int) -> int:
         return self.value_map[c]
@@ -315,6 +332,11 @@ class DiagonalTableau(Record):
         return tableau_from_entries(
             self.shape, {cell: self.value_map[content(cell)] for cell in self.shape.cells}
         )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _value_map(by_content: Tuple[Tuple[int, int], ...]) -> Mapping[int, int]:
+    return MappingProxyType(dict(by_content))
 
 
 def diagonal_tableau(shape: SkewShape, by_content: Mapping[int, int]) -> DiagonalTableau:

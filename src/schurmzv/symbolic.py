@@ -14,9 +14,12 @@ The constructor and ``coefficient`` take (generator, exponent) pairs, and
 
 The additive core of these values, TermMap, is shared with the
 quasi-shuffle algebra (stuffle.QSElement), and ``det`` is the one
-determinant routine, over any commutative ring.  At load time this module
-imports nothing from the package but ``errors`` and ``record``, so every
-other module can build on it without a cycle.
+determinant routine, over any commutative ring.  Public values always
+carry canonical Fraction coefficients; only inside ``sym_det`` (and
+``evaluate.det_fraction``) does ``det`` run on rows cleared to int
+coefficients, which are divided back into Fractions once at the end.
+At load time this module imports nothing from the package but ``errors``
+and ``record``, so every other module can build on it without a cycle.
 
 Also provides Bernoulli numbers (B1 = -1/2), Bernoulli polynomials over
 Gaussian rationals, and the exact coefficient sequences for zeta({4}^n)
@@ -108,7 +111,11 @@ class TermMap:
     @classmethod
     def _canonical(cls, terms: Dict) -> "TermMap":
         """Wrap terms that are already canonical: normalised keys, no zero
-        coefficients, Fraction coefficients.  Skips the constructor's checks."""
+        coefficients, Fraction coefficients.  Skips the constructor's checks.
+
+        The one exception is internal: ``sym_det`` wraps int coefficients
+        for its row-cleared ``det`` and turns the result back into
+        Fractions before it is returned (see :func:`_integer_rows`)."""
         v = object.__new__(cls)
         v.terms = terms
         return v
@@ -356,6 +363,11 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     cofactor expansion does, so over a term-map ring the result lists its
     terms in the same order, and float sums over them (numeric_value) come
     out the same.
+
+    Exact callers clear rows before they get here: ``sym_det`` and
+    ``evaluate.det_fraction`` scale each row to int coefficients with
+    :func:`_integer_rows` and divide the result once.  Float and T-poly
+    callers pass their rows as they are.
     """
     n = len(rows)
     for r in rows:
@@ -377,9 +389,40 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     return minors.get((1 << n) - 1, zero)
 
 
+def _integer_rows(rows: Sequence[Sequence[R]]) -> Tuple[List[List[R]], int]:
+    """The rows scaled to int coefficients, and D, the product of the scales.
+
+    An entry is a rational or a TermMap.  Row i is multiplied by d_i, the
+    lcm of the denominators of its coefficients; a determinant is linear in
+    each row, so det(rows) = det(scaled rows) / D.  Int arithmetic is far
+    cheaper than Fraction arithmetic, and scaling by a nonzero integer
+    leaves every product and sum zero exactly when it was, so ``det``
+    builds the same minors and its result lists its terms in the same
+    order.
+    """
+    out: List[List[R]] = []
+    D = 1
+    for row in rows:
+        d = math.lcm(*(
+            c.denominator
+            for a in row
+            for c in (a.terms.values() if isinstance(a, TermMap) else (a,))
+        ))
+        out.append([
+            a._canonical({k: c.numerator * (d // c.denominator) for k, c in a.terms.items()})
+            if isinstance(a, TermMap)
+            else a.numerator * (d // a.denominator)
+            for a in row
+        ])
+        D *= d
+    return out, D
+
+
 def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
-    """Determinant in the symbol ring; see :func:`det`."""
-    return det(rows, ZetaSymbolValue.zero(), ZetaSymbolValue.one())
+    """Determinant in the symbol ring; see :func:`det` and :func:`_integer_rows`."""
+    int_rows, D = _integer_rows(rows)
+    v = det(int_rows, ZetaSymbolValue.zero(), ZetaSymbolValue._canonical({(): 1}))
+    return ZetaSymbolValue._canonical({m: Fraction(c, D) for m, c in v.terms.items()})
 
 
 def _numeric_terms(v: ZetaSymbolValue, t_value: float) -> List[float]:

@@ -1,12 +1,13 @@
 """Independent routes that only the tests read.
 
 Each one recomputes a library value a second way (a Bernoulli polynomial,
-a product of ``{4}`` blocks, an h-determinant) or restates a check in
-boolean form; the tests compare the two.
+a product of ``{4}`` blocks, an h-determinant, a determinant by Bareiss
+elimination) or restates a check in boolean form; the tests compare the
+two.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import List, Sequence
 
 from schurmzv.checkerboard import check_checkerboard
@@ -110,3 +111,40 @@ def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fractio
             f"filling sum {value} disagrees with h-determinant {det} for {shape}"
         )
     return det
+
+
+def bareiss_det(matrix):
+    """Oracle: fraction-free (Bareiss) elimination over the rationals.
+
+    Rows are scaled integer-valued first; the Bareiss recurrence then stays
+    in integers with exact divisions.
+    """
+    n = len(matrix)
+    if n == 0:
+        return Fraction(1)
+    scale = Fraction(1)
+    m = []
+    for row in matrix:
+        fr = [Fraction(a) for a in row]
+        L = 1
+        for a in fr:
+            L = lcm(L, a.denominator)
+        m.append([int(a * L) for a in fr])
+        scale /= L
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * scale * m[n - 1][n - 1]

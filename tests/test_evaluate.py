@@ -1,7 +1,6 @@
 """Tests for SSYT enumeration, weighted sums, and the exact determinant identity."""
 
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +29,7 @@ from schurmzv.shapes import (
     tableau_from_entries,
 )
 
-from oracles import schur_poly_check
+from oracles import bareiss_det, schur_poly_check
 from test_ribbons import connected_skew_shapes
 
 EMPTY_T = Tableau(make_skew(()), ())
@@ -118,43 +117,6 @@ class TestTruncatedSchurZeta:
             assert truncated_schur_zeta(t, M) == s_f_m(
                 t, M, lambda m, d: Fraction(1, m**d)
             )
-
-
-def bareiss_det(matrix):
-    """Oracle: fraction-free (Bareiss) elimination over the rationals.
-
-    Rows are scaled integer-valued first; the Bareiss recurrence then stays
-    in integers with exact divisions.
-    """
-    n = len(matrix)
-    if n == 0:
-        return Fraction(1)
-    scale = Fraction(1)
-    m = []
-    for row in matrix:
-        fr = [Fraction(a) for a in row]
-        L = 1
-        for a in fr:
-            L = lcm(L, a.denominator)
-        m.append([int(a * L) for a in fr])
-        scale /= L
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * scale * m[n - 1][n - 1]
 
 
 class TestDetFraction:

@@ -142,7 +142,10 @@ def test_post_init_checks_still_run(build):
 def test_cached_properties_and_walk_built_ribbons():
     shape = make_skew((3, 2), (1,))
     assert shape.cells == ((1, 2), (1, 3), (2, 1), (2, 2))
-    assert vars(shape)["cells"] is shape.cells
-    r = anchored_ribbon(0, ("R", "U", "R"))
+    # cells is memoized per value: equal shapes share one tuple, and no
+    # instance keeps its own copy.
+    assert "cells" not in vars(shape)
+    assert SkewShape((3, 2), (1,)).cells is shape.cells
+    r =anchored_ribbon(0, ("R", "U", "R"))
     assert r == Ribbon(r.shape) and hash(r) == hash(Ribbon(r.shape))
     assert r.steps == Ribbon(r.shape).steps

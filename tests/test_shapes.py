@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from schurmzv.errors import PreconditionError
 from schurmzv.shapes import (
     EMPTY_SHAPE,
+    MEMO_SIZE,
     SkewShape,
     as_diagonal,
     content,
@@ -24,6 +25,7 @@ from schurmzv.shapes import (
     transpose_shape,
     transpose_tableau,
     Tableau,
+    _cells,
 )
 
 
@@ -200,3 +202,29 @@ class TestDiagonalTableau:
         bad = Tableau(s, ((1, 3), (2, 2)))
         with pytest.raises(PreconditionError):
             as_diagonal(bad)
+
+
+class TestDerivedMemo:
+    """cells and value_map are memoized per value, not stored per instance."""
+
+    def test_equal_shapes_share_one_cells_tuple(self):
+        a, b = make_skew((3, 2), (1,)), SkewShape((3, 2), (1,))
+        assert a is not b and a.cells is b.cells
+        assert "cells" not in vars(a) and "padded_mu" not in vars(a)
+        assert set(vars(a)) == {"lam", "mu"}
+
+    def test_equal_tableaux_share_one_read_only_value_map(self):
+        s = make_skew((2, 2))
+        a = diagonal_tableau(s, {-1: 2, 0: 1, 1: 3})
+        b = diagonal_tableau(s, {1: 3, 0: 1, -1: 2})
+        assert a.value_map is b.value_map
+        assert set(vars(a)) == {"shape", "by_content"}
+        with pytest.raises(TypeError):
+            a.value_map[0] = 5
+
+    def test_memo_is_bounded(self):
+        for n in range(2 * MEMO_SIZE):
+            assert SkewShape((n + 1,), (n,)).cells == ((1, n + 1),)
+        assert _cells.cache_info().currsize == MEMO_SIZE
+        assert make_skew((2, 1)).cells == ((1, 1), (1, 2), (2, 1))
+

@@ -24,8 +24,7 @@ from schurmzv.symbolic import (
     zeta_single,
 )
 
-from oracles import zeta_four_block, zeta_four_block_star
-from test_evaluate import bareiss_det
+from oracles import bareiss_det, zeta_four_block, zeta_four_block_star
 
 Sym = ZetaSymbolValue
 
@@ -305,6 +304,46 @@ class TestDet:
                         assert got == bareiss_det(m)
                     else:
                         assert list(got.terms) == list(oracle.terms)
+
+    def test_integer_rows_match_fraction_path(self):
+        """sym_det and det_fraction run det on rows cleared to int
+        coefficients and divide once at the end.
+
+        On seeded matrices with mixed denominators and signs, zero entries
+        and, every other trial, an all-zero row, sym_det must equal det on
+        the Fraction rows term for term, in the same order, with Fraction
+        coefficients only; det_fraction must equal Bareiss elimination.
+        """
+
+        def mixed(rng):
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 40),
+                            rng.choice((1, 2, 3, 4, 6, 9, 25, 36, 49, 128)))
+
+        def value(rng):
+            if rng.random() < 0.3:
+                return Sym.zero()
+            gens = ("P", "T", "Z3", "Z5", "Z7")
+            return Sym({
+                tuple((g, rng.randint(1, 2)) for g in rng.sample(gens, rng.randint(0, 2))): mixed(rng)
+                for _ in range(rng.randint(1, 3))
+            })
+
+        def scalar(rng):
+            return Fraction(0) if rng.random() < 0.3 else mixed(rng)
+
+        rng = random.Random(1731)
+        for n in range(8):
+            for trial in range(6 if n < 6 else 2):
+                m = [[value(rng) for _ in range(n)] for _ in range(n)]
+                q = [[scalar(rng) for _ in range(n)] for _ in range(n)]
+                if n and trial % 2:
+                    r = rng.randrange(n)
+                    m[r], q[r] = [Sym.zero()] * n, [Fraction(0)] * n
+                got = sym_det(m)
+                assert list(got.terms.items()) == list(det(m, Sym.zero(), Sym.one()).terms.items())
+                assert all(type(c) is Fraction for c in got.terms.values())
+                got = det_fraction(q)
+                assert type(got) is Fraction and got == bareiss_det(q)
 
     def test_matches_numeric(self):
         m = [
