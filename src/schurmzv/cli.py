@@ -323,21 +323,17 @@ def _cmd_expand(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 def _cmd_regularize(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
-    poly = schur_regularize(tab)
-    coefficients = [_index_terms(c.terms) for c in poly.coeffs]
+    coeffs = schur_regularize(tab).coeffs
     result = {
-        "degree": poly.degree,
-        "coefficients": coefficients,
+        "degree": len(coeffs) - 1,
+        "coefficients": [_index_terms(c.terms) for c in coeffs],
         "shape": _shape_dict(tab.shape),
     }
     chunks = []
-    for power in range(poly.degree, -1, -1):
-        coeff = poly.coeffs[power]
+    for power, coeff in reversed(tuple(enumerate(coeffs))):
         if not coeff:
             continue
-        body = " + ".join(
-            f"{c}*z{idx}" for idx, c in sorted(coeff.terms.items())
-        )
+        body = " + ".join(f"{c}*z{idx}" for idx, c in sorted(coeff.terms.items()))
         suffix = "" if power == 0 else (" * T" if power == 1 else f" * T^{power}")
         chunks.append(f"({body}){suffix}")
     pretty = " + ".join(chunks) if chunks else "0"

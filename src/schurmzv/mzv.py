@@ -27,7 +27,7 @@ from itertools import accumulate, count, islice, product, repeat, tee
 from operator import mul, truediv
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .shapes import Tableau, int_parts
 
 Index = Tuple[int, ...]
@@ -38,6 +38,9 @@ EULER_GAMMA = 0.5772156649015328606065
 
 #: numeric_mzv refuses tolerances below this.
 TOL_FLOOR = 1e-10
+
+#: numeric_mzv refuses an index whose tables of n^-a hold more floats than this.
+NUMERIC_TABLE_CAP = 10**6
 
 
 def check_index(idx: Sequence[int]) -> Index:
@@ -212,6 +215,8 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     version.
 
     ``tol`` must be at least TOL_FLOOR; it does not change the value.
+    An index whose tables would hold more than NUMERIC_TABLE_CAP floats
+    raises ResourceLimitError before any table is built.
     A tuple index is looked up in ``_numeric_cache`` before it is checked:
     every key is a checked admissible index, so a hit needs no check.  Any
     other sequence is checked and computed.
@@ -230,6 +235,11 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     # parts(): cut a word ending in 1 after each 1, run lengths outermost first.
     p, q = ([len(run) + 1 for run in x.split("1")[:-1]] for x in (w, dual))
     N = _series_length(len(w), max(len(p), len(q)))
+    size = (max(p + q) + 1) * N
+    if size > NUMERIC_TABLE_CAP:
+        raise ResourceLimitError(
+            f"index {idx} needs {size} floats per table, over the cap {NUMERIC_TABLE_CAP}"
+        )
     inv = [[1 / n**a for n in range(1, N + 1)] for a in range(max(p + q) + 1)]
     # Scaling by 2^-n is exact, so these are 1 / (n**a << n), correctly rounded.
     half = [0.5**n for n in range(1, N + 1)]

@@ -5,7 +5,9 @@ symbolic.TermMap); multiplication is the quasi-shuffle (stuffle) product,
 under which truncated evaluation is a ring homomorphism.  Divergent indices
 (trailing parts equal to 1) acquire a polynomial regularization in a
 variable T, normalized so the single part 1 maps to T; the truncated value
-then tracks the polynomial at log M + gamma up to O(log^J M / M).
+then tracks the polynomial at log M + gamma up to O(log^J M / M).  A TPoly
+is a TermMap too, keyed by (j, idx) for T^j times the index, with
+``_unit`` (0, ()).
 Float values of the coefficients come from mzv.numeric_mzv, at full double
 precision; it needs nothing from this module.
 
@@ -27,6 +29,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import InternalCheckError, PreconditionError
 from .mzv import (
     Index,
+    check_index,
     expand_tableau,
     is_admissible_index,
     numeric_mzv,
@@ -54,9 +57,6 @@ class QSElement(TermMap):
     @classmethod
     def from_index(cls, idx: Sequence[int]) -> "QSElement":
         return cls._canonical({tuple(idx): Fraction(1)})
-
-    def is_admissible_support(self) -> bool:
-        return all(idx == () or is_admissible_index(idx) for idx in self.terms)
 
     def _product(self, other: "QSElement") -> Dict[Index, Fraction]:
         """Term dict of self * other: the stuffle of every pair of indices."""
@@ -104,84 +104,57 @@ def qs_truncated(elem: QSElement, M: int) -> Fraction:
     return total
 
 
-class TPoly(Record):
+class TPoly(TermMap):
     """Polynomial in the regularization variable T with QSElement
-    coefficients supported on admissible (or empty) indices."""
+    coefficients supported on admissible (or empty) indices.
 
-    coeffs: Tuple[QSElement, ...]
+    A key of ``terms`` is (j, idx), for T^j times the index; the unit is
+    (0, ()).  ``coeffs`` lists the coefficient of each power of T.
+    """
 
-    def __post_init__(self):
-        coeffs = tuple(self.coeffs) or (QSElement.zero(),)
-        while len(coeffs) > 1 and not coeffs[-1]:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ()
 
-    @classmethod
-    def _from_terms(cls, coeffs: List[Dict[Index, Fraction]]) -> "TPoly":
-        """Wrap per-power term maps built by QSElement._accumulate."""
-        return cls(tuple(QSElement._canonical(c) for c in coeffs))
+    _unit = (0, ())
 
-    def _add_to(self, acc: List[Dict[Index, Fraction]], scale: Scalar = 1) -> None:
-        """acc += scale * self, in place, coefficient by coefficient."""
-        acc.extend({} for _ in range(len(self.coeffs) - len(acc)))
-        for out, c in zip(acc, self.coeffs):
-            QSElement._accumulate(out, c.terms, scale)
+    def __init__(self, coeffs: Sequence[QSElement]):
+        self.terms = {(j, idx): c for j, q in enumerate(coeffs) for idx, c in q.terms.items()}
 
     @classmethod
     def constant(cls, elem: QSElement) -> "TPoly":
-        return cls((elem,))
+        return cls._canonical({(0, idx): c for idx, c in elem.terms.items()})
 
-    @classmethod
-    def zero(cls) -> "TPoly":
-        return cls((QSElement.zero(),))
-
-    @classmethod
-    def one(cls) -> "TPoly":
-        return cls((QSElement.one(),))
+    @property
+    def coeffs(self) -> Tuple[QSElement, ...]:
+        """The coefficient of T^j for j = 0..degree, in that order."""
+        out: List[Dict[Index, Fraction]] = [{} for _ in range(self.degree + 1)]
+        for (j, idx), c in self.terms.items():
+            out[j][idx] = c
+        return tuple(QSElement._canonical(c) for c in out)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1 if any(bool(c) for c in self.coeffs) else 0
+        return max((j for j, _ in self.terms), default=0)
 
     def shift(self) -> "TPoly":
         """Multiply by T."""
-        return TPoly((QSElement.zero(),) + self.coeffs)
+        return self._canonical({(j + 1, idx): c for (j, idx), c in self.terms.items()})
 
-    def __add__(self, other: "TPoly") -> "TPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (QSElement.zero(),) * (n - len(self.coeffs))
-        b = other.coeffs + (QSElement.zero(),) * (n - len(other.coeffs))
-        return TPoly(tuple(x + y for x, y in zip(a, b)))
-
-    def __neg__(self) -> "TPoly":
-        return TPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        return self + (-other)
-
-    def __mul__(self, other: object) -> "TPoly":
-        if isinstance(other, (int, Fraction, QSElement)):
-            return TPoly(tuple(c * other for c in self.coeffs))
-        if isinstance(other, TPoly):
-            out: List[Dict[Index, Fraction]] = [
-                {} for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
-            ]
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        QSElement._accumulate(out[i + j], (a * b).terms)
-            return TPoly._from_terms(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def _product(self, other: "TPoly") -> Dict[Tuple[int, Index], Fraction]:
+        """Term dict of self * other: powers of T add, indices stuffle."""
+        out: Dict[Tuple[int, Index], Fraction] = {}
+        for (i, u), cu in self.terms.items():
+            for (j, v), cv in other.terms.items():
+                cuv = cu * cv
+                for w, cw in stuffle_product(u, v).terms.items():
+                    key = (i + j, w)
+                    out[key] = out[key] + cuv * cw if key in out else cuv * cw
+        return out
 
     def check_admissible_support(self) -> None:
-        for j, c in enumerate(self.coeffs):
-            if not c.is_admissible_support():
+        for j, idx in self.terms:
+            if idx and not is_admissible_index(idx):
                 raise InternalCheckError(
-                    f"coefficient of T^{j} has non-admissible support: {c}"
+                    f"coefficient of T^{j} has non-admissible support: {idx}"
                 )
 
     def __repr__(self) -> str:
@@ -199,24 +172,26 @@ def regularize(idx: Sequence[int]) -> TPoly:
     to T; the extension is a quasi-shuffle ring homomorphism.  Trailing 1s
     are eliminated by expanding (1)*(head) and solving for the target term,
     whose multiplicity is the number of trailing 1s.
+
+    A nonempty idx must pass mzv.check_index, or PreconditionError is
+    raised.  A tuple is looked up in ``_regularize_cache`` before it is
+    checked: every key is a checked index, so a hit needs no check.
     """
-    idx = tuple(int(k) for k in idx)
-    hit = _regularize_cache.get(idx)
-    if hit is not None:
-        return hit
+    if type(idx) is tuple:
+        hit = _regularize_cache.get(idx)
+        if hit is not None:
+            return hit
+    idx = check_index(idx) if len(idx) else ()
     if not idx or idx[-1] >= 2:
         result = TPoly.constant(QSElement.from_index(idx))
     else:
         head = idx[:-1]
         prod = stuffle_product((1,), head)
-        s = prod.terms[idx]
-        acc: List[Dict[Index, Fraction]] = []
-        regularize(head).shift()._add_to(acc)
+        acc = dict(regularize(head).shift().terms)
         for term, c in prod.terms.items():
-            if term == idx:
-                continue
-            regularize(term)._add_to(acc, -c)
-        result = TPoly._from_terms(acc) * Fraction(1, int(s))
+            if term != idx:
+                TermMap._accumulate(acc, regularize(term).terms, -c)
+        result = TPoly._canonical(acc) * Fraction(1, int(prod.terms[idx]))
     result.check_admissible_support()
     _regularize_cache[idx] = result
     return result
@@ -224,23 +199,19 @@ def regularize(idx: Sequence[int]) -> TPoly:
 
 def schur_regularize(k: Tableau) -> TPoly:
     """Regularize the tableau's expansion termwise and sum."""
-    acc: List[Dict[Index, Fraction]] = []
+    acc: Dict[Tuple[int, Index], Fraction] = {}
     for idx, mult in expand_tableau(k).items():
-        regularize(idx)._add_to(acc, mult)
-    return TPoly._from_terms(acc)
+        TermMap._accumulate(acc, regularize(idx).terms, mult)
+    return TPoly._canonical(acc)
 
 
 def _coefficient_values(p: TPoly) -> Tuple[float, ...]:
     """The float value of each T-power's coefficient, in power order."""
-    values = []
-    for coeff in p.coeffs:
-        num = 0.0
-        for idx, c in coeff.terms.items():
-            if idx == ():
-                num += float(c)
-            else:
-                num += float(c) * numeric_mzv(idx)
-        values.append(num)
+    values = [0.0]
+    for (j, idx), c in p.terms.items():
+        if j >= len(values):
+            values.extend([0.0] * (j + 1 - len(values)))
+        values[j] += float(c) * numeric_mzv(idx) if idx else float(c)
     return tuple(values)
 
 

@@ -12,14 +12,17 @@ Z3, Z5, ...), so multiplying two monomials adds two tuples elementwise.
 The constructor and ``coefficient`` take (generator, exponent) pairs, and
 ``render`` and ``to_json_dict`` order terms on those pairs.
 
-The additive core of these values, TermMap, is shared with the
-quasi-shuffle algebra (stuffle.QSElement), and ``det`` is the one
-determinant routine, over any commutative ring.  Public values always
+The ring core of these values, TermMap, is shared with the quasi-shuffle
+algebra (stuffle.QSElement), its extension by T (stuffle.TPoly, keyed by
+(j, idx) for T^j times the index) and the Gaussian rationals below.  The
+class constant ``_unit`` names the key of the unit, ``()`` unless a
+subclass says otherwise.  ``det`` is the one determinant routine, over any
+commutative ring.  Public values always
 carry canonical Fraction coefficients; only inside ``sym_det`` (and
 ``evaluate.det_fraction``) does ``det`` run on rows cleared to int
 coefficients, which are divided back into Fractions once at the end.
-At load time this module imports nothing from the package but ``errors``
-and ``record``, so every other module can build on it without a cycle.
+At load time this module imports nothing from the package but ``errors``,
+so every other module can build on it without a cycle.
 
 Also provides Bernoulli numbers (B1 = -1/2), Bernoulli polynomials over
 Gaussian rationals, and the exact coefficient sequences for zeta({4}^n)
@@ -35,7 +38,6 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
 from .errors import InternalCheckError, PreconditionError
-from .record import Record
 
 Scalar = Union[int, Fraction]
 
@@ -96,17 +98,21 @@ def monomial_weight(mono: Monomial) -> int:
 
 
 class TermMap:
-    """Sparse map key -> nonzero Fraction: the additive core of the exact rings.
+    """Sparse map key -> nonzero Fraction: the arithmetic of the exact rings.
 
-    ZetaSymbolValue (keys are monomials) and stuffle.QSElement (keys are
-    indices) share it.  A subclass supplies its key-normalising constructor
-    and ``_product``, the bilinear product of two elements as a term dict;
-    the key ``()`` is the unit.  Rationals act as constants.  An operand of
-    another subclass gets NotImplemented, so mixing rings raises TypeError
-    and compares unequal.
+    ZetaSymbolValue (keys are monomials), GaussianRational (keys ``()`` and
+    ``"i"``), stuffle.QSElement (keys are indices) and stuffle.TPoly (keys
+    are (power of T, index) pairs) share it.  A subclass supplies its
+    constructor and ``_product``, the bilinear product of two elements as a
+    term dict that may hold zeros; ``_unit`` is the key of the unit.
+    Rationals act as constants.  An operand of another subclass gets
+    NotImplemented, so mixing rings raises TypeError and compares unequal.
     """
 
     __slots__ = ("terms",)
+
+    #: the key of the ring unit; rationals are multiples of it
+    _unit: object = ()
 
     @classmethod
     def _canonical(cls, terms: Dict) -> "TermMap":
@@ -126,14 +132,14 @@ class TermMap:
 
     @classmethod
     def one(cls) -> "TermMap":
-        return cls._canonical({(): Fraction(1)})
+        return cls._canonical({cls._unit: Fraction(1)})
 
     def _coerce(self, other: object) -> Optional["TermMap"]:
         """other as an element of this ring, or None if it is foreign."""
         if isinstance(other, type(self)):
             return other
         if isinstance(other, (int, Fraction)):
-            return self._canonical({(): Fraction(other)} if other else {})
+            return self._canonical({self._unit: Fraction(other)} if other else {})
         return None
 
     @staticmethod
@@ -168,8 +174,8 @@ class TermMap:
 
     def __hash__(self) -> int:
         # A constant equals its scalar, so it hashes like it.
-        if self.terms.keys() <= {()}:
-            return hash(self.terms.get((), 0))
+        if self.terms.keys() <= {self._unit}:
+            return hash(self.terms.get(self._unit, 0))
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: object) -> "TermMap":
@@ -207,6 +213,14 @@ class TermMap:
         return self._canonical({k: c for k, c in self._product(other).items() if c})
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "TermMap":
+        if n < 0:
+            raise PreconditionError("negative powers are not defined in this ring")
+        acc = self.one()
+        for _ in range(n):
+            acc = acc * self
+        return acc
 
 
 class ZetaSymbolValue(TermMap):
@@ -260,14 +274,6 @@ class ZetaSymbolValue(TermMap):
                     key = (*map(add, m1, m2), *m2[n1:])
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
         return out
-
-    def __pow__(self, n: int) -> "ZetaSymbolValue":
-        if n < 0:
-            raise PreconditionError("negative powers are not defined in this ring")
-        acc = ZetaSymbolValue.one()
-        for _ in range(n):
-            acc = acc * self
-        return acc
 
     def homogeneous_weight(self) -> Optional[int]:
         """Weight if homogeneous (None for 0); raises if weights are mixed."""
@@ -482,86 +488,53 @@ def bernoulli_number(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-class GaussianRational(Record):
-    re: Fraction
-    im: Fraction = Fraction(0)
+class GaussianRational(TermMap):
+    """re + im*i, keyed by ``()`` for the real part and ``"i"`` for the
+    imaginary part; a real value equals and hashes like its rational."""
+
+    __slots__ = ()
 
     @classmethod
     def of(cls, re: Scalar, im: Scalar = 0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
+        return cls._canonical({k: Fraction(c) for k, c in (((), re), ("i", im)) if c})
+
+    @property
+    def re(self) -> Fraction:
+        return self.terms.get((), Fraction(0))
+
+    @property
+    def im(self) -> Fraction:
+        return self.terms.get("i", Fraction(0))
+
+    def _product(self, other: "GaussianRational") -> Dict[object, Fraction]:
+        """Term dict of self * other, with i * i = -1."""
+        out: Dict[object, Fraction] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, c = ((), -c1 * c2) if k1 and k2 else (k1 or k2, c1 * c2)
+                out[key] = out[key] + c if key in out else c
+        return out
 
     def conj(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return self._canonical({k: -c if k else c for k, c in self.terms.items()})
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return "i" not in self.terms
 
     def is_imaginary(self) -> bool:
-        return self.re == 0
-
-    def __add__(self, other: object) -> "GaussianRational":
-        other = _coerce_gauss(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
-
-    def __sub__(self, other: object) -> "GaussianRational":
-        return self + (-_coerce_gauss(other))
-
-    def __rsub__(self, other: object) -> "GaussianRational":
-        return _coerce_gauss(other) - self
-
-    def __mul__(self, other: object) -> "GaussianRational":
-        other = _coerce_gauss(other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "GaussianRational":
-        other = _coerce_gauss(other)
-        d = other.re**2 + other.im**2
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * GaussianRational(other.re / d, -other.im / d)
-
-    def __pow__(self, n: int) -> "GaussianRational":
-        if n < 0:
-            return GaussianRational.of(1) / self ** (-n)
-        acc = GaussianRational.of(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return () not in self.terms
 
     def __repr__(self) -> str:
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
 
-def _coerce_gauss(x: object) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(Fraction(x))
-    raise TypeError(f"cannot coerce {x!r} to GaussianRational")
-
-
 def bernoulli_poly(k: int, x: Union[GaussianRational, Scalar]) -> GaussianRational:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j) over Gaussian rationals."""
+    """B_k(x) = sum_j C(k,j) B_j x^(k-j) over Gaussian rationals, by Horner's rule."""
     if k < 0:
         raise PreconditionError("Bernoulli index must be nonnegative")
-    x = _coerce_gauss(x)
-    total = GaussianRational.of(0)
+    total = GaussianRational.zero()
     for j in range(k + 1):
-        total = total + math.comb(k, j) * bernoulli_number(j) * x ** (k - j)
+        total = total * x + math.comb(k, j) * bernoulli_number(j)
     return total
 
 

@@ -122,6 +122,21 @@ def checkerboard(lam, mu=(), *, even=3, odd=1):
     )
 
 
+#: Ten admissible checkerboard tableaux of weight <= 16.
+CRITERION_07_HOSTS = (
+    stair_tableau(StairKind(KIND_A, 1, 3, 1)),
+    stair_tableau(StairKind(KIND_A, 1, 3, 2)),
+    stair_tableau(StairKind(KIND_A, 1, 3, 3)),
+    stair_tableau(StairKind(KIND_B, 1, 3, 1)),
+    stair_tableau(StairKind(KIND_B, 1, 3, 2)),
+    stair_tableau(StairKind(KIND_S, 1, 3, 2)),
+    stair_tableau(StairKind(KIND_S, 1, 3, 3)),
+    stair_tableau(StairKind(KIND_SSTAR, 1, 3, 2)),
+    stair_tableau(StairKind(KIND_SSTAR, 1, 3, 3)),
+    checkerboard((2, 2)),
+)
+
+
 def schur_truncated_float(t, M):
     """Float truncation of a tableau sum via its chain expansion."""
     return sum(
@@ -300,20 +315,8 @@ def test_criterion_07_regularized_jacobi_trudi():
     # column-subribbon matrix within 1e-4 at T in {0,1}, and the
     # determinant's spread across T in {0,1,2} stays within 1e-4.
     with budget(300.0):
-        hosts = [
-            stair_tableau(StairKind(KIND_A, 1, 3, 1)),
-            stair_tableau(StairKind(KIND_A, 1, 3, 2)),
-            stair_tableau(StairKind(KIND_A, 1, 3, 3)),
-            stair_tableau(StairKind(KIND_B, 1, 3, 1)),
-            stair_tableau(StairKind(KIND_B, 1, 3, 2)),
-            stair_tableau(StairKind(KIND_S, 1, 3, 2)),
-            stair_tableau(StairKind(KIND_S, 1, 3, 3)),
-            stair_tableau(StairKind(KIND_SSTAR, 1, 3, 2)),
-            stair_tableau(StairKind(KIND_SSTAR, 1, 3, 3)),
-            checkerboard((2, 2)),
-        ]
-        assert len(hosts) == 10
-        for k in hosts:
+        assert len(CRITERION_07_HOSTS) == 10
+        for k in CRITERION_07_HOSTS:
             flat = k.to_tableau()
             assert flat.weight <= 16
             assert is_admissible(flat)

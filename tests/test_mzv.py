@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmzv import mzv
-from schurmzv.errors import InternalCheckError, PreconditionError
+from schurmzv.errors import InternalCheckError, PreconditionError, ResourceLimitError
 from schurmzv.evaluate import truncated_schur_zeta
 from schurmzv.mzv import (
     EULER_GAMMA,
@@ -473,6 +474,34 @@ class TestNumeric:
             with pytest.raises(PreconditionError):
                 numeric_mzv(bad)
         assert list(mzv._numeric_cache) == [(2, 1, 3)]
+
+    def test_table_cap(self, monkeypatch):
+        # (1000,) needs N = 14,414 terms for 1,001 powers: two tables of
+        # about 14 million floats each.
+        monkeypatch.setattr(mzv, "_numeric_cache", {})
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="over the cap"):
+            numeric_mzv((1000,))
+        assert time.monotonic() - start < 1.0
+        assert mzv._numeric_cache == {}
+
+    def test_table_cap_on_the_command_line(self):
+        # (3000,) would need about 9 GB of tables; the child's address
+        # space and run time are capped, so a missing guard fails without
+        # exhausting the machine.
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "schurmzv.cli", "mzv", "--index", "3000"],
+            capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "ResourceLimitError" in proc.stdout
 
 
 class TestRichardson:

@@ -23,8 +23,7 @@ from schurmzv.ribbons import (
     subribbon_table,
 )
 from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, diagonal_tableau, make_skew
-from schurmzv.stuffle import QSElement, RegJTReport, TPoly
-from schurmzv.symbolic import GaussianRational
+from schurmzv.stuffle import RegJTReport
 
 HOOK = make_skew((2, 1))
 THETA = decomposition_from_ribbon(HOOK, anchored_ribbon(-1, ("U", "R")))
@@ -40,7 +39,6 @@ SAMPLES = {
     SubribbonTable: (("ribbon", "entries"), subribbon_table(THETA)),
     SsytFilling: (("shape", "values"), SsytFilling(HOOK, {(1, 1): 1, (1, 2): 1, (2, 1): 2})),
     JTReport: (("lhs", "rhs", "n"), JTReport(Fraction(1, 2), Fraction(1, 2), 1)),
-    TPoly: (("coeffs",), TPoly((QSElement.from_index((2,)), QSElement.one()))),
     RegJTReport: (
         ("t_samples", "lhs_values", "det_values", "max_discrepancy", "admissible",
          "det_t_spread", "lhs_degree"),
@@ -52,7 +50,6 @@ SAMPLES = {
          "tessellated", "matrix", "prefactor", "display_matrix"),
         evaluate_checkerboard_13(diagonal_tableau(SQUARE, {-1: 1, 0: 3, 1: 1})),
     ),
-    GaussianRational: (("re", "im"), GaussianRational.of(1, -2)),
 }
 
 
@@ -113,10 +110,6 @@ def test_repr_and_defaults():
     assert repr(make_skew((2, 1))) == "SkewShape(lam=(2, 1), mu=())"
     assert SubribbonEntry(SubribbonStatus.EMPTY).ribbon is None
     assert SubribbonEntry(status=SubribbonStatus.EMPTY) == SubribbonEntry(SubribbonStatus.EMPTY, None)
-    assert GaussianRational(Fraction(3)).im == 0
-    assert GaussianRational(re=Fraction(3)) == GaussianRational.of(3, 0)
-    with pytest.raises(TypeError):
-        GaussianRational()
     with pytest.raises(TypeError):
         StairKind("A", 1, 3)
 
