@@ -333,7 +333,9 @@ def _cmd_regularize(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     for power, coeff in reversed(tuple(enumerate(coeffs))):
         if not coeff:
             continue
-        body = " + ".join(f"{c}*z{idx}" for idx, c in sorted(coeff.terms.items()))
+        body = " + ".join(
+            f"{c}*z{idx}" for idx, c in sorted(coeff.terms.items())
+        )
         suffix = "" if power == 0 else (" * T" if power == 1 else f" * T^{power}")
         chunks.append(f"({body}){suffix}")
     pretty = " + ".join(chunks) if chunks else "0"

@@ -207,10 +207,8 @@ def schur_regularize(k: Tableau) -> TPoly:
 
 def _coefficient_values(p: TPoly) -> Tuple[float, ...]:
     """The float value of each T-power's coefficient, in power order."""
-    values = [0.0]
+    values = [0.0] * (p.degree + 1)
     for (j, idx), c in p.terms.items():
-        if j >= len(values):
-            values.extend([0.0] * (j + 1 - len(values)))
         values[j] += float(c) * numeric_mzv(idx) if idx else float(c)
     return tuple(values)
 

@@ -107,6 +107,16 @@ class TestStuffleProduct:
 
     @settings(max_examples=100, deadline=None)
     @given(a=elements, b=elements)
+    def test_stuffle_products_are_canonical(self, a, b):
+        # stuffle_product skips the constructor; its results must still be
+        # what the constructor would build, term order included.
+        for r in (stuffle_product(u, v) for u in a.terms for v in b.terms):
+            assert list(r.terms.items()) == list(QSElement(r.terms).terms.items())
+            assert all(type(c) is Fraction and c for c in r.terms.values())
+            assert all(type(idx) is tuple for idx in r.terms)
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=elements, b=elements)
     def test_sum_keeps_insertion_order(self, a, b):
         # Reference: add with zeros kept in place, then filter them out.
         out = dict(a.terms)

@@ -176,11 +176,12 @@ def _is_index(k):
     return type(k) is tuple and all(type(p) is int and p >= 1 for p in k)
 
 
-qs_elements = st.dictionaries(
-    st.lists(st.integers(min_value=1, max_value=3), max_size=2).map(tuple),
-    st.fractions(min_value=-3, max_value=3, max_denominator=5),
-    max_size=3,
-).map(QSElement)
+def _qs_elements(depth, size):
+    return st.dictionaries(
+        st.lists(st.integers(min_value=1, max_value=3), max_size=depth).map(tuple),
+        st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        max_size=size,
+    ).map(QSElement)
 
 #: Per ring: a strategy for its elements, and the test of a canonical key.
 RINGS = {
@@ -190,9 +191,9 @@ RINGS = {
         and all(type(e) is int and e >= 0 for e in m)
         and (not m or m[-1] > 0),
     ),
-    QSElement: (qs_elements, _is_index),
+    QSElement: (_qs_elements(3, 5), _is_index),
     TPoly: (
-        st.lists(qs_elements, max_size=3).map(TPoly),
+        st.lists(_qs_elements(2, 3), max_size=3).map(TPoly),
         lambda k: type(k) is tuple and len(k) == 2 and type(k[0]) is int and k[0] >= 0
         and _is_index(k[1]),
     ),
