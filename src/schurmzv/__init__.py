@@ -22,6 +22,7 @@ def clear_caches() -> None:
     stuffle._regularize_cache.clear()
     for memo in (
         shapes._cells,
+        shapes._by_content,
         shapes._value_map,
         stuffle.stuffle_product,
         symbolic.bernoulli_number,

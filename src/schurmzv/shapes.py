@@ -303,6 +303,7 @@ class DiagonalTableau(Record):
     """A tableau whose entries are constant along diagonals.
 
     ``by_content`` assigns one entry to each content occurring in the shape.
+    Equal tableaux share one ``by_content`` tuple from a bounded memo.
     """
 
     shape: SkewShape
@@ -318,6 +319,7 @@ class DiagonalTableau(Record):
         for _, v in self.by_content:
             if not isinstance(v, int) or v < 1:
                 raise PreconditionError(f"entries must be positive integers, got {v!r}")
+        object.__setattr__(self, "by_content", _by_content(self.by_content))
 
     @property
     def value_map(self) -> Mapping[int, int]:
@@ -332,6 +334,13 @@ class DiagonalTableau(Record):
         return tableau_from_entries(
             self.shape, {cell: self.value_map[content(cell)] for cell in self.shape.cells}
         )
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _by_content(by_content: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
+    """The first of the equal ``by_content`` tuples still in the memo: equal
+    tableaux share one tuple instead of each keeping a copy."""
+    return by_content
 
 
 @lru_cache(maxsize=MEMO_SIZE)

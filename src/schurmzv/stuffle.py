@@ -273,11 +273,11 @@ def regularized_jt_check(
     disc = max(abs(a - b) for a, b in zip(lhs_vals, det_vals)) if t_samples else 0.0
     spread = (max(det_vals) - min(det_vals)) if det_vals else 0.0
     return RegJTReport(
-        t_samples=tuple(float(t) for t in t_samples),
-        lhs_values=tuple(lhs_vals),
-        det_values=tuple(det_vals),
-        max_discrepancy=disc,
-        admissible=is_admissible(flat),
-        det_t_spread=spread,
-        lhs_degree=lhs_poly.degree,
+        tuple(float(t) for t in t_samples),
+        tuple(lhs_vals),
+        tuple(det_vals),
+        disc,
+        is_admissible(flat),
+        spread,
+        lhs_poly.degree,
     )

@@ -7,10 +7,13 @@ are assumed.  Even zetas never appear as generators: zeta(4l) is rewritten
 as a rational multiple of P^l, and zeta(k) for k == 2 (mod 4) is refused,
 since it does not lie in this ring.
 
-A monomial is stored as its exponents indexed by generator slot (P, T,
-Z3, Z5, ...), so multiplying two monomials adds two tuples elementwise.
-The constructor and ``coefficient`` take (generator, exponent) pairs, and
-``render`` and ``to_json_dict`` order terms on those pairs.
+A monomial is one non-negative int: generator slot i (P, T, Z3, Z5, ...)
+holds its exponent in bits [16i, 16i + 16), so multiplying two monomials
+adds two ints.  An exponent stays below 2^15, half its field, so the sum of
+two never carries into the next slot: the constructor refuses a larger one
+and a product that reaches it raises.  The constructor and ``coefficient``
+take (generator, exponent) pairs, and ``render`` and ``to_json_dict``
+order terms on those pairs.
 
 The ring core of these values, TermMap, is shared with the quasi-shuffle
 algebra (stuffle.QSElement), its extension by T (stuffle.TPoly, keyed by
@@ -33,20 +36,26 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from operator import add
-from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar, Union
+from functools import lru_cache, reduce
+from operator import or_
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, ResourceLimitError
 
 Scalar = Union[int, Fraction]
 
 #: a commutative ring element: Fraction, ZetaSymbolValue, QSElement, ...
 R = TypeVar("R")
 
-#: monomial: exponents by generator slot, P at 0, T at 1 and Zk at
-#: (k+1)/2, with no trailing zero; () is the unit
-Monomial = Tuple[int, ...]
+#: monomial: the exponent of generator slot i (P 0, T 1, Zk (k+1)/2) in
+#: bits [FIELD_BITS * i, FIELD_BITS * (i + 1)); 0 is the unit
+Monomial = int
+
+FIELD_BITS = 16
+#: every exponent stays below this, half its field, so that adding two
+#: in-range exponents never carries into the next slot
+EXPONENT_GUARD = 1 << (FIELD_BITS - 1)
+_FIELD = (1 << FIELD_BITS) - 1
 
 #: a monomial as (generator name, exponent) pairs, in any order
 GeneratorPairs = Tuple[Tuple[str, int], ...]
@@ -68,33 +77,35 @@ def _gen_name(slot: int) -> str:
     return "P" if slot == 0 else "T" if slot == 1 else f"Z{2 * slot - 1}"
 
 
-def _gen_weight(slot: int) -> int:
-    return 4 if slot == 0 else 2 * slot - 1
-
-
 def _monomial(pairs: GeneratorPairs) -> Monomial:
-    """Exponent vector of (generator, exponent) pairs; a repeated generator
+    """Packed monomial of (generator, exponent) pairs; a repeated generator
     adds its exponents."""
-    exps: List[int] = []
+    exps: Dict[int, int] = {}
     for g, e in pairs:
         i = _slot(g)
-        if i >= len(exps):
-            exps.extend([0] * (i + 1 - len(exps)))
-        exps[i] += e
-    if any(e < 0 for e in exps):
-        raise PreconditionError(f"negative exponent in monomial {pairs!r}")
-    while exps and not exps[-1]:
-        exps.pop()
-    return tuple(exps)
+        exps[i] = exps.get(i, 0) + e
+    if any(not 0 <= e < EXPONENT_GUARD for e in exps.values()):
+        raise PreconditionError(f"exponents of {pairs!r} must lie in [0, {EXPONENT_GUARD})")
+    return sum(e << FIELD_BITS * i for i, e in exps.items())
+
+
+def _exponents(mono: Monomial) -> Iterator[Tuple[int, int]]:
+    """(slot, exponent) of each generator of a monomial, in slot order."""
+    i = 0
+    while mono:
+        if mono & _FIELD:
+            yield i, mono & _FIELD
+        mono >>= FIELD_BITS
+        i += 1
 
 
 def _pairs(mono: Monomial) -> GeneratorPairs:
     """(generator, exponent) pairs of a monomial, in slot order."""
-    return tuple((_gen_name(i), e) for i, e in enumerate(mono) if e)
+    return tuple((_gen_name(i), e) for i, e in _exponents(mono))
 
 
 def monomial_weight(mono: Monomial) -> int:
-    return sum(_gen_weight(i) * e for i, e in enumerate(mono))
+    return sum((4 if i == 0 else 2 * i - 1) * e for i, e in _exponents(mono))
 
 
 class TermMap:
@@ -144,7 +155,8 @@ class TermMap:
 
     @staticmethod
     def _accumulate(out: Dict, terms: Dict, scale: Scalar = 1) -> None:
-        """out += scale * terms in place, dropping coefficients that cancel.
+        """out += scale * terms in place, dropping coefficients that cancel
+        and zero terms, which a raw ``_product`` may hold.
 
         Surviving keys keep their first-insertion order, which is the order
         a chain of ``+`` would give; float sums over the terms (eval_tpoly,
@@ -160,7 +172,7 @@ class TermMap:
                     out[key] = s
                 else:
                     del out[key]
-            else:
+            elif c:
                 out[key] = c
 
     def __bool__(self) -> bool:
@@ -178,12 +190,12 @@ class TermMap:
             return hash(self.terms.get(self._unit, 0))
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: object) -> "TermMap":
+    def __add__(self, other: object, scale: int = 1) -> "TermMap":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         out = dict(self.terms)
-        TermMap._accumulate(out, other.terms)
+        TermMap._accumulate(out, other.terms, scale)
         return self._canonical(out)
 
     __radd__ = __add__
@@ -192,10 +204,7 @@ class TermMap:
         return self._canonical({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "TermMap":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __rsub__(self, other: object) -> "TermMap":
         other = self._coerce(other)
@@ -227,10 +236,12 @@ class ZetaSymbolValue(TermMap):
     """Sparse polynomial in P, T, Z3, Z5, ... with Fraction coefficients.
 
     The constructor takes monomials as (generator, exponent) pairs; the
-    keys of ``terms`` are exponent vectors (see Monomial).
+    keys of ``terms`` are packed ints (see Monomial).
     """
 
     __slots__ = ()
+
+    _unit = 0
 
     def __init__(self, terms: Dict[GeneratorPairs, Scalar] | None = None):
         clean: Dict[Monomial, Fraction] = {}
@@ -247,7 +258,7 @@ class ZetaSymbolValue(TermMap):
 
     @classmethod
     def gen(cls, name: str) -> "ZetaSymbolValue":
-        return cls._canonical({(0,) * _slot(name) + (1,): Fraction(1)})
+        return cls._canonical({1 << FIELD_BITS * _slot(name): Fraction(1)})
 
     @classmethod
     def P(cls) -> "ZetaSymbolValue":
@@ -263,16 +274,20 @@ class ZetaSymbolValue(TermMap):
 
     def _product(self, other: "ZetaSymbolValue") -> Dict[Monomial, Fraction]:
         """Term dict of self * other: every pair of monomials multiplied, by
-        adding their exponent vectors."""
+        adding their packed ints.
+
+        A sum of two exponents below EXPONENT_GUARD stays below twice it, so
+        it sets at most its own field's top bit; one check of the output's
+        top bits finds any exponent that reached the guard."""
         out: Dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
-            n1 = len(m1)
             for m2, c2 in other.terms.items():
-                if n1 >= len(m2):
-                    key = (*map(add, m1, m2), *m1[len(m2):])
-                else:
-                    key = (*map(add, m1, m2), *m2[n1:])
+                key = m1 + m2
                 out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+        seen = reduce(or_, out, 0)
+        ones = ((1 << FIELD_BITS * (seen.bit_length() // FIELD_BITS + 1)) - 1) // _FIELD
+        if seen & ones * EXPONENT_GUARD:
+            raise ResourceLimitError(f"a product exponent reaches {EXPONENT_GUARD}")
         return out
 
     def homogeneous_weight(self) -> Optional[int]:
@@ -289,21 +304,21 @@ class ZetaSymbolValue(TermMap):
 
     def generators(self) -> Set[str]:
         """Names of the generators in the support."""
-        return {_gen_name(i) for m in self.terms for i, e in enumerate(m) if e}
+        return {_gen_name(i) for m in self.terms for i, _ in _exponents(m)}
 
     def has_generator(self, name: str) -> bool:
-        i = _slot(name)
-        return any(len(m) > i and m[i] for m in self.terms)
+        shift = FIELD_BITS * _slot(name)
+        return any(m >> shift & _FIELD for m in self.terms)
 
     def substitute_t(self, t: Scalar) -> "ZetaSymbolValue":
         """Replace T by an exact rational."""
         t = Fraction(t)
-        out = ZetaSymbolValue.zero()
+        out: Dict[Monomial, Fraction] = {}
         for m, c in self.terms.items():
-            rest = tuple((g, e) for g, e in _pairs(m) if g != "T")
-            te = m[1] if len(m) > 1 else 0
-            out = out + ZetaSymbolValue({rest: c * t**te})
-        return out
+            c *= t ** (m >> FIELD_BITS & _FIELD)
+            if c:
+                TermMap._accumulate(out, {m & ~(_FIELD << FIELD_BITS): c})
+        return self._canonical(out)
 
     def __repr__(self) -> str:
         return f"Sym<{render(self)}>"
@@ -368,7 +383,8 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     Each minor adds its terms in ascending column order, as a first-row
     cofactor expansion does, so over a term-map ring the result lists its
     terms in the same order, and float sums over them (numeric_value) come
-    out the same.
+    out the same.  Over a term-map ring a minor collects its signed
+    products in one term dict, wrapped once; over numbers it uses + and -.
 
     Exact callers clear rows before they get here: ``sym_det`` and
     ``evaluate.det_fraction`` scale each row to int coefficients with
@@ -379,16 +395,25 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     for r in rows:
         if len(r) != n:
             raise PreconditionError("determinant needs a square matrix")
+    term_map = isinstance(one, TermMap)
     minors: Dict[int, R] = {0: one}
     for row in reversed(rows):
-        entries = [(1 << c, a) for c, a in enumerate(row) if a]
+        entries = [(1 << c, one._coerce(a) if term_map else a) for c, a in enumerate(row) if a]
         level: Dict[int, R] = {}
         for key in {m | bit for m in minors for bit, _ in entries if not m & bit}:
-            total = zero
-            for bit, a in entries:
-                if key & bit and (key ^ bit) in minors:
-                    term = a * minors[key ^ bit]
-                    total = total + (-term if (key & (bit - 1)).bit_count() & 1 else term)
+            if not term_map:
+                total = zero
+                for bit, a in entries:
+                    if key & bit and (key ^ bit) in minors:
+                        term = a * minors[key ^ bit]
+                        total = total - term if (key & (bit - 1)).bit_count() & 1 else total + term
+            else:
+                acc: Dict = {}
+                for bit, a in entries:
+                    if key & bit and (key ^ bit) in minors:
+                        sign = -1 if (key & (bit - 1)).bit_count() & 1 else 1
+                        TermMap._accumulate(acc, a._product(minors[key ^ bit]), sign)
+                total = one._canonical(acc)
             if total:
                 level[key] = total
         minors = level
@@ -427,7 +452,7 @@ def _integer_rows(rows: Sequence[Sequence[R]]) -> Tuple[List[List[R]], int]:
 def sym_det(rows: Sequence[Sequence[ZetaSymbolValue]]) -> ZetaSymbolValue:
     """Determinant in the symbol ring; see :func:`det` and :func:`_integer_rows`."""
     int_rows, D = _integer_rows(rows)
-    v = det(int_rows, ZetaSymbolValue.zero(), ZetaSymbolValue._canonical({(): 1}))
+    v = det(int_rows, ZetaSymbolValue.zero(), ZetaSymbolValue._canonical({0: 1}))
     return ZetaSymbolValue._canonical({m: Fraction(c, D) for m, c in v.terms.items()})
 
 
@@ -439,9 +464,7 @@ def _numeric_terms(v: ZetaSymbolValue, t_value: float) -> List[float]:
     out = []
     for mono, c in v.terms.items():
         x = float(c)
-        for i, e in enumerate(mono):
-            if not e:
-                continue
+        for i, e in _exponents(mono):
             if i == 0:
                 x *= (math.pi**4) ** e
             elif i == 1:

@@ -44,7 +44,7 @@ def test_clear_caches_empties_every_cache():
     schurmzv.clear_caches()
     warm()
     before = cache_sizes()
-    assert len(before) == 12 and all(before.values()), before
+    assert len(before) == 13 and all(before.values()), before
     schurmzv.clear_caches()
     assert set(cache_sizes().values()) == {0}
     warm()

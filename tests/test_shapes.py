@@ -205,7 +205,8 @@ class TestDiagonalTableau:
 
 
 class TestDerivedMemo:
-    """cells and value_map are memoized per value, not stored per instance."""
+    """cells and value_map are memoized per value, not stored per instance,
+    and equal diagonal tableaux share one by_content tuple."""
 
     def test_equal_shapes_share_one_cells_tuple(self):
         a, b = make_skew((3, 2), (1,)), SkewShape((3, 2), (1,))
@@ -218,6 +219,7 @@ class TestDerivedMemo:
         a = diagonal_tableau(s, {-1: 2, 0: 1, 1: 3})
         b = diagonal_tableau(s, {1: 3, 0: 1, -1: 2})
         assert a.value_map is b.value_map
+        assert a.by_content is b.by_content
         assert set(vars(a)) == {"shape", "by_content"}
         with pytest.raises(TypeError):
             a.value_map[0] = 5

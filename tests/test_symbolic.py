@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurmzv
-from schurmzv.errors import InternalCheckError, PreconditionError
+from schurmzv.errors import InternalCheckError, PreconditionError, ResourceLimitError
 from schurmzv.evaluate import det_fraction
 from schurmzv.stuffle import QSElement, TPoly
 from schurmzv.symbolic import (
+    EXPONENT_GUARD,
+    FIELD_BITS,
     GaussianRational,
     TermMap,
     ZetaSymbolValue,
@@ -187,9 +189,12 @@ def _qs_elements(depth, size):
 RINGS = {
     ZetaSymbolValue: (
         values,
-        lambda m: type(m) is tuple
-        and all(type(e) is int and e >= 0 for e in m)
-        and (not m or m[-1] > 0),
+        lambda m: type(m) is int
+        and m >= 0
+        and all(
+            m >> s & (1 << FIELD_BITS) - 1 < EXPONENT_GUARD
+            for s in range(0, m.bit_length(), FIELD_BITS)
+        ),
     ),
     QSElement: (_qs_elements(3, 5), _is_index),
     TPoly: (
@@ -280,6 +285,22 @@ class TestRing:
         with pytest.raises(PreconditionError):
             Sym.one().coefficient((("Z5", -1),))
 
+    def test_exponents_stay_below_the_guard(self):
+        """An exponent fills half its field at most: the constructor refuses
+        one at the guard, and a product of in-range monomials that reaches
+        it raises instead of carrying into the next generator."""
+        top = EXPONENT_GUARD - 1
+        assert Sym({(("P", top - 1),): 1}) * Sym.P() == Sym({(("P", top),): 1})
+        refused = ((("T", EXPONENT_GUARD),), (("T", top), ("T", 1)), (("Z3", 1), ("Z11", 2 * top)))
+        for mono in refused:
+            with pytest.raises(PreconditionError):
+                Sym({mono: 1})
+        half = Sym({(("T", EXPONENT_GUARD // 2),): 1})
+        for a, b in ((half, half), (Sym({(("P", top),): 1}), Sym.Z(3) + Sym.P()),
+                     (Sym({(("Z11", top),): 1}), Sym.Z(11))):
+            with pytest.raises(ResourceLimitError):
+                a * b
+
     def test_generators(self):
         v = Sym.P() * Sym.Z(11) ** 2 + 3 * Sym.T()
         assert v.generators() == {"P", "T", "Z11"}
@@ -324,6 +345,8 @@ class TestDet:
     def test_two_by_two(self):
         m = [[Sym.Z(3), Sym.one()], [Sym.P(), Sym.Z(5)]]
         assert sym_det(m) == Sym.Z(3) * Sym.Z(5) - Sym.P()
+        mixed = [[Sym.Z(3), 1], [Fraction(1, 2), Sym.Z(5)]]
+        assert sym_det(mixed) == Sym.Z(3) * Sym.Z(5) - Fraction(1, 2)
 
     def test_empty(self):
         assert sym_det([]) == Sym.one()
