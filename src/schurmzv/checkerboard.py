@@ -386,7 +386,6 @@ class CheckerboardReport(Record):
     value: ZetaSymbolValue
     weight: int
     admissible: bool
-    guide: Ribbon
     decomposition: OutsideDecomposition
     pieces: Tuple[StairKind, ...]
     tessellated: Optional[str]
@@ -408,8 +407,7 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     carries no T whenever the tableau is admissible; both are asserted.
     """
     a, b = _roles_13(t, "evaluate_checkerboard_13")
-    guide = _phase_guide(t, a)
-    theta = decomposition_from_ribbon(t.shape, guide)
+    theta = decomposition_from_ribbon(t.shape, _phase_guide(t, a))
     kinds = piece_kinds(t, theta, roles=(a, b))
     tessellated = next(
         (k for k in KIND_PREFERENCE if all(sk.kind == k for sk in kinds)), None
@@ -440,7 +438,6 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
         value=value,
         weight=weight,
         admissible=admissible,
-        guide=guide,
         decomposition=theta,
         pieces=kinds,
         tessellated=tessellated,

@@ -63,7 +63,13 @@ from .mzv import (
     richardson_extrapolate,
     truncated_mzv_float_ladder,
 )
-from .ribbons import Ribbon, decomposition_from_ribbon, ribbon_matrix
+from .ribbons import (
+    Ribbon,
+    anchored_ribbon,
+    decomposition_from_ribbon,
+    ribbon_matrix,
+    ribbon_of,
+)
 from .shapes import (
     Cell,
     SkewShape,
@@ -172,14 +178,9 @@ def _load_tableau(path: str) -> Tuple[Tableau, List[str]]:
 def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
     """Read a ribbon grid and re-anchor it onto the host's diagonals."""
     shape, _, _ = _load_grid(path)
+    r = ribbon_of(shape)
     host_cmin = min(j - i for i, j in host.cells)
-    ribbon_cmin = min(j - i for i, j in shape.cells)
-    shift = host_cmin - ribbon_cmin
-    if shift > 0:
-        shape = from_cells([(i, j + shift) for i, j in shape.cells])
-    elif shift < 0:
-        shape = from_cells([(i - shift, j) for i, j in shape.cells])
-    return Ribbon(shape), shift
+    return anchored_ribbon(host_cmin, r.steps), host_cmin - r.cmin
 
 
 # ---------------------------------------------------------------------------

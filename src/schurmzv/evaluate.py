@@ -23,14 +23,11 @@ from .symbolic import _integer_rows, det
 #: Each call reads it once, into a local its leaf compares against.
 FILLING_CAP = 10**8
 
+#: The most bits the common denominator of an exact truncation may need;
+#: a larger one raises ResourceLimitError before it is built.
+DENOMINATOR_BITS_CAP = 2**20
+
 WeightFunction = Callable[[int, int], object]
-
-
-class SsytFilling(Record):
-    """One semistandard filling: cell -> summation variable m."""
-
-    shape: SkewShape
-    values: Dict[Cell, int]
 
 
 def _fill_plan(shape: SkewShape):
@@ -49,9 +46,10 @@ def _fill_plan(shape: SkewShape):
     return cells, left, up, below
 
 
-def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[SsytFilling]:
-    """Yield every semistandard filling with entries < M, in lexicographic
-    order of the row-reading word.
+def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
+    """Yield every semistandard filling with entries < M, as a map from
+    cell to summation variable m, in lexicographic order of the row-reading
+    word.
 
     The empty shape has exactly one (empty) filling.  Raises
     :class:`ResourceLimitError` when more than ``FILLING_CAP`` fillings are
@@ -63,13 +61,13 @@ def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[SsytFilling]:
     vals = [0] * n
     count = 0
 
-    def rec(t: int) -> Iterator[SsytFilling]:
+    def rec(t: int) -> Iterator[Dict[Cell, int]]:
         nonlocal count
         if t == n:
             count += 1
             if count > cap:
                 raise ResourceLimitError(f"more than {cap} fillings enumerated")
-            yield SsytFilling(shape, dict(zip(cells, vals)))
+            yield dict(zip(cells, vals))
             return
         lo = 1
         if left[t] is not None:
@@ -93,7 +91,7 @@ def s_f_m(k: Tableau, M: int, f: WeightFunction) -> object:
     entries = k.entries
     for filling in enumerate_ssyt(k.shape, M):
         term = 1
-        for cell, m in filling.values.items():
+        for cell, m in filling.items():
             term = term * f(m, entries[cell])
         total = total + term
     return total
@@ -105,6 +103,7 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     Equals s_f_m with f(m, d) = m^-d but accumulates one integer numerator
     over the common denominator lcm(1..M-1)^weight, which keeps the rational
     reductions out of the inner loop.  Raises :class:`ResourceLimitError`
+    when that denominator needs more than ``DENOMINATOR_BITS_CAP`` bits, or
     when more than ``FILLING_CAP`` fillings are summed.
     """
     cap = FILLING_CAP
@@ -115,7 +114,14 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
         return Fraction(0)
     entries = k.entries
     exps = [entries[c] for c in cells]
-    D = lcm(*range(1, M)) ** sum(exps)
+    L, weight = lcm(*range(1, M)), sum(exps)
+    # L^weight has at least weight * (bits of L - 1) bits
+    if weight * (L.bit_length() - 1) > DENOMINATOR_BITS_CAP:
+        raise ResourceLimitError(
+            f"the common denominator lcm(1..{M - 1})^{weight} needs more than "
+            f"{DENOMINATOR_BITS_CAP} bits"
+        )
+    D = L**weight
     n = len(cells)
     vals = [0] * n
     num = 0

@@ -216,7 +216,8 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
 
     ``tol`` must be at least TOL_FLOOR; it does not change the value.
     An index whose tables would hold more than NUMERIC_TABLE_CAP floats
-    raises ResourceLimitError before any table is built.
+    raises ResourceLimitError before any table is built, and before its
+    word is built when its largest part alone rules the tables out.
     A tuple index is looked up in ``_numeric_cache`` before it is checked:
     every key is a checked admissible index, so a hit needs no check.  Any
     other sequence is checked and computed.
@@ -230,6 +231,13 @@ def numeric_mzv(idx: Sequence[int], tol: float = 1e-8) -> float:
     idx = check_index(idx)
     if not is_admissible_index(idx):
         raise PreconditionError(f"index {idx} is not admissible (last part < 2)")
+    # The tables have max(idx) + 1 rows or more of N > 54 floats: refuse a
+    # large part before its word is built.
+    if (max(idx) + 1) * 54 > NUMERIC_TABLE_CAP:
+        raise ResourceLimitError(
+            f"index {idx} needs more than {(max(idx) + 1) * 54} floats per table, "
+            f"over the cap {NUMERIC_TABLE_CAP}"
+        )
     w = "".join("0" * (k - 1) + "1" for k in reversed(idx))
     dual = w[::-1].translate(str.maketrans("01", "10"))
     # parts(): cut a word ending in 1 after each 1, run lengths outermost first.

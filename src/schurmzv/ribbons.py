@@ -2,15 +2,16 @@
 
 A ribbon is an edge-connected skew shape with exactly one cell on each
 diagonal; reading its cells by increasing content gives a walk of "up" and
-"right" steps.  Every ribbon the library builds (subribbons, pieces and
-containing ribbons) comes from such a walk through ``ribbon_from_walk``,
-which reads ``lam/mu`` off the walk's row runs: a walk inside the positive
-quadrant is a ribbon by construction, so no cell set is listed or checked.
-``Ribbon(shape)`` is the validating entry point for shapes from outside,
-such as ribbon files and tests.  An outside decomposition cuts a host shape into ribbons that
-all follow one direction per diagonal, and the minimal containing ribbon
-records exactly those directions.  ``ribbon_matrix`` builds the matrix of
-the determinant identities from it: entry (i, j) is the subribbon spanning
+"right" steps.  A :class:`Ribbon` is stored as that walk, its smallest-content
+cell and its steps: a walk inside the positive quadrant is a ribbon by
+construction, and ``lam/mu`` is read off the walk's row runs.
+``ribbon_of(shape)`` reads the walk of a shape from outside, such as a
+ribbon file, and refuses any shape that is not a ribbon.  An outside
+decomposition of an edge-connected host is fixed by its guide, a ribbon
+with one step per diagonal of the host: the pieces are the maximal chains
+of host cells that follow the guide's direction on each diagonal.
+``ribbon_matrix`` builds the matrix of the determinant identities from it:
+entry (i, j) is the subribbon of the guide spanning
 [min c(theta_i), max c(theta_j)], 1 when that interval is empty and 0 when
 it is undefined, evaluated in whatever ring the caller's entry function
 uses.  The subribbon table is that matrix with the subribbons themselves as
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Dict, Optional, Tuple, TypeVar, Union
+from typing import Callable, Optional, Tuple, TypeVar, Union
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .record import Record
 from .shapes import (
     Cell,
@@ -41,38 +42,55 @@ RIGHT = "R"
 E = TypeVar("E")
 
 
-def is_ribbon(shape: SkewShape) -> bool:
-    """True iff the shape is nonempty, edge-connected, and 2x2-free.
-
-    For skew shapes this is equivalent to having exactly one cell on each
-    diagonal of a contiguous content interval.
-    """
-    if not shape.cells:
-        return False
-    if not is_edge_connected(shape):
-        return False
-    contents = [content(c) for c in shape.cells]
-    return len(set(contents)) == len(contents)
-
-
 class Ribbon(Record):
-    """A ribbon; exposes its walk by increasing content.
+    """A ribbon as its walk: the smallest-content cell and the steps from it.
 
-    ``Ribbon(shape)`` validates a shape from outside.  The library builds
-    every other ribbon with :func:`ribbon_from_walk`, which skips that
-    check because a walk is a ribbon by construction.
+    ``steps[k]`` moves from content cmin+k to cmin+k+1.  Raises
+    :class:`PreconditionError` on an unknown step letter or a walk that
+    leaves the positive quadrant.
     """
 
-    shape: SkewShape
+    start: Cell
+    steps: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not is_ribbon(self.shape):
-            raise PreconditionError(f"{self.shape} is not a ribbon")
+        i0, j0 = start = int(self.start[0]), int(self.start[1])
+        steps = tuple(self.steps)
+        ups = steps.count(UP)
+        if ups + steps.count(RIGHT) != len(steps):
+            s = next(s for s in steps if s != UP and s != RIGHT)
+            raise PreconditionError(f"unknown step {s!r}; use {UP!r} or {RIGHT!r}")
+        if i0 - ups < 1 or j0 < 1:
+            raise PreconditionError(
+                f"walk from {start} with steps {''.join(steps)} leaves the "
+                "positive quadrant; cells must have positive coordinates"
+            )
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "steps", steps)
 
     @cached_property
-    def start(self) -> Cell:
-        """The cell of smallest content."""
-        return min(self.shape.cells, key=content)
+    def shape(self) -> SkewShape:
+        """``lam/mu`` in the canonical form :func:`~schurmzv.shapes.from_cells`
+        would return: row ``i`` spans the columns the walk visits there, and
+        the empty rows above the top run are anchored at its right end."""
+        i0, j0 = self.start
+        lam, mu = [], []  # bottom row first
+        lo = j = j0
+        for s in self.steps:
+            if s == RIGHT:
+                j += 1
+            else:
+                lam.append(j)
+                mu.append(lo - 1)
+                lo = j
+        lam.append(j)
+        mu.append(lo - 1)
+        lam.reverse()
+        mu.reverse()
+        while mu and mu[-1] == 0:
+            mu.pop()
+        pad = (j,) * (i0 - len(lam))
+        return SkewShape(pad + tuple(lam), pad + tuple(mu))
 
     @property
     def end(self) -> Cell:
@@ -92,69 +110,33 @@ class Ribbon(Record):
     def n_cells(self) -> int:
         return len(self.steps) + 1
 
-    @cached_property
-    def steps(self) -> Tuple[str, ...]:
-        """The walk directions: steps[k] moves from content cmin+k to cmin+k+1."""
-        out = []
-        cells = sorted(self.shape.cells, key=content)
-        for (i, j), nxt in zip(cells, cells[1:]):
-            if nxt == (i - 1, j):
-                out.append(UP)
-            elif nxt == (i, j + 1):
-                out.append(RIGHT)
-            else:
-                raise InternalCheckError(
-                    f"consecutive-content cells {(i, j)} and {nxt} not adjacent"
-                )
-        return tuple(out)
 
+def ribbon_of(shape: SkewShape) -> Ribbon:
+    """The ribbon with the shape's cells, read off them by increasing content.
 
-def ribbon_from_walk(start: Cell, steps: Tuple[str, ...]) -> Ribbon:
-    """Build a ribbon from its smallest-content cell and its step sequence.
-
-    The walk's row runs give ``lam/mu`` directly, in the canonical form
-    :func:`~schurmzv.shapes.from_cells` would return: row ``i`` spans the
-    columns the walk visits there, and the empty rows above the top run
-    are anchored at its right end.  Raises :class:`PreconditionError` on an
-    unknown step letter or a walk that leaves the positive quadrant.
+    Raises :class:`PreconditionError` unless the shape is a ribbon: nonempty,
+    and each cell but the last followed by the next content's cell directly
+    above it or to its right.
     """
-    steps = tuple(steps)
-    i0, j0 = int(start[0]), int(start[1])
-    lam, mu = [], []  # bottom row first
-    lo = j = j0
-    for s in steps:
-        if s == RIGHT:
-            j += 1
-        elif s == UP:
-            lam.append(j)
-            mu.append(lo - 1)
-            lo = j
+    cells = sorted(shape.cells, key=content)
+    if not cells:
+        raise PreconditionError(f"{shape} is not a ribbon")
+    steps = []
+    for (i, j), nxt in zip(cells, cells[1:]):
+        if nxt == (i - 1, j):
+            steps.append(UP)
+        elif nxt == (i, j + 1):
+            steps.append(RIGHT)
         else:
-            raise PreconditionError(f"unknown step {s!r}; use {UP!r} or {RIGHT!r}")
-    lam.append(j)
-    mu.append(lo - 1)
-    top = i0 - len(lam) + 1
-    if top < 1 or j0 < 1:
-        raise PreconditionError(
-            f"walk from {(i0, j0)} with steps {''.join(steps)} leaves the "
-            "positive quadrant; cells must have positive coordinates"
-        )
-    lam.reverse()
-    mu.reverse()
-    while mu and mu[-1] == 0:
-        mu.pop()
-    pad = (j,) * (top - 1)
-    r = object.__new__(Ribbon)
-    object.__setattr__(r, "shape", SkewShape(pad + tuple(lam), pad + tuple(mu)))
-    r.__dict__.update(start=(i0, j0), steps=steps)
-    return r
+            raise PreconditionError(f"{shape} is not a ribbon")
+    return Ribbon(cells[0], tuple(steps))
 
 
 def anchored_ribbon(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
     """The furthest-left ribbon with the given smallest content and steps."""
     steps = tuple(steps)
     i0 = max(steps.count(UP) + 1, 1 - cmin)
-    return ribbon_from_walk((i0, i0 + cmin), steps)
+    return Ribbon((i0, i0 + cmin), steps)
 
 
 def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
@@ -167,35 +149,66 @@ def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
 
 
 class OutsideDecomposition(Record):
-    """An ordered cut of a host shape into perimeter-to-perimeter ribbons.
+    """The cut of a host shape along a guide ribbon.
 
-    Pieces keep host coordinates.  The host must be nonempty and
-    edge-connected, which is checked here, once per decomposition.  Each
-    piece must begin on the left or bottom perimeter of the host and end on
-    the right or top perimeter.
+    Each diagonal of the host inherits the up/right direction that the
+    guide takes there; the pieces are the maximal direction-following
+    chains of host cells.  For an edge-connected host these are exactly
+    its outside decompositions: each piece begins on the left or bottom
+    perimeter and ends on the right or top perimeter, and the guide is
+    their minimal containing ribbon.  The host must be nonempty and
+    edge-connected, checked here once per decomposition, and the guide
+    must span the host's contents.  The guide is stored furthest left, so
+    equal cuts compare and hash equal.
     """
 
     host: SkewShape
-    pieces: Tuple[Ribbon, ...]
+    guide: Ribbon
 
     def __post_init__(self) -> None:
-        hs = self.host.cell_set
-        if not hs or not is_edge_connected(self.host):
+        host, r = self.host, self.guide
+        if not host.cells or not is_edge_connected(host):
             raise PreconditionError("host must be a nonempty edge-connected skew shape")
-        covered = [c for p in self.pieces for c in p.shape.cells]
-        if len(covered) != len(set(covered)) or set(covered) != hs:
-            raise PreconditionError("pieces must partition the host cells")
-        for p in self.pieces:
-            si, sj = p.start
-            if (si, sj - 1) in hs and (si + 1, sj) in hs:
-                raise PreconditionError(
-                    f"piece starting at {p.start} is not on the left/bottom perimeter"
-                )
-            ei, ej = p.end
-            if (ei, ej + 1) in hs and (ei - 1, ej) in hs:
-                raise PreconditionError(
-                    f"piece ending at {p.end} is not on the right/top perimeter"
-                )
+        if content_set(host) != tuple(range(r.cmin, r.cmax + 1)):
+            raise PreconditionError(
+                f"ribbon contents [{r.cmin},{r.cmax}] do not match host contents "
+                f"{content_set(host)}"
+            )
+        object.__setattr__(self, "guide", anchored_ribbon(r.cmin, r.steps))
+
+    @cached_property
+    def pieces(self) -> Tuple[Ribbon, ...]:
+        """The pieces in host coordinates, ordered by smallest content,
+        bottom-most first on ties."""
+        r = self.guide
+        dirs = {r.cmin + k: s for k, s in enumerate(r.steps)}
+        host = self.host.cell_set
+
+        def successor(cell: Cell) -> Optional[Cell]:
+            d = dirs.get(content(cell))
+            if d is None:
+                return None
+            i, j = cell
+            nxt = (i - 1, j) if d == UP else (i, j + 1)
+            return nxt if nxt in host else None
+
+        def has_predecessor(cell: Cell) -> bool:
+            d = dirs.get(content(cell) - 1)
+            if d is None:
+                return False
+            i, j = cell
+            prev = (i + 1, j) if d == UP else (i, j - 1)
+            return prev in host
+
+        starts = [c for c in self.host.cells if not has_predecessor(c)]
+        starts.sort(key=lambda c: (content(c), -c[0]))
+        pieces = []
+        for s in starts:
+            end = s
+            while (nxt := successor(end)) is not None:
+                end = nxt
+            pieces.append(Ribbon(s, r.steps[content(s) - r.cmin : content(end) - r.cmin]))
+        return tuple(pieces)
 
     @property
     def n_pieces(self) -> int:
@@ -203,52 +216,8 @@ class OutsideDecomposition(Record):
 
 
 def decomposition_from_ribbon(shape: SkewShape, r: Ribbon) -> OutsideDecomposition:
-    """Cut ``shape`` along the per-diagonal directions of the ribbon ``r``.
-
-    Each diagonal of the host inherits the up/right direction that ``r``
-    takes there; maximal direction-following chains of host cells are the
-    pieces.  Pieces are ordered by smallest content, bottom-most first on
-    ties.  Requires c(host) = c(r) and an edge-connected host, which
-    :class:`OutsideDecomposition` checks.
-    """
-    if content_set(shape) != tuple(range(r.cmin, r.cmax + 1)):
-        raise PreconditionError(
-            f"ribbon contents [{r.cmin},{r.cmax}] do not match host contents "
-            f"{content_set(shape)}"
-        )
-    dirs = {r.cmin + k: s for k, s in enumerate(r.steps)}
-    host = shape.cell_set
-
-    def successor(cell: Cell) -> Optional[Cell]:
-        d = dirs.get(content(cell))
-        if d is None:
-            return None
-        i, j = cell
-        nxt = (i - 1, j) if d == UP else (i, j + 1)
-        return nxt if nxt in host else None
-
-    def has_predecessor(cell: Cell) -> bool:
-        d = dirs.get(content(cell) - 1)
-        if d is None:
-            return False
-        i, j = cell
-        prev = (i + 1, j) if d == UP else (i, j - 1)
-        return prev in host
-
-    starts = [c for c in shape.cells if not has_predecessor(c)]
-    starts.sort(key=lambda c: (content(c), -c[0]))
-    pieces = []
-    covered = 0
-    for s in starts:
-        end = s
-        while (nxt := successor(end)) is not None:
-            end = nxt
-        lo, hi = content(s) - r.cmin, content(end) - r.cmin
-        pieces.append(ribbon_from_walk(s, r.steps[lo:hi]))
-        covered += hi - lo + 1
-    if covered != shape.n_cells:
-        raise InternalCheckError("direction-following chains fail to cover the host")
-    return OutsideDecomposition(shape, tuple(pieces))
+    """Cut ``shape`` along the per-diagonal directions of the ribbon ``r``."""
+    return OutsideDecomposition(shape, r)
 
 
 def trivial_decomposition(r: Ribbon) -> OutsideDecomposition:
@@ -257,59 +226,9 @@ def trivial_decomposition(r: Ribbon) -> OutsideDecomposition:
 
 
 def minimal_containing_ribbon(theta: OutsideDecomposition) -> Ribbon:
-    """The furthest-left ribbon containing every piece, content-aligned.
-
-    The pieces pin a direction on every diagonal: interior steps directly,
-    and end/start cells through the host cells adjacent to them (an exit
-    into the host rules out that direction's continuation).  For an
-    edge-connected host, which every decomposition has, every diagonal gets
-    pinned.
-    """
-    host = theta.host
-    contents = content_set(host)
-    cmin, cmax = contents[0], contents[-1]
-    dirs: Dict[int, str] = {}
-
-    def pin(c: int, d: str) -> None:
-        if dirs.setdefault(c, d) != d:
-            raise PreconditionError(
-                f"pieces force both directions on diagonal {c}; they do not nest"
-            )
-
-    hs = host.cell_set
-    for p in theta.pieces:
-        for k, s in enumerate(p.steps):
-            pin(p.cmin + k, s)
-        ei, ej = p.end
-        if p.cmax < cmax:
-            up_in, right_in = (ei - 1, ej) in hs, (ei, ej + 1) in hs
-            if up_in and right_in:
-                raise PreconditionError(
-                    f"piece ending at {p.end} has both continuations inside the host"
-                )
-            if up_in:
-                pin(p.cmax, RIGHT)
-            if right_in:
-                pin(p.cmax, UP)
-        si, sj = p.start
-        if p.cmin > cmin:
-            if (si + 1, sj) in hs:
-                pin(p.cmin - 1, RIGHT)
-            if (si, sj - 1) in hs:
-                pin(p.cmin - 1, UP)
-
-    missing = [c for c in range(cmin, cmax) if c not in dirs]
-    if missing:
-        raise InternalCheckError(
-            f"directions on diagonals {missing} left unpinned; host not edge-connected?"
-        )
-    r = anchored_ribbon(cmin, tuple(dirs[c] for c in range(cmin, cmax)))
-    for p in theta.pieces:
-        if r.steps[p.cmin - cmin : p.cmax - cmin] != p.steps:
-            raise InternalCheckError(
-                f"piece with contents [{p.cmin},{p.cmax}] does not embed in the ribbon"
-            )
-    return r
+    """The furthest-left ribbon containing every piece, content-aligned:
+    the decomposition's guide."""
+    return theta.guide
 
 
 class SubribbonStatus(Enum):
@@ -357,15 +276,14 @@ def ribbon_matrix(
     Entry (i, j) spans contents [p, q] = [min c(theta_i), max c(theta_j)].
     It is ``one`` when p = q + 1 (the empty subribbon), ``zero`` when
     p > q + 1 (undefined), and otherwise ``entry(p, q, r)``, where ``r`` is
-    the minimal containing ribbon, so ``subribbon_of(r, p, q)`` is the
-    entry's subribbon.
+    the guide, so ``subribbon_of(r, p, q)`` is the entry's subribbon.
 
-    Building ``r`` validates the decomposition.  Its pieces then start on
-    distinct diagonals (a diagonal's cells all but one have a predecessor
-    in the host along r's direction) and end on distinct ones, so every
-    defined interval occurs once and ``entry`` runs once per interval.
+    The pieces start on distinct diagonals (a diagonal's cells all but one
+    have a predecessor in the host along the guide's direction) and end on
+    distinct ones, so every defined interval occurs once and ``entry`` runs
+    once per interval.
     """
-    r = minimal_containing_ribbon(theta)
+    r = theta.guide
     rows = []
     for pi in theta.pieces:
         row = []
@@ -387,25 +305,20 @@ def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
     The interval degenerates to the empty marker when min = max + 1 and to
     the undefined marker when min > max + 1 (see :func:`ribbon_matrix`).
     """
-    containing = []
-
-    def defined(p: int, q: int, r: Ribbon) -> SubribbonEntry:
-        containing[:] = [r]
-        return SubribbonEntry(SubribbonStatus.DEFINED, subribbon_of(r, p, q))
-
     entries = ribbon_matrix(
         theta,
-        defined,
+        lambda p, q, r: SubribbonEntry(SubribbonStatus.DEFINED, subribbon_of(r, p, q)),
         SubribbonEntry(SubribbonStatus.UNDEFINED),
         SubribbonEntry(SubribbonStatus.EMPTY),
     )
-    return SubribbonTable(containing[0], entries)
+    return SubribbonTable(theta.guide, entries)
 
 
 def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
     """Decorate a ribbon with the host's diagonal values of equal content.
 
-    The rows are the walk's runs: an up step starts the next row above.
+    The rows are the walk's runs: an up step starts the next row above,
+    and the shape has no rows below the walk's start.
     """
     values = k.value_map
     cmin, cmax = ribbon.cmin, ribbon.cmax
@@ -419,10 +332,8 @@ def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
         if s == UP:
             runs.append([])
         runs[-1].append(values[c])
-    bottom = ribbon.start[0]
-    above = ((),) * (bottom - len(runs))
-    below = ((),) * (len(ribbon.shape.lam) - bottom)
-    return Tableau(ribbon.shape, above + tuple(map(tuple, reversed(runs))) + below)
+    above = ((),) * (ribbon.start[0] - len(runs))
+    return Tableau(ribbon.shape, above + tuple(map(tuple, reversed(runs))))
 
 
 def fill_subribbon(

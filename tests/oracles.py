@@ -2,18 +2,19 @@
 
 Each one recomputes a library value a second way (a Bernoulli polynomial,
 a product of ``{4}`` blocks, an h-determinant, a determinant by Bareiss
-elimination) or restates a check in boolean form; the tests compare the
-two.
+elimination, a decomposition's guide from its pieces) or restates a check
+in boolean form; the tests compare the two.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from schurmzv.checkerboard import check_checkerboard
 from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import det_fraction, s_f_m
-from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau
+from schurmzv.ribbons import RIGHT, UP, Ribbon, anchored_ribbon
+from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, content_set
 from schurmzv.symbolic import (
     GaussianRational,
     ZetaSymbolValue,
@@ -148,3 +149,59 @@ def bareiss_det(matrix):
             m[i][k] = 0
         prev = m[k][k]
     return sign * scale * m[n - 1][n - 1]
+
+
+def pinned_guide(host: SkewShape, pieces: Sequence[Ribbon]) -> Ribbon:
+    """The furthest-left ribbon containing every piece, content-aligned.
+
+    The pieces pin a direction on every diagonal: interior steps directly,
+    and end/start cells through the host cells adjacent to them (an exit
+    into the host rules out that direction's continuation).  For the
+    pieces of an outside decomposition of an edge-connected host, every
+    diagonal gets pinned, no two pins disagree, and every piece embeds in
+    the result; anything else raises.
+    """
+    contents = content_set(host)
+    cmin, cmax = contents[0], contents[-1]
+    dirs: Dict[int, str] = {}
+
+    def pin(c: int, d: str) -> None:
+        if dirs.setdefault(c, d) != d:
+            raise PreconditionError(
+                f"pieces force both directions on diagonal {c}; they do not nest"
+            )
+
+    hs = host.cell_set
+    for p in pieces:
+        for k, s in enumerate(p.steps):
+            pin(p.cmin + k, s)
+        ei, ej = p.end
+        if p.cmax < cmax:
+            up_in, right_in = (ei - 1, ej) in hs, (ei, ej + 1) in hs
+            if up_in and right_in:
+                raise PreconditionError(
+                    f"piece ending at {p.end} has both continuations inside the host"
+                )
+            if up_in:
+                pin(p.cmax, RIGHT)
+            if right_in:
+                pin(p.cmax, UP)
+        si, sj = p.start
+        if p.cmin > cmin:
+            if (si + 1, sj) in hs:
+                pin(p.cmin - 1, RIGHT)
+            if (si, sj - 1) in hs:
+                pin(p.cmin - 1, UP)
+
+    missing = [c for c in range(cmin, cmax) if c not in dirs]
+    if missing:
+        raise InternalCheckError(
+            f"directions on diagonals {missing} left unpinned; host not edge-connected?"
+        )
+    r = anchored_ribbon(cmin, tuple(dirs[c] for c in range(cmin, cmax)))
+    for p in pieces:
+        if r.steps[p.cmin - cmin : p.cmax - cmin] != p.steps:
+            raise InternalCheckError(
+                f"piece with contents [{p.cmin},{p.cmax}] does not embed in the ribbon"
+            )
+    return r

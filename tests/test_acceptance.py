@@ -42,10 +42,10 @@ from schurmzv.mzv import (
 from schurmzv.ribbons import (
     RIGHT,
     UP,
-    Ribbon,
     SubribbonStatus,
     anchored_ribbon,
     decomposition_from_ribbon,
+    ribbon_of,
     subribbon_table,
 )
 from schurmzv.shapes import (
@@ -198,7 +198,7 @@ def test_criterion_03_golden_decomposition_table():
     # is required to hold exactly four undefined entries.
     with budget(1.0):
         host = make_skew((4, 3, 3, 2, 1), (1,))
-        guide = Ribbon(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
+        guide = ribbon_of(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
         theta = decomposition_from_ribbon(host, guide)
         assert [p.n_cells for p in theta.pieces] == [1, 4, 6, 1]
         table = subribbon_table(theta)

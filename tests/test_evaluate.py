@@ -17,9 +17,9 @@ from schurmzv.evaluate import (
 from schurmzv.ribbons import (
     RIGHT,
     UP,
-    Ribbon,
     anchored_ribbon,
     decomposition_from_ribbon,
+    ribbon_of,
 )
 from schurmzv.shapes import (
     Tableau,
@@ -42,7 +42,7 @@ def single(value):
 class TestEnumerate:
     def test_single_cell(self):
         fills = list(enumerate_ssyt(make_skew((1,)), 4))
-        assert [f.values[(1, 1)] for f in fills] == [1, 2, 3]
+        assert [f[(1, 1)] for f in fills] == [1, 2, 3]
 
     def test_column_too_tall(self):
         assert list(enumerate_ssyt(make_skew((1, 1, 1)), 3)) == []
@@ -52,11 +52,10 @@ class TestEnumerate:
 
     def test_empty_shape_one_filling(self):
         fills = list(enumerate_ssyt(make_skew(()), 5))
-        assert len(fills) == 1 and fills[0].values == {}
+        assert len(fills) == 1 and fills[0] == {}
 
     def test_semistandard_conditions(self):
-        for f in enumerate_ssyt(make_skew((3, 2), (1,)), 5):
-            v = f.values
+        for v in enumerate_ssyt(make_skew((3, 2), (1,)), 5):
             for (i, j), m in v.items():
                 if (i, j + 1) in v:
                     assert m <= v[(i, j + 1)]
@@ -176,7 +175,7 @@ class TestSchurPoly:
 
 
 GOLDEN_HOST = make_skew((4, 3, 3, 2, 1), (1,))
-GOLDEN_GUIDE = Ribbon(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
+GOLDEN_GUIDE = ribbon_of(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
 GOLDEN_K = {-4: 3, -3: 7, -2: 4, -1: 6, 0: 3, 1: 2, 2: 1, 3: 5}
 
 

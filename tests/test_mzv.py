@@ -486,22 +486,44 @@ class TestNumeric:
         assert mzv._numeric_cache == {}
 
     def test_table_cap_on_the_command_line(self):
-        # (3000,) would need about 9 GB of tables; the child's address
-        # space and run time are capped, so a missing guard fails without
-        # exhausting the machine.
-        import resource
+        # (3000,) would need about 9 GB of tables, and the word of a part
+        # near 10^20 cannot be built at all; the child's address space and
+        # run time are capped, so a missing guard fails without exhausting
+        # the machine.
+        for idx in ("3000", "99999999999999999999", "1000000000", "2,100000000"):
+            proc = run_capped("mzv", "--index", idx)
+            assert proc.returncode == 4, (idx, proc.stderr)
+            assert "ResourceLimitError" in proc.stdout
 
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    def test_huge_entry_on_the_command_line(self, tmp_path):
+        # An exact truncation would build lcm(1, 2)^(10^20), and the
+        # regularized check the word of zeta(10^20).
+        (tmp_path / "one.tab").write_text("99999999999999999999\n")
+        (tmp_path / "one.shape").write_text("x\n")
+        tab, ribbon = str(tmp_path / "one.tab"), str(tmp_path / "one.shape")
+        for argv in (
+            ("eval", "-M", "3", tab),
+            ("jt-check", "-M", "3", "--ribbon", ribbon, tab),
+            ("jt-check", "--regularized", "--ribbon", ribbon, tab),
+        ):
+            proc = run_capped(*argv)
+            assert proc.returncode == 4, (argv, proc.stderr)
+            assert "ResourceLimitError" in proc.stdout
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "schurmzv.cli", "mzv", "--index", "3000"],
-            capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
-        )
-        assert proc.returncode == 4, proc.stderr
-        assert "ResourceLimitError" in proc.stdout
+
+def run_capped(*argv):
+    """Run the command line in a child with 1 GB of address space and 10 s."""
+    import resource
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "schurmzv.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=10, preexec_fn=cap_memory,
+    )
 
 
 class TestRichardson:

@@ -10,7 +10,7 @@ import pytest
 
 from schurmzv.checkerboard import CheckerboardReport, StairKind, evaluate_checkerboard_13
 from schurmzv.errors import PreconditionError
-from schurmzv.evaluate import JTReport, SsytFilling
+from schurmzv.evaluate import JTReport
 from schurmzv.record import Record
 from schurmzv.ribbons import (
     OutsideDecomposition,
@@ -20,6 +20,7 @@ from schurmzv.ribbons import (
     SubribbonTable,
     anchored_ribbon,
     decomposition_from_ribbon,
+    ribbon_of,
     subribbon_table,
 )
 from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, diagonal_tableau, make_skew
@@ -33,11 +34,10 @@ SAMPLES = {
     SkewShape: (("lam", "mu"), HOOK),
     Tableau: (("shape", "rows"), Tableau(HOOK, ((1, 2), (3,)))),
     DiagonalTableau: (("shape", "by_content"), diagonal_tableau(HOOK, {-1: 1, 0: 2, 1: 3})),
-    Ribbon: (("shape",), Ribbon(HOOK)),
-    OutsideDecomposition: (("host", "pieces"), THETA),
-    SubribbonEntry: (("status", "ribbon"), SubribbonEntry(SubribbonStatus.DEFINED, Ribbon(HOOK))),
+    Ribbon: (("start", "steps"), ribbon_of(HOOK)),
+    OutsideDecomposition: (("host", "guide"), THETA),
+    SubribbonEntry: (("status", "ribbon"), SubribbonEntry(SubribbonStatus.DEFINED, ribbon_of(HOOK))),
     SubribbonTable: (("ribbon", "entries"), subribbon_table(THETA)),
-    SsytFilling: (("shape", "values"), SsytFilling(HOOK, {(1, 1): 1, (1, 2): 1, (2, 1): 2})),
     JTReport: (("lhs", "rhs", "n"), JTReport(Fraction(1, 2), Fraction(1, 2), 1)),
     RegJTReport: (
         ("t_samples", "lhs_values", "det_values", "max_discrepancy", "admissible",
@@ -46,7 +46,7 @@ SAMPLES = {
     ),
     StairKind: (("kind", "a", "b", "n"), StairKind("A", 1, 3, 2)),
     CheckerboardReport: (
-        ("value", "weight", "admissible", "guide", "decomposition", "pieces",
+        ("value", "weight", "admissible", "decomposition", "pieces",
          "tessellated", "matrix", "prefactor", "display_matrix"),
         evaluate_checkerboard_13(diagonal_tableau(SQUARE, {-1: 1, 0: 3, 1: 1})),
     ),
@@ -119,11 +119,12 @@ def test_repr_and_defaults():
     [
         lambda: Tableau(HOOK, ((1, 2), (3, 4))),
         lambda: Tableau(HOOK, ((1, 0), (3,))),
-        lambda: Ribbon(make_skew((2, 2))),
+        lambda: Ribbon((1, 1), ("U",)),
+        lambda: OutsideDecomposition(SQUARE, anchored_ribbon(0, ())),
         lambda: StairKind("C", 1, 3, 2),
         lambda: StairKind("A", 0, 3, 2),
         lambda: StairKind(kind="A", a=1, b=3, n=-1),
-        lambda: SubribbonEntry(SubribbonStatus.EMPTY, Ribbon(HOOK)),
+        lambda: SubribbonEntry(SubribbonStatus.EMPTY, ribbon_of(HOOK)),
         lambda: DiagonalTableau(HOOK, ((0, 2), (1, 3))),
     ],
 )
@@ -140,5 +141,5 @@ def test_cached_properties_and_walk_built_ribbons():
     assert "cells" not in vars(shape)
     assert SkewShape((3, 2), (1,)).cells is shape.cells
     r =anchored_ribbon(0, ("R", "U", "R"))
-    assert r == Ribbon(r.shape) and hash(r) == hash(Ribbon(r.shape))
-    assert r.steps == Ribbon(r.shape).steps
+    assert r == ribbon_of(r.shape) and hash(r) == hash(ribbon_of(r.shape))
+    assert r.steps == ribbon_of(r.shape).steps

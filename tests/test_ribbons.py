@@ -20,10 +20,9 @@ from schurmzv.ribbons import (
     anchored_ribbon,
     decomposition_from_ribbon,
     fill_subribbon,
-    is_ribbon,
     minimal_containing_ribbon,
-    ribbon_from_walk,
     ribbon_matrix,
+    ribbon_of,
     subribbon_of,
     fill_ribbon,
     subribbon_table,
@@ -41,17 +40,23 @@ from schurmzv.shapes import (
     translation_equivalent,
 )
 
+from oracles import pinned_guide
+
 HOST = make_skew((4, 3, 3, 2, 1), (1,))
-GUIDE = Ribbon(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
+GUIDE = ribbon_of(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
 
 
 class TestRibbonBasics:
     def test_is_ribbon(self):
-        assert is_ribbon(GUIDE.shape)
-        assert not is_ribbon(make_skew((2, 2)))  # 2x2 square
-        assert is_ribbon(make_skew((1,)))
-        assert not is_ribbon(make_skew(()))
-        assert not is_ribbon(make_skew((2, 1), (1,)))  # corner-connected only
+        assert ribbon_of(GUIDE.shape) == GUIDE
+        assert ribbon_of(make_skew((1,))) == Ribbon((1, 1), ())
+        for shape in (
+            make_skew((2, 2)),  # 2x2 square
+            make_skew(()),
+            make_skew((2, 1), (1,)),  # corner-connected only
+        ):
+            with pytest.raises(PreconditionError, match="not a ribbon"):
+                ribbon_of(shape)
 
     def test_guide_walk(self):
         assert GUIDE.start == (5, 1)
@@ -60,8 +65,8 @@ class TestRibbonBasics:
         assert GUIDE.steps == (RIGHT, RIGHT, UP, RIGHT, RIGHT, UP, RIGHT)
 
     def test_walk_roundtrip(self):
-        r = ribbon_from_walk(GUIDE.start, GUIDE.steps)
-        assert r.shape == GUIDE.shape
+        r = Ribbon(GUIDE.start, GUIDE.steps)
+        assert r.shape == make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2))
 
     def test_anchored_is_furthest_left(self):
         r = anchored_ribbon(-4, GUIDE.steps)
@@ -94,6 +99,13 @@ class TestDecomposeGolden:
         theta = decomposition_from_ribbon(HOST, GUIDE)
         assert minimal_containing_ribbon(theta).shape == GUIDE.shape
 
+    def test_guide_stored_furthest_left(self):
+        far = Ribbon((GUIDE.start[0] + 3, GUIDE.start[1] + 3), GUIDE.steps)
+        theta = decomposition_from_ribbon(HOST, far)
+        assert theta.guide == GUIDE
+        assert theta == decomposition_from_ribbon(HOST, GUIDE)
+        assert hash(theta) == hash(decomposition_from_ribbon(HOST, GUIDE))
+
     def test_content_mismatch_rejected(self):
         short = anchored_ribbon(-1, (UP,))  # 2-cell column, contents {-1,0}
         with pytest.raises(PreconditionError):
@@ -104,17 +116,15 @@ class TestDecomposeGolden:
         r = anchored_ribbon(-1, (UP, UP))
         with pytest.raises(PreconditionError):
             decomposition_from_ribbon(host, r)
-        # The two cells as pieces partition the host and sit on its
-        # perimeter, so only the connectivity check refuses them.
-        pieces = (Ribbon(from_cells([(2, 1)])), Ribbon(from_cells([(1, 2)])))
+        # Connectivity is checked before the contents, so it is named.
         with pytest.raises(PreconditionError, match="edge-connected"):
-            OutsideDecomposition(host, pieces)
+            OutsideDecomposition(host, r)
 
     def test_empty_host_rejected(self):
         with pytest.raises(PreconditionError):
             decomposition_from_ribbon(make_skew(()), anchored_ribbon(0, ()))
         with pytest.raises(PreconditionError, match="nonempty"):
-            OutsideDecomposition(make_skew(()), ())
+            OutsideDecomposition(make_skew(()), anchored_ribbon(0, ()))
 
     def test_one_connectivity_check_per_decomposition(self, monkeypatch):
         calls = []
@@ -130,7 +140,7 @@ class TestDecomposeGolden:
 
     def test_host_itself_a_ribbon(self):
         host = make_skew((3, 1))
-        theta = decomposition_from_ribbon(host, Ribbon(host))
+        theta = decomposition_from_ribbon(host, ribbon_of(host))
         assert theta.n_pieces == 1
         assert theta.pieces[0].shape == host
 
@@ -268,6 +278,21 @@ def connected_skew_shapes(draw, max_cells=8):
     return grow_connected_shape(n, lambda fr: fr[draw(st.integers(0, len(fr) - 1))])
 
 
+def assert_outside_decomposition(theta):
+    """The conditions the piece-list constructor used to check, and the
+    direction pinning that found the guide from the pieces."""
+    host, hs = theta.host, theta.host.cell_set
+    assert pinned_guide(host, theta.pieces) == theta.guide
+    # the pieces partition the host, each from the left or bottom perimeter
+    # to the right or top perimeter
+    got = sorted(c for p in theta.pieces for c in p.shape.cells)
+    assert got == sorted(host.cells)
+    for p in theta.pieces:
+        (si, sj), (ei, ej) = p.start, p.end
+        assert (si, sj - 1) not in hs or (si + 1, sj) not in hs
+        assert (ei, ej + 1) not in hs or (ei - 1, ej) not in hs
+
+
 class TestRoundTripProperty:
     @settings(max_examples=60, deadline=None)
     @given(connected_skew_shapes(), st.data())
@@ -279,9 +304,8 @@ class TestRoundTripProperty:
         )
         guide = anchored_ribbon(span[0], steps)
         theta = decomposition_from_ribbon(host, guide)
-        assert minimal_containing_ribbon(theta).shape == guide.shape
-        got = sorted(c for p in theta.pieces for c in p.shape.cells)
-        assert got == sorted(host.cells)
+        assert minimal_containing_ribbon(theta) == theta.guide == guide
+        assert_outside_decomposition(theta)
 
     @settings(max_examples=60, deadline=None)
     @given(connected_skew_shapes(), st.data())
@@ -294,6 +318,7 @@ class TestRoundTripProperty:
             for _ in range(span[-1] - span[0])
         )
         theta = decomposition_from_ribbon(host, anchored_ribbon(span[0], steps))
+        assert_outside_decomposition(theta)
         assert len({p.cmin for p in theta.pieces}) == theta.n_pieces
         assert len({p.cmax for p in theta.pieces}) == theta.n_pieces
         calls = []
@@ -312,8 +337,8 @@ def walk_cells(start, steps):
 
 
 def cell_ribbon(cells):
-    """A ribbon through the validating path: from_cells, then Ribbon."""
-    return Ribbon(from_cells(cells))
+    """A ribbon through the validating path: from_cells, then ribbon_of."""
+    return ribbon_of(from_cells(cells))
 
 
 def assert_same_ribbon(got, want):
@@ -334,26 +359,26 @@ def random_walks(seed, n):
 class TestWalkOracle:
     """Walk-built ribbons against the cell-set path they replace."""
 
-    def test_ribbon_from_walk(self):
+    def test_walk_constructor(self):
         for rng, cmin, steps in random_walks(1201, 400):
             ups = steps.count(UP)
             i0 = max(ups + 1, 1 - cmin) + rng.randint(0, 3)
             start = (i0, i0 + cmin)
             assert_same_ribbon(
-                ribbon_from_walk(start, steps), cell_ribbon(walk_cells(start, steps))
+                Ribbon(start, steps), cell_ribbon(walk_cells(start, steps))
             )
 
     def test_anchored_and_every_subribbon(self):
         for rng, cmin, steps in random_walks(1202, 150):
             far = (20, 20 + cmin)  # any legal start; the oracle slides it left
             r = anchored_ribbon(cmin, steps)
-            assert_same_ribbon(r, Ribbon(furthest_left(from_cells(walk_cells(far, steps)))))
+            assert_same_ribbon(r, ribbon_of(furthest_left(from_cells(walk_cells(far, steps)))))
             cells = sorted(walk_cells(far, steps), key=content)
             for p in range(r.cmin, r.cmax + 1):
                 for q in range(p, r.cmax + 1):
                     sub = [c for c in cells if p <= content(c) <= q]
                     assert_same_ribbon(
-                        subribbon_of(r, p, q), Ribbon(furthest_left(from_cells(sub)))
+                        subribbon_of(r, p, q), ribbon_of(furthest_left(from_cells(sub)))
                     )
 
     def test_decomposition_pieces_are_their_chains(self):
@@ -385,7 +410,10 @@ class TestWalkOracle:
                 assert_same_ribbon(piece, cell_ribbon(chain))
 
     def test_fill_ribbon_matches_cell_map(self):
-        extra = [Ribbon(SkewShape((3, 2, 2), (1, 2, 2)))]  # empty rows below
+        # empty rows below the cells: the shape is read off the walk,
+        # in canonical form, without them
+        extra = [ribbon_of(SkewShape((3, 2, 2), (1, 2, 2)))]
+        assert extra[0].shape == SkewShape((3,), (1,))
         for rng, cmin, steps in random_walks(1204, 300):
             r = anchored_ribbon(cmin, steps)
             shifted = cell_ribbon(walk_cells((r.start[0] + 2, r.start[1] + 2), steps))
@@ -417,11 +445,11 @@ class TestWalkOracle:
         with pytest.raises(PreconditionError):
             from_cells(walk_cells(start, steps))
         with pytest.raises(PreconditionError):
-            ribbon_from_walk(start, steps)
+            Ribbon(start, steps)
 
     @pytest.mark.parametrize("steps", [("X",), (UP, "u"), (RIGHT, "UR")])
     def test_unknown_step_letter(self, steps):
         with pytest.raises(PreconditionError):
-            ribbon_from_walk((5, 5), steps)
+            Ribbon((5, 5), steps)
         with pytest.raises(PreconditionError):
             anchored_ribbon(0, steps)

@@ -18,11 +18,11 @@ from schurmzv.mzv import (
 from schurmzv.ribbons import (
     RIGHT,
     UP,
-    Ribbon,
     anchored_ribbon,
     decomposition_from_ribbon,
     fill_ribbon,
     ribbon_matrix,
+    ribbon_of,
     subribbon_of,
     trivial_decomposition,
 )
@@ -257,7 +257,7 @@ class TestRegularizedJT:
     def test_trivial_column(self):
         shape = make_skew((1, 1))
         t = tableau_from_entries(shape, {(1, 1): 3, (2, 1): 1})
-        theta = trivial_decomposition(Ribbon(shape))
+        theta = trivial_decomposition(ribbon_of(shape))
         rep = regularized_jt_check(as_diagonal(t), theta, [0.0, 1.0])
         # lhs and the 1x1 determinant evaluate the same polynomial; only
         # the determinant routine's rounding separates them
@@ -329,6 +329,6 @@ class TestRegularizedJT:
 
     def test_shape_mismatch(self):
         k = diagonal_tableau(make_skew((1, 1)), {-1: 2, 0: 2})
-        theta = trivial_decomposition(Ribbon(make_skew((1, 1, 1))))
+        theta = trivial_decomposition(ribbon_of(make_skew((1, 1, 1))))
         with pytest.raises(PreconditionError):
             regularized_jt_check(k, theta, [0.0])
