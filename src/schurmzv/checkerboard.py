@@ -124,7 +124,7 @@ def check_checkerboard(t: DiagonalTableau) -> Tuple[int, int]:
             )
     distinct = sorted(set(values.values()))
     if len(distinct) > 2:
-        raise InternalCheckError("alternating map with more than two values")
+        raise PreconditionError(f"a checkerboard has at most two values, got {distinct}")
     if len(distinct) == 2:
         return distinct[0], distinct[1]
     v = distinct[0]
@@ -548,9 +548,9 @@ def alpha(n: int) -> Fraction:
     )
     if not w.is_real():
         raise InternalCheckError(f"alpha({n}) came out non-real: {w!r}")
-    s_coeff = z4_star_power(n) / Fraction(4**n)
-    sstar_coeff = sum(
-        (z4_star_power(k) / Fraction(4**k)) * z4_power(n - k) for k in range(n + 1)
+    s_coeff, sstar_coeff = (
+        closed_form_13(StairKind(kind, 1, 3, n)).coefficient((("P", n),))
+        for kind in (KIND_S, KIND_SSTAR)
     )
     by_ratio = s_coeff * sstar_coeff * Fraction(factorial(8 * n + 2), 2)
     if w.re != by_ratio:

@@ -34,15 +34,10 @@ def _fill_plan(shape: SkewShape):
     """Per-cell neighbour indices and below-chain lengths, in row-major order."""
     cells = shape.cells
     index = {c: t for t, c in enumerate(cells)}
-    cs = shape.cell_set
     left = [index.get((i, j - 1)) for (i, j) in cells]
     up = [index.get((i - 1, j)) for (i, j) in cells]
-    below = []
-    for (i, j) in cells:
-        d = 0
-        while (i + d + 1, j) in cs:
-            d += 1
-        below.append(d)
+    # mu only shrinks going down: column j reaches every row with lam_i >= j
+    below = [sum(l >= j for l in shape.lam) - i for (i, j) in cells]
     return cells, left, up, below
 
 
@@ -88,11 +83,11 @@ def s_f_m(k: Tableau, M: int, f: WeightFunction) -> object:
     integers 0 and 1 under + and *; the empty shape gives 1.
     """
     total = 0
-    entries = k.entries
+    exps = [e for row in k.rows for e in row]
     for filling in enumerate_ssyt(k.shape, M):
         term = 1
-        for cell, m in filling.items():
-            term = term * f(m, entries[cell])
+        for m, e in zip(filling.values(), exps):
+            term = term * f(m, e)
         total = total + term
     return total
 
@@ -112,8 +107,7 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
         return Fraction(1)
     if M <= 1:
         return Fraction(0)
-    entries = k.entries
-    exps = [entries[c] for c in cells]
+    exps = [e for row in k.rows for e in row]
     L, weight = lcm(*range(1, M)), sum(exps)
     # L^weight has at least weight * (bits of L - 1) bits
     if weight * (L.bit_length() - 1) > DENOMINATOR_BITS_CAP:

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import accumulate, count, islice, product, repeat, tee
+from itertools import accumulate, chain, count, islice, product, repeat, tee
 from operator import mul, truediv
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, TypeVar
 
 from .errors import PreconditionError, ResourceLimitError
-from .shapes import Tableau, int_parts
+from .shapes import Partition, Tableau, int_parts
 
 Index = Tuple[int, ...]
 IndexCombination = Dict[Index, int]
@@ -58,24 +57,23 @@ def is_admissible_index(idx: Sequence[int]) -> bool:
 
 
 def _truncations(
-    idx: Sequence[int], Ms: Iterable[int], reciprocal: Callable[[int], Num], zero: Num
+    idx: Sequence[int], Ms: Iterable[int], row: Callable[[int], Iterator[Num]],
+    zero: Num, one: Num,
 ) -> List[Num]:
     """Truncations of idx at each cutoff in Ms, from one pass up to the largest.
 
     Depth j is the iterator of its sums over 0 < m_1 < ... < m_j < M for
-    M = 1, 2, ...: a running sum of reciprocal(m**k_j) times depth j-1 at
-    M = m.  Pulling the last depth advances every depth by one, so a pass
-    holds O(depth) numbers at any cutoff, and each distinct part's row of
-    reciprocals is built once and shared through ``tee``.  The additions
-    run left to right in m, so a float result is the same on every CPU
-    whenever reciprocal rounds correctly.  Below M = len(idx) + 1 every
-    sum is ``zero``.
+    M = 1, 2, ...: a running sum of row(k_j)[m - 1] = m^-k_j times depth
+    j-1 at M = m.  Pulling the last depth advances every depth by one, so
+    a pass holds O(depth) numbers at any cutoff, and each distinct part's
+    row is built once and shared through ``tee``.  The additions run left
+    to right in m, so a float result is the same on every CPU whenever the
+    row rounds correctly.  Below M = len(idx) + 1 every sum is ``zero``.
     """
     idx = check_index(idx)
     Ms = list(Ms)
-    rows = {k: iter(tee(map(reciprocal, map(pow, count(1), repeat(k))), idx.count(k)))
-            for k in set(idx)}
-    sums = repeat(reciprocal(1))
+    rows = {k: iter(tee(row(k), idx.count(k))) for k in set(idx)}
+    sums = repeat(one)
     for k in idx:
         sums = accumulate(map(mul, next(rows[k]), sums), initial=zero)
     at: Dict[int, Num] = {}
@@ -86,9 +84,18 @@ def _truncations(
     return [at[max(M, 1)] for M in Ms]
 
 
+def _float_row(k: int) -> Iterator[float]:
+    """1 / m**k for m = 1, 2, ..., correctly rounded.  From m = 2^(1075 // k + 1)
+    on, k (m.bit_length() - 1) > 1075, so m**k > 2^1075 and 1 / m**k, below
+    half the least subnormal, rounds to 0.0: that tail never builds m**k."""
+    rounded = map(truediv, repeat(1), map(pow, range(1, 1 << (1075 // k + 1)), repeat(k)))
+    return chain(rounded, repeat(0.0))
+
+
 def truncated_mzv(idx: Sequence[int], M: int) -> Fraction:
     """Exact sum over 0 < m_1 < ... < m_r < M of prod m_i^-k_i."""
-    return _truncations(idx, [M], partial(Fraction, 1), Fraction(0))[0]
+    exact_row = lambda k: map(Fraction, repeat(1), map(pow, count(1), repeat(k)))
+    return _truncations(idx, [M], exact_row, Fraction(0), Fraction(1))[0]
 
 
 def truncated_mzv_float(idx: Sequence[int], M: int) -> float:
@@ -99,7 +106,7 @@ def truncated_mzv_float(idx: Sequence[int], M: int) -> float:
 
 def truncated_mzv_float_ladder(idx: Sequence[int], Ms: Iterable[int]) -> List[float]:
     """Float truncations at several cutoffs from one pass up to the largest."""
-    return _truncations(idx, Ms, partial(truediv, 1), 0.0)
+    return _truncations(idx, Ms, _float_row, 0.0, 1.0)
 
 
 def expand_tableau(k: Tableau) -> IndexCombination:
@@ -108,50 +115,32 @@ def expand_tableau(k: Tableau) -> IndexCombination:
     Fillings are grouped by the total quasi-order of their values: cells
     merged by equality form blocks (only row-mates can merge; columns are
     strict), and blocks ordered by value read off a composition of the
-    entries.  Blocks are peeled smallest-first, which means taking, in every
-    row, a prefix of the cells whose upper neighbour is already gone.
+    entries.  Blocks are peeled smallest-first, so the cells peeled so far
+    form a partition nu between mu and lam, and the next block is a
+    nonempty horizontal strip nu'/nu: row i takes columns nu_i + 1 ..
+    min(lam_i, nu_{i-1}), and the block's part is the sum of their entries.
+    The walk is memoized on nu; the keys come back in ascending order.
     """
-    shape = k.shape
-    nrows = len(shape.lam)
-    runs = [shape.row_span(i) for i in range(1, nrows + 1)]
-    entries = k.entries
-    psum: List[List[int]] = []
-    for i in range(nrows):
-        lo, hi = runs[i]
-        acc = [0]
-        for j in range(lo, hi + 1):
-            acc.append(acc[-1] + entries[(i + 1, j)])
-        psum.append(acc)
+    lam, mu = k.shape.lam, k.shape.padded_mu
+    memo: Dict[Partition, IndexCombination] = {lam: {(): 1}}
 
-    @lru_cache(maxsize=None)
-    def rec(removed: Tuple[int, ...]) -> Tuple[Tuple[Index, int], ...]:
-        if all(removed[i] == runs[i][1] - runs[i][0] + 1 or runs[i][0] > runs[i][1]
-               for i in range(nrows)):
-            return (((), 1),)
-        avail = []
-        for i in range(nrows):
-            lo, hi = runs[i]
-            s_i = lo + removed[i]
-            if i > 0:
-                hi = min(hi, runs[i - 1][0] + removed[i - 1] - 1)
-            avail.append(max(0, hi - s_i + 1))
-        out: Dict[Index, int] = {}
-        for take in product(*[range(a + 1) for a in avail]):
-            if not any(take):
-                continue
+    def rec(nu: Partition) -> IndexCombination:
+        if nu in memo:
+            return memo[nu]
+        ends = [min(l, up) + 1 for l, up in zip(lam, (lam[0],) + nu)]
+        out: IndexCombination = {}
+        # the first nu' of the product is nu itself, the empty strip
+        for nxt in islice(product(*map(range, nu, ends)), 1, None):
             part = sum(
-                psum[i][removed[i] + t] - psum[i][removed[i]]
-                for i, t in enumerate(take)
+                sum(row[a - m:b - m]) for row, m, a, b in zip(k.rows, mu, nu, nxt)
             )
-            nxt = tuple(r + t for r, t in zip(removed, take))
-            for suffix, mult in rec(nxt):
+            for suffix, mult in rec(nxt).items():
                 key = (part,) + suffix
                 out[key] = out.get(key, 0) + mult
-        return tuple(sorted(out.items()))
+        memo[nu] = out
+        return out
 
-    result = dict(rec(tuple(0 for _ in range(nrows))))
-    rec.cache_clear()
-    return result
+    return dict(sorted(rec(mu).items()))
 
 
 def _li_suffixes(

@@ -10,7 +10,8 @@ zeros of ``mu``.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -147,21 +148,17 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
     by_row: Dict[int, list] = {}
     for i, j in cell_list:
         by_row.setdefault(i, []).append(j)
-    n_rows = max(by_row)
-    spans = {}
     for i, js in by_row.items():
         if js != list(range(js[0], js[0] + len(js))):
             raise PreconditionError(f"row {i} is not contiguous: columns {js}")
-        spans[i] = (js[0], js[-1])
-
+    n_rows = max(by_row)
     lam = [0] * (n_rows + 1)
     mu = [0] * (n_rows + 1)
     for i in range(n_rows, 0, -1):
-        if i in spans:
-            lo, hi = spans[i]
-            mu[i], lam[i] = lo - 1, hi
-        else:
-            mu[i] = lam[i] = lam[i + 1] if i < n_rows else 0
+        if i in by_row:
+            mu[i], lam[i] = by_row[i][0] - 1, by_row[i][-1]
+        else:  # i < n_rows, since the last row holds a cell
+            mu[i] = lam[i] = lam[i + 1]
     lam_t, mu_t = tuple(lam[1:]), tuple(mu[1:])
     if any(a < b for a, b in zip(lam_t, lam_t[1:])) or any(
         a < b for a, b in zip(mu_t, mu_t[1:])
@@ -178,31 +175,23 @@ def content_set(shape: SkewShape) -> Tuple[int, ...]:
 
 
 def corners(shape: SkewShape) -> Tuple[Cell, ...]:
-    """Cells with no neighbour to the right and none below."""
-    cs = shape.cell_set
+    """Cells with no neighbour to the right and none below, top to bottom:
+    the last cell ``(i, lam_i)`` of each nonempty row longer than the next
+    (``mu`` only shrinks going down, so a row as long holds the cell below)."""
+    lam, mu = shape.lam + (0,), shape.padded_mu
     return tuple(
-        (i, j)
-        for (i, j) in shape.cells
-        if (i, j + 1) not in cs and (i + 1, j) not in cs
+        (i + 1, lam[i]) for i in range(len(mu)) if lam[i] > mu[i] and lam[i] > lam[i + 1]
     )
 
 
 def is_edge_connected(shape: SkewShape) -> bool:
-    """True if the cells form one component under horizontal/vertical adjacency."""
-    cells = shape.cell_set
-    if not cells:
-        return True
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        i, j = stack.pop()
-        if (i, j) in seen:
-            continue
-        seen.add((i, j))
-        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-            if nb in cells and nb not in seen:
-                stack.append(nb)
-    return len(seen) == len(cells)
+    """True if the cells form one component under horizontal/vertical adjacency:
+    the nonempty rows are consecutive, and each nonempty row ``b`` below
+    the first shares a column with the row ``a = b - 1`` above it,
+    ``lam_b > mu_a``."""
+    lam, mu = shape.lam, shape.padded_mu
+    rows = [i for i in range(len(lam)) if lam[i] > mu[i]]
+    return all(b == a + 1 and lam[b] > mu[a] for a, b in zip(rows, rows[1:]))
 
 
 def translate(shape: SkewShape, t: int) -> SkewShape:
@@ -236,7 +225,9 @@ class Tableau(Record):
 
     Entries are exponents/decorations, not the summation variables, so no
     monotonicity is imposed on them.  ``rows[i]`` lists the entries of the
-    ``i``-th row, left to right, covering exactly the cells of that row.
+    ``i``-th row, left to right, covering exactly the cells of that row;
+    read in order, the rows follow ``shape.cells``.  They are the only
+    store: ``entries`` builds a new cell-to-entry mapping on each read.
     """
 
     shape: SkewShape
@@ -254,18 +245,17 @@ class Tableau(Record):
                 if not isinstance(v, int) or v < 1:
                     raise PreconditionError(f"entries must be positive integers, got {v!r}")
 
-    @cached_property
+    @property
     def entries(self) -> Mapping[Cell, int]:
-        """Mapping from cell to entry."""
-        out = {}
-        mu = self.shape.padded_mu
-        for i, row in enumerate(self.rows, start=1):
-            for off, v in enumerate(row):
-                out[(i, mu[i - 1] + 1 + off)] = v
-        return out
+        """A new mapping from cell to entry, in row-major order."""
+        return dict(zip(self.shape.cells, chain.from_iterable(self.rows)))
 
     def entry(self, cell: Cell) -> int:
-        return self.entries[cell]
+        """The entry in ``cell``; raises ``KeyError`` off the shape."""
+        if cell not in self.shape:
+            raise KeyError(cell)
+        i, j = cell
+        return self.rows[i - 1][j - 1 - self.shape.padded_mu[i - 1]]
 
     @property
     def weight(self) -> int:
@@ -290,12 +280,12 @@ def tableau_from_entries(shape: SkewShape, entries: Mapping[Cell, int]) -> Table
 
 def is_admissible(t: Tableau) -> bool:
     """True if every corner entry is at least 2 (convergence criterion)."""
-    return all(t.entry(c) >= 2 for c in corners(t.shape))
+    return all(t.rows[i - 1][-1] >= 2 for i, _ in corners(t.shape))
 
 
 def transpose_tableau(t: Tableau) -> Tableau:
     """Transpose the shape, carrying entries along."""
-    flipped = {(j, i): v for (i, j), v in t.entries.items()}
+    flipped = {(j, i): v for (i, j), v in zip(t.shape.cells, chain.from_iterable(t.rows))}
     return tableau_from_entries(transpose_shape(t.shape), flipped)
 
 
@@ -356,7 +346,7 @@ def diagonal_tableau(shape: SkewShape, by_content: Mapping[int, int]) -> Diagona
 def as_diagonal(t: Tableau) -> DiagonalTableau:
     """View a tableau as diagonal-constant; error if it is not."""
     seen: Dict[int, int] = {}
-    for cell, v in t.entries.items():
+    for cell, v in zip(t.shape.cells, chain.from_iterable(t.rows)):
         c = content(cell)
         if seen.setdefault(c, v) != v:
             raise PreconditionError(f"entries differ along diagonal {c}")

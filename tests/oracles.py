@@ -2,19 +2,20 @@
 
 Each one recomputes a library value a second way (a Bernoulli polynomial,
 a product of ``{4}`` blocks, an h-determinant, a determinant by Bareiss
-elimination, a decomposition's guide from its pieces) or restates a check
-in boolean form; the tests compare the two.
+elimination, a decomposition's guide from its pieces, a shape's corners
+and connectivity from its cell set) or restates a check in boolean form;
+the tests compare the two.
 """
 
 from fractions import Fraction
 from math import factorial, lcm
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from schurmzv.checkerboard import check_checkerboard
 from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import det_fraction, s_f_m
 from schurmzv.ribbons import RIGHT, UP, Ribbon, anchored_ribbon
-from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, content_set
+from schurmzv.shapes import Cell, DiagonalTableau, SkewShape, Tableau, content_set
 from schurmzv.symbolic import (
     GaussianRational,
     ZetaSymbolValue,
@@ -31,6 +32,36 @@ def is_checkerboard(t: DiagonalTableau) -> bool:
     except PreconditionError:
         return False
     return True
+
+
+def corners_by_neighbours(shape: SkewShape) -> Tuple[Cell, ...]:
+    """The cells, in row-major order, with no neighbour to the right and
+    none below in the cell set."""
+    cs = shape.cell_set
+    return tuple(
+        (i, j)
+        for (i, j) in shape.cells
+        if (i, j + 1) not in cs and (i + 1, j) not in cs
+    )
+
+
+def edge_connected_by_search(shape: SkewShape) -> bool:
+    """Whether a depth-first search over horizontal and vertical neighbours
+    from one cell reaches every cell."""
+    cells = shape.cell_set
+    if not cells:
+        return True
+    seen = set()
+    stack = [next(iter(cells))]
+    while stack:
+        i, j = stack.pop()
+        if (i, j) in seen:
+            continue
+        seen.add((i, j))
+        for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+            if nb in cells and nb not in seen:
+                stack.append(nb)
+    return len(seen) == len(cells)
 
 
 def sstar13_bernoulli(n: int) -> ZetaSymbolValue:

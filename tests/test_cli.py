@@ -345,6 +345,14 @@ class TestCheckerboard:
         rc, doc = run_json(tmp_path, capsys, "checkerboard", "eval", tab)
         assert rc == 3
 
+    @pytest.mark.parametrize("argv", [("eval",), ("tessellate", "--kind", "A")])
+    def test_three_values_rejected(self, tmp_path, capsys, argv):
+        # alternating diagonals, but with the values 2, 1, 3
+        tab = grid(tmp_path, "three.tab", "1 3\n2\n")
+        rc, doc = run_json(tmp_path, capsys, "checkerboard", *argv, tab)
+        assert rc == 3
+        assert doc["error"]["type"] == "PreconditionError"
+
     def test_alpha_single(self, tmp_path, capsys):
         rc, doc = run_json(tmp_path, capsys, "checkerboard", "alpha", "--n", "2")
         assert rc == 0

@@ -81,3 +81,26 @@ def test_extrapolate_without_numpy(tmp_path):
     # A None entry in sys.modules makes ``import numpy`` raise ImportError.
     blocked = 'import sys\nsys.modules["numpy"] = None\n' + PROBE
     assert run_call(tmp_path, blocked, CALLS["eval --extrapolate"]) == []
+
+
+def test_trace_targets_resolve():
+    """Every function the benchmark tracer wraps exists in the package.
+
+    ``Tracer.install`` looks each of ``perfbench/tracing.py``'s TARGETS up
+    without a default, so a renamed or removed function would break every
+    traced run.  The tracer imports only the standard library and is
+    loaded from its path.
+    """
+    import importlib
+    import importlib.util
+
+    path = SRC.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        f"{mod}.{fn}"
+        for mod, fn, _ in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(f"schurmzv.{mod}"), fn, None))
+    ]
+    assert tracing.TARGETS and missing == []

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import os
 import random
@@ -32,7 +33,7 @@ from schurmzv.mzv import (
 )
 from schurmzv.shapes import Tableau, make_skew, tableau_from_entries
 
-from test_ribbons import connected_skew_shapes
+from test_shapes import skew_shapes
 
 PI = math.pi
 ZETA3 = 1.2020569031595942854
@@ -300,6 +301,16 @@ class TestFloatLadder:
         assert truncated_mzv_float_ladder(idx, self.EDGES) == want
         assert [truncated_mzv_float(idx, M) for M in self.EDGES] == want
 
+    @pytest.mark.parametrize("idx", [(216,), (269,), (359,), (538,), (1074,), (1075,),
+                                     (1076,), (1, 1074), (1074, 1), (2, 359, 3)])
+    def test_underflowing_terms(self, idx):
+        # m^-k rounds to 0.0 from m = 2^(1075 // k + 1) on; the ladder
+        # stops building m**k there and must still match 1 / m**k.
+        Ms = list(range(1, 71))
+        arr = whole_array(idx, max(Ms))
+        want = [float(arr[M - 2]) if M > len(idx) else 0.0 for M in Ms]
+        assert truncated_mzv_float_ladder(idx, Ms) == want
+
     def test_ladder_order_and_repeats(self):
         rng = random.Random(4096)
         for _ in range(10):
@@ -365,7 +376,10 @@ class TestExpandTableau:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_expansion_matches_schur_sum(self, data):
-        shape = data.draw(connected_skew_shapes(max_cells=7))
+        # any skew shape: disconnected ones and empty interior rows too
+        shape = data.draw(
+            skew_shapes(max_len=4, max_part=4).filter(lambda s: 1 <= s.n_cells <= 7)
+        )
         entries = {
             cell: data.draw(st.integers(min_value=1, max_value=3), label=f"k{cell}")
             for cell in shape.cells
@@ -373,6 +387,7 @@ class TestExpandTableau:
         t = tableau_from_entries(shape, entries)
         M = data.draw(st.integers(min_value=2, max_value=7), label="M")
         comb = expand_tableau(t)
+        assert list(comb) == sorted(comb)
         total = sum(mult * truncated_mzv(idx, M) for idx, mult in comb.items())
         assert total == truncated_schur_zeta(t, M)
 
@@ -509,6 +524,16 @@ class TestNumeric:
             proc = run_capped(*argv)
             assert proc.returncode == 4, (argv, proc.stderr)
             assert "ResourceLimitError" in proc.stdout
+
+    def test_huge_entry_float_ladder(self, tmp_path):
+        # At M = 2 the exact value is 1; the ladder's terms past m = 1
+        # underflow to 0.0, and m**(10^20) is never built.
+        (tmp_path / "one.tab").write_text("99999999999999999999\n")
+        proc = run_capped("eval", "-M", "2", "--extrapolate", str(tmp_path / "one.tab"))
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)["result"]
+        assert result["value"] == "1"
+        assert result["extrapolated_numeric"] == 1.0
 
 
 def run_capped(*argv):

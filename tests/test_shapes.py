@@ -28,6 +28,8 @@ from schurmzv.shapes import (
     _cells,
 )
 
+from oracles import corners_by_neighbours, edge_connected_by_search
+
 
 @st.composite
 def partitions(draw, max_len=5, max_part=6):
@@ -41,12 +43,16 @@ def partitions(draw, max_len=5, max_part=6):
 
 
 @st.composite
-def skew_shapes(draw):
-    lam = draw(partitions())
-    mu = tuple(draw(st.integers(0, l)) for l in lam)
-    mu = tuple(sorted(mu, reverse=True))
-    mu = tuple(min(m, l) for m, l in zip(mu, lam))
-    return make_skew(lam, mu)
+def raw_skew_shapes(draw, max_len=5, max_part=6):
+    """``lam/mu`` as drawn, not canonicalised: an empty row keeps the
+    ``lam_i = mu_i`` it was drawn with, and ``mu`` may end in zeros."""
+    lam = draw(partitions(max_len, max_part))
+    mu = sorted((draw(st.integers(0, l)) for l in lam), reverse=True)
+    return SkewShape(lam, tuple(min(m, l) for m, l in zip(mu, lam)))
+
+
+def skew_shapes(max_len=5, max_part=6):
+    return raw_skew_shapes(max_len, max_part).map(lambda s: make_skew(s.lam, s.mu))
 
 
 class TestMakeSkew:
@@ -133,6 +139,21 @@ class TestGeometry:
         assert not is_edge_connected(make_skew((2, 1), (1,)))
         assert is_edge_connected(EMPTY_SHAPE)
 
+    def test_empty_interior_row(self):
+        s = make_skew((3, 2, 2), (2, 2))
+        assert s.lam[1] == s.mu[1]
+        assert corners(s) == ((1, 3), (3, 2))
+        assert not is_edge_connected(s)
+        assert is_edge_connected(make_skew((3, 2, 2), (1, 1)))
+
+    @given(st.one_of(skew_shapes(), raw_skew_shapes()))
+    def test_corners_match_neighbour_scan(self, s):
+        assert corners(s) == corners_by_neighbours(s)
+
+    @given(st.one_of(skew_shapes(), raw_skew_shapes()))
+    def test_edge_connected_matches_search(self, s):
+        assert is_edge_connected(s) == edge_connected_by_search(s)
+
     def test_translate_preserves_contents(self):
         s = make_skew((3, 2), (1,))
         t = translate(s, 2)
@@ -157,6 +178,10 @@ class TestTableau:
         assert t.entry((1, 2)) == 1
         assert t.entry((2, 1)) == 2
         assert t.weight == 8
+        assert list(t.entries.items()) == [((1, 2), 1), ((1, 3), 3), ((2, 1), 2), ((2, 2), 2)]
+        for off_shape in ((1, 1), (2, 3), (3, 1), (0, 2)):
+            with pytest.raises(KeyError):
+                t.entry(off_shape)
 
     def test_row_length_mismatch(self):
         with pytest.raises(PreconditionError):
