@@ -33,6 +33,7 @@ from schurmzv.mzv import (
 )
 from schurmzv.shapes import Tableau, make_skew, tableau_from_entries
 
+from test_ribbons import connected_skew_shapes
 from test_shapes import skew_shapes
 
 PI = math.pi
@@ -373,13 +374,15 @@ class TestExpandTableau:
         comb = expand_tableau(t)
         assert comb == {(5, 7): 1, (7, 5): 1, (12,): 1}
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_expansion_matches_schur_sum(self, data):
-        # any skew shape: disconnected ones and empty interior rows too
-        shape = data.draw(
-            skew_shapes(max_len=4, max_part=4).filter(lambda s: 1 <= s.n_cells <= 7)
-        )
+        # connected shapes up to 7 rows or columns (long chains, hooks), and
+        # any skew shape in a 4x4 box: disconnected ones, empty interior rows
+        shape = data.draw(st.one_of(
+            connected_skew_shapes(max_cells=7),
+            skew_shapes(max_len=4, max_part=4).filter(lambda s: 1 <= s.n_cells <= 7),
+        ))
         entries = {
             cell: data.draw(st.integers(min_value=1, max_value=3), label=f"k{cell}")
             for cell in shape.cells
