@@ -16,14 +16,18 @@ def clear_caches() -> None:
     The modules are imported here, not at package import, so ``import
     schurmzv`` stays cheap.
     """
-    from . import checkerboard, mzv, shapes, stuffle, symbolic
+    from . import checkerboard, mzv, ribbons, shapes, stuffle, symbolic
 
     mzv._numeric_cache.clear()
     stuffle._regularize_cache.clear()
     for memo in (
         shapes._cells,
-        shapes._by_content,
+        shapes.shared_shape,
+        shapes._content_set,
+        shapes._values,
         shapes._value_map,
+        ribbons._ribbon,
+        ribbons._walk_shape,
         stuffle.stuffle_product,
         symbolic.bernoulli_number,
         symbolic.z4_power,

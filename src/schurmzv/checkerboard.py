@@ -111,18 +111,15 @@ def check_checkerboard(t: DiagonalTableau) -> Tuple[int, int]:
     trivially alternating; its lone value is taken as ``a`` when it is 1
     and as ``b`` otherwise, so that single boxes classify as A(0) or B(0).
     """
-    contents = [c for c, _ in t.by_content]
+    contents, values = content_set(t.shape), t.values
     if not contents:
         raise PreconditionError("empty tableau is not a checkerboard")
-    if contents != list(range(contents[0], contents[-1] + 1)):
+    if contents[-1] - contents[0] != len(contents) - 1:
         raise PreconditionError("checkerboard contents must be consecutive")
-    values = t.value_map
-    for c in contents[:-1]:
-        if values[c] == values[c + 1]:
-            raise PreconditionError(
-                f"diagonals {c} and {c + 1} carry the same value {values[c]}"
-            )
-    distinct = sorted(set(values.values()))
+    for c, v, w in zip(contents, values, values[1:]):
+        if v == w:
+            raise PreconditionError(f"diagonals {c} and {c + 1} carry the same value {v}")
+    distinct = sorted(set(values))
     if len(distinct) > 2:
         raise PreconditionError(f"a checkerboard has at most two values, got {distinct}")
     if len(distinct) == 2:
@@ -308,20 +305,17 @@ def l12(n: int) -> Dict[Index, int]:
 def _roles_13(t: CheckerboardTableau, op: str) -> Tuple[int, int]:
     """Validate a {1,3} host and fix the value roles to a = 1, b = 3."""
     check_checkerboard(t)
-    values = set(t.value_map.values())
+    values = set(t.values)
     if not values <= {1, 3}:
         raise PreconditionError(f"{op} needs entries {{1, 3}}, got {sorted(values)}")
     return 1, 3
 
 
 def _phase_guide(t: CheckerboardTableau, a: int) -> Ribbon:
-    """The zigzag guide: a-diagonals step right, b-diagonals step up."""
-    contents = content_set(t.shape)
-    cmin, cmax = contents[0], contents[-1]
-    steps = tuple(
-        RIGHT if t.value_at(c) == a else UP for c in range(cmin, cmax)
-    )
-    return anchored_ribbon(cmin, steps)
+    """The zigzag guide of a checked checkerboard: a-diagonals step right,
+    b-diagonals step up."""
+    steps = tuple(RIGHT if v == a else UP for v in t.values[:-1])
+    return anchored_ribbon(content_set(t.shape)[0], steps)
 
 
 def _classify_span(length: int, lowest: int, a: int, b: int) -> StairKind:

@@ -6,8 +6,10 @@ dataclasses: positional or keyword construction followed by
 ``__post_init__``, equality only between instances of the same class,
 ``hash`` of the field tuple, ``Name(field=value, ...)`` reprs, and
 assignment or deletion raising ``AttributeError``.  Fields live in the
-instance ``__dict__``, so ``functools.cached_property`` works and
-``object.__setattr__`` may still set a field while an instance is built.
+instance ``__dict__``, so ``functools.cached_property`` works (only
+``OutsideDecomposition.pieces`` uses it; values derived from a shape or a
+ribbon go in bounded per-value memos instead) and ``object.__setattr__``
+may still set a field while an instance is built.
 
 This module exists because ``dataclasses`` imports ``inspect`` and
 generates every method with ``exec``, which a command-line call pays on

@@ -21,12 +21,13 @@ entries.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple, TypeVar, Union
 
 from .errors import PreconditionError
 from .record import Record
 from .shapes import (
+    MEMO_SIZE,
     Cell,
     DiagonalTableau,
     SkewShape,
@@ -34,6 +35,7 @@ from .shapes import (
     content,
     content_set,
     is_edge_connected,
+    shared_shape,
 )
 
 UP = "U"
@@ -68,29 +70,11 @@ class Ribbon(Record):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
 
-    @cached_property
+    @property
     def shape(self) -> SkewShape:
         """``lam/mu`` in the canonical form :func:`~schurmzv.shapes.from_cells`
-        would return: row ``i`` spans the columns the walk visits there, and
-        the empty rows above the top run are anchored at its right end."""
-        i0, j0 = self.start
-        lam, mu = [], []  # bottom row first
-        lo = j = j0
-        for s in self.steps:
-            if s == RIGHT:
-                j += 1
-            else:
-                lam.append(j)
-                mu.append(lo - 1)
-                lo = j
-        lam.append(j)
-        mu.append(lo - 1)
-        lam.reverse()
-        mu.reverse()
-        while mu and mu[-1] == 0:
-            mu.pop()
-        pad = (j,) * (i0 - len(lam))
-        return SkewShape(pad + tuple(lam), pad + tuple(mu))
+        would return, memoized per value: equal ribbons share one shape."""
+        return _walk_shape(self.start, self.steps)
 
     @property
     def end(self) -> Cell:
@@ -111,6 +95,38 @@ class Ribbon(Record):
         return len(self.steps) + 1
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _walk_shape(start: Cell, steps: Tuple[str, ...]) -> SkewShape:
+    """The walk's ``lam/mu``: row ``i`` spans the columns the walk visits
+    there, and the empty rows above the top run are anchored at its right
+    end."""
+    i0, j0 = start
+    lam, mu = [], []  # bottom row first
+    lo = j = j0
+    for s in steps:
+        if s == RIGHT:
+            j += 1
+        else:
+            lam.append(j)
+            mu.append(lo - 1)
+            lo = j
+    lam.append(j)
+    mu.append(lo - 1)
+    lam.reverse()
+    mu.reverse()
+    while mu and mu[-1] == 0:
+        mu.pop()
+    pad = (j,) * (i0 - len(lam))
+    return shared_shape(pad + tuple(lam), pad + tuple(mu))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _ribbon(i0: int, j0: int, steps: Tuple[str, ...]) -> Ribbon:
+    """The one :class:`Ribbon` from ``(i0, j0)`` with these steps while it is
+    in the memo, so equal ribbons share one instance."""
+    return Ribbon((i0, j0), steps)
+
+
 def ribbon_of(shape: SkewShape) -> Ribbon:
     """The ribbon with the shape's cells, read off them by increasing content.
 
@@ -129,14 +145,14 @@ def ribbon_of(shape: SkewShape) -> Ribbon:
             steps.append(RIGHT)
         else:
             raise PreconditionError(f"{shape} is not a ribbon")
-    return Ribbon(cells[0], tuple(steps))
+    return _ribbon(*cells[0], tuple(steps))
 
 
 def anchored_ribbon(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
     """The furthest-left ribbon with the given smallest content and steps."""
     steps = tuple(steps)
     i0 = max(steps.count(UP) + 1, 1 - cmin)
-    return Ribbon((i0, i0 + cmin), steps)
+    return _ribbon(i0, i0 + cmin, steps)
 
 
 def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:

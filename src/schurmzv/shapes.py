@@ -10,6 +10,7 @@ zeros of ``mu``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import chain
 from types import MappingProxyType
@@ -115,24 +116,50 @@ def _cells(lam: Partition, mu: Partition) -> Tuple[Cell, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def shared_shape(lam: Partition, mu: Partition) -> SkewShape:
+    """The one :class:`SkewShape` for a canonical ``lam/mu`` while it is in
+    the memo, so equal shapes share one instance and one pair of tuples.
+
+    The partitions are taken as given; :func:`make_skew` and
+    :func:`from_cells` check and canonicalise them first.
+    """
+    return SkewShape(lam, mu)
+
+
 EMPTY_SHAPE = SkewShape((), ())
 
 
 def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
-    """Build the canonical skew shape ``lam/mu``.
+    """The shared canonical skew shape ``lam/mu``, as :func:`from_cells`
+    would return it for the cells.
 
-    Raises :class:`PreconditionError` unless both arguments are partitions
-    with ``mu`` contained in ``lam``.
+    Trailing empty rows are dropped, and each empty row above a nonempty
+    one is anchored at the length of the row below it.  Raises
+    :class:`PreconditionError` unless both arguments are partitions with
+    ``mu`` contained in ``lam``.
     """
     lam = check_partition(lam, name="lam")
     mu = check_partition(mu, name="mu")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         raise PreconditionError(f"mu={mu} is not contained in lam={lam}")
-    return from_cells(SkewShape(lam, mu).cells)
+    lam_l, mu_l = list(lam), list(mu) + [0] * (len(lam) - len(mu))
+    while lam_l and lam_l[-1] == mu_l[-1]:
+        lam_l.pop()
+        mu_l.pop()
+    if not lam_l:
+        return EMPTY_SHAPE
+    for i in range(len(lam_l) - 2, -1, -1):
+        if lam_l[i] == mu_l[i]:
+            lam_l[i] = mu_l[i] = lam_l[i + 1]
+    while mu_l and mu_l[-1] == 0:
+        mu_l.pop()
+    return shared_shape(tuple(lam_l), tuple(mu_l))
 
 
 def from_cells(cells: Iterable[Cell]) -> SkewShape:
-    """Reconstruct the canonical ``lam/mu`` presentation of a cell set.
+    """Reconstruct the canonical ``lam/mu`` presentation of a cell set, as
+    the shared shape of :func:`shared_shape`.
 
     Rows must occupy contiguous column intervals that weakly shift left going
     down; empty rows between occupied ones are kept as ``lam_i == mu_i`` so
@@ -166,12 +193,18 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
         raise PreconditionError(f"cells {cell_list} do not form a skew diagram")
     while mu_t and mu_t[-1] == 0:
         mu_t = mu_t[:-1]
-    return SkewShape(lam_t, mu_t)
+    return shared_shape(lam_t, mu_t)
 
 
 def content_set(shape: SkewShape) -> Tuple[int, ...]:
-    """Sorted distinct contents of the shape's cells."""
-    return tuple(sorted({content(c) for c in shape.cells}))
+    """Sorted distinct contents of the shape's cells, memoized per value:
+    equal shapes share one tuple."""
+    return _content_set(shape.lam, shape.mu)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _content_set(lam: Partition, mu: Partition) -> Tuple[int, ...]:
+    return tuple(sorted({j - i for i, j in _cells(lam, mu)}))
 
 
 def corners(shape: SkewShape) -> Tuple[Cell, ...]:
@@ -292,55 +325,74 @@ def transpose_tableau(t: Tableau) -> Tableau:
 class DiagonalTableau(Record):
     """A tableau whose entries are constant along diagonals.
 
-    ``by_content`` assigns one entry to each content occurring in the shape.
-    Equal tableaux share one ``by_content`` tuple from a bounded memo.
+    ``values[k]`` is the entry on the ``k``-th content of
+    ``content_set(shape)``, in increasing order.  Equal tableaux share one
+    ``values`` tuple, and ``content_set`` one contents tuple per shape
+    value, each from a bounded memo.  ``by_content`` and ``value_map`` are
+    read-only views derived from the two; ``value_map`` is memoized too.
     """
 
     shape: SkewShape
-    by_content: Tuple[Tuple[int, int], ...]
+    values: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        got = tuple(sorted(c for c, _ in self.by_content))
-        if got != content_set(self.shape):
+        values, contents = tuple(self.values), content_set(self.shape)
+        if len(values) != len(contents):
             raise PreconditionError(
-                f"contents {got} do not match the shape's contents "
-                f"{content_set(self.shape)}"
+                f"{len(values)} values do not match the shape's contents {contents}"
             )
-        for _, v in self.by_content:
+        for v in values:
             if not isinstance(v, int) or v < 1:
                 raise PreconditionError(f"entries must be positive integers, got {v!r}")
-        object.__setattr__(self, "by_content", _by_content(self.by_content))
+        object.__setattr__(self, "values", _values(values))
+
+    @property
+    def by_content(self) -> Tuple[Tuple[int, int], ...]:
+        """The ``(content, entry)`` pairs by increasing content."""
+        return tuple(zip(content_set(self.shape), self.values))
 
     @property
     def value_map(self) -> Mapping[int, int]:
-        """Read-only content -> entry map, shared by equal tableaux (memoized
-        on ``by_content``)."""
-        return _value_map(self.by_content)
+        """Read-only content -> entry map, shared by equal tableaux."""
+        return _value_map(content_set(self.shape), self.values)
 
     def value_at(self, c: int) -> int:
         return self.value_map[c]
 
     def to_tableau(self) -> Tableau:
-        return tableau_from_entries(
-            self.shape, {cell: self.value_map[content(cell)] for cell in self.shape.cells}
-        )
+        """The tableau, each row sliced out of ``values``: a row's contents
+        are consecutive, and so are their places in ``content_set``."""
+        shape, values = self.shape, self.values
+        contents = content_set(shape)
+        rows = []
+        for i, (l, m) in enumerate(zip(shape.lam, shape.padded_mu), start=1):
+            k = bisect_left(contents, m + 1 - i)
+            rows.append(values[k : k + l - m])
+        return Tableau(shape, tuple(rows))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _by_content(by_content: Tuple[Tuple[int, int], ...]) -> Tuple[Tuple[int, int], ...]:
-    """The first of the equal ``by_content`` tuples still in the memo: equal
+def _values(values: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The first of the equal ``values`` tuples still in the memo: equal
     tableaux share one tuple instead of each keeping a copy."""
-    return by_content
+    return values
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _value_map(by_content: Tuple[Tuple[int, int], ...]) -> Mapping[int, int]:
-    return MappingProxyType(dict(by_content))
+def _value_map(contents: Tuple[int, ...], values: Tuple[int, ...]) -> Mapping[int, int]:
+    return MappingProxyType(dict(zip(contents, values)))
 
 
 def diagonal_tableau(shape: SkewShape, by_content: Mapping[int, int]) -> DiagonalTableau:
-    """Convenience constructor from a plain content-to-entry mapping."""
-    return DiagonalTableau(shape, tuple(sorted(by_content.items())))
+    """Convenience constructor from a plain content-to-entry mapping, which
+    must have exactly the shape's contents as keys."""
+    contents = content_set(shape)
+    got = tuple(sorted(by_content))
+    if got != contents:
+        raise PreconditionError(
+            f"contents {got} do not match the shape's contents {contents}"
+        )
+    return DiagonalTableau(shape, tuple(by_content[c] for c in contents))
 
 
 def as_diagonal(t: Tableau) -> DiagonalTableau:

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 import schurmzv
-from schurmzv import mzv, stuffle
+from schurmzv import mzv, ribbons, shapes, stuffle
 from schurmzv.checkerboard import evaluate_checkerboard_13, evaluate_checkerboard_13_column
 from schurmzv.shapes import diagonal_tableau, make_skew
 
@@ -35,6 +35,8 @@ def cache_sizes():
 
 def warm():
     square = diagonal_tableau(make_skew((3, 3, 3)), {c: 3 if c % 2 == 0 else 1 for c in range(-2, 3)})
+    assert square.value_map[0] == 3 and square.to_tableau().weight == 19
+    assert ribbons.ribbon_of(make_skew((2, 1))).shape == make_skew((2, 1))
     assert evaluate_checkerboard_13(square).value == evaluate_checkerboard_13_column(square)
     stuffle.regularize((2, 1))
     mzv.numeric_mzv((1, 2))
@@ -44,11 +46,34 @@ def test_clear_caches_empties_every_cache():
     schurmzv.clear_caches()
     warm()
     before = cache_sizes()
-    assert len(before) == 13 and all(before.values()), before
+    assert len(before) == 17 and all(before.values()), before
     schurmzv.clear_caches()
     assert set(cache_sizes().values()) == {0}
     warm()
     assert cache_sizes() == before
+
+
+def test_value_memos_are_bounded():
+    """The memos that share shapes, ribbons and diagonal values hold at most
+    ``MEMO_SIZE`` entries, least recently used dropped first."""
+    schurmzv.clear_caches()
+    for n in range(2 * shapes.MEMO_SIZE):
+        shape = make_skew((n + 1,), (n,))
+        assert shapes.content_set(shape) == (n,)
+        assert diagonal_tableau(shape, {n: n + 1}).value_map == {n: n + 1}
+        assert ribbons.anchored_ribbon(n, ()).shape.n_cells == 1
+    memos = (
+        shapes.shared_shape,
+        shapes._content_set,
+        shapes._values,
+        shapes._value_map,
+        ribbons._ribbon,
+        ribbons._walk_shape,
+    )
+    for memo in memos:
+        assert memo.cache_info().currsize == shapes.MEMO_SIZE, memo
+    schurmzv.clear_caches()
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 def test_package_import_loads_no_module():

@@ -33,7 +33,7 @@ SQUARE = make_skew((2, 2))
 SAMPLES = {
     SkewShape: (("lam", "mu"), HOOK),
     Tableau: (("shape", "rows"), Tableau(HOOK, ((1, 2), (3,)))),
-    DiagonalTableau: (("shape", "by_content"), diagonal_tableau(HOOK, {-1: 1, 0: 2, 1: 3})),
+    DiagonalTableau: (("shape", "values"), diagonal_tableau(HOOK, {-1: 1, 0: 2, 1: 3})),
     Ribbon: (("start", "steps"), ribbon_of(HOOK)),
     OutsideDecomposition: (("host", "guide"), THETA),
     SubribbonEntry: (("status", "ribbon"), SubribbonEntry(SubribbonStatus.DEFINED, ribbon_of(HOOK))),
@@ -125,7 +125,7 @@ def test_repr_and_defaults():
         lambda: StairKind("A", 0, 3, 2),
         lambda: StairKind(kind="A", a=1, b=3, n=-1),
         lambda: SubribbonEntry(SubribbonStatus.EMPTY, ribbon_of(HOOK)),
-        lambda: DiagonalTableau(HOOK, ((0, 2), (1, 3))),
+        lambda: DiagonalTableau(HOOK, (2, 3)),
     ],
 )
 def test_post_init_checks_still_run(build):

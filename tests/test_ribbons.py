@@ -76,6 +76,18 @@ class TestRibbonBasics:
         # A single cell of content -2 sits at (3,1).
         assert anchored_ribbon(-2, ()).shape.cells == ((3, 1),)
 
+    def test_equal_ribbons_are_one_instance(self):
+        r = anchored_ribbon(-4, GUIDE.steps)
+        assert anchored_ribbon(-4, list(GUIDE.steps)) is r
+        assert ribbon_of(r.shape) is r
+        assert subribbon_of(GUIDE, -4, 3) is r
+        # the shape is memoized per walk, and is the shared shape of its lam/mu
+        assert r.shape is Ribbon(r.start, r.steps).shape
+        assert r.shape is make_skew(r.shape.lam, r.shape.mu)
+        assert "shape" not in vars(r)
+        # a ribbon built directly is a new instance of the same value
+        assert Ribbon(r.start, r.steps) is not r and Ribbon(r.start, r.steps) == r
+
     def test_subribbon_of(self):
         sub = subribbon_of(GUIDE, -4, 0)
         assert content_set(sub.shape) == (-4, -3, -2, -1, 0)

@@ -1,5 +1,8 @@
 """Tests for skew shapes, canonicalisation and tableaux."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +11,7 @@ from schurmzv.errors import PreconditionError
 from schurmzv.shapes import (
     EMPTY_SHAPE,
     MEMO_SIZE,
+    DiagonalTableau,
     SkewShape,
     as_diagonal,
     content,
@@ -89,6 +93,10 @@ class TestMakeSkew:
         assert s.lam == (6, 6, 6, 5, 3)
         assert s.mu == (6, 6, 4, 2)
         assert content_set(s) == (-4, -3, -2, -1, 0, 1, 2, 3)
+
+    @given(raw_skew_shapes())
+    def test_canonical_form_is_that_of_the_cells(self, s):
+        assert make_skew(s.lam, s.mu) is from_cells(s.cells)
 
     def test_interior_empty_row_kept(self):
         # Row 2 is empty; its lam_2 = mu_2 width is pinned by row 3 below it.
@@ -219,6 +227,31 @@ class TestDiagonalTableau:
     def test_content_mismatch(self):
         with pytest.raises(PreconditionError):
             diagonal_tableau(make_skew((2,)), {0: 1})
+        for by_content in ({0: 1, 1: 1, 2: 1}, {-1: 1, 0: 1}, {}):
+            with pytest.raises(PreconditionError, match="do not match"):
+                diagonal_tableau(make_skew((2,)), by_content)
+        with pytest.raises(PreconditionError, match="do not match"):
+            DiagonalTableau(make_skew((2,)), (1,))
+
+    @pytest.mark.parametrize("bad", [0, -2, 2.0, 2.5, "2", None])
+    def test_entries_must_be_positive_ints(self, bad):
+        with pytest.raises(PreconditionError, match="positive integers"):
+            diagonal_tableau(make_skew((2,)), {0: 1, 1: bad})
+        with pytest.raises(PreconditionError, match="positive integers"):
+            DiagonalTableau(make_skew((2,)), (bad, 1))
+
+    @given(skew_shapes(), st.randoms(use_true_random=False))
+    def test_views_round_trip(self, s, rng):
+        by_content = {c: rng.randint(1, 4) for c in content_set(s)}
+        d = diagonal_tableau(s, by_content)
+        assert d.by_content == tuple(sorted(by_content.items()))
+        assert d.value_map == by_content
+        assert diagonal_tableau(s, dict(d.by_content)) == d
+        assert diagonal_tableau(s, d.value_map) == d
+        assert DiagonalTableau(s, d.values) == d
+        t = d.to_tableau()
+        assert t.entries == {c: by_content[content(c)] for c in s.cells}
+        assert as_diagonal(t) == d
 
     def test_as_diagonal(self):
         s = make_skew((2, 2))
@@ -230,8 +263,9 @@ class TestDiagonalTableau:
 
 
 class TestDerivedMemo:
-    """cells and value_map are memoized per value, not stored per instance,
-    and equal diagonal tableaux share one by_content tuple."""
+    """cells, content_set and value_map are memoized per value, not stored
+    per instance; equal shapes are one instance, and equal diagonal
+    tableaux share one values tuple."""
 
     def test_equal_shapes_share_one_cells_tuple(self):
         a, b = make_skew((3, 2), (1,)), SkewShape((3, 2), (1,))
@@ -244,10 +278,48 @@ class TestDerivedMemo:
         a = diagonal_tableau(s, {-1: 2, 0: 1, 1: 3})
         b = diagonal_tableau(s, {1: 3, 0: 1, -1: 2})
         assert a.value_map is b.value_map
-        assert a.by_content is b.by_content
-        assert set(vars(a)) == {"shape", "by_content"}
+        assert a.values is b.values
+        assert a.values == (2, 1, 3)
+        assert set(vars(a)) == {"shape", "values"}
         with pytest.raises(TypeError):
             a.value_map[0] = 5
+
+    def test_equal_shapes_are_one_instance(self):
+        a = make_skew((3, 2), (1,))
+        assert make_skew([3, 2, 0], (1, 0)) is a
+        assert from_cells(reversed(a.cells)) is a
+        assert content_set(make_skew((3, 2), (1,))) is content_set(a)
+        # the empty rows above a nonempty one are anchored below
+        assert make_skew((4, 2), (4,)) is make_skew((2, 2), (2,))
+        assert make_skew((2, 1), (2, 1)) is EMPTY_SHAPE
+
+    def test_diagonal_tableau_stores_values_by_content(self):
+        s = make_skew((3, 1), (1,))  # contents -1, 1, 2: not consecutive
+        d = diagonal_tableau(s, {2: 3, -1: 1, 1: 2})
+        assert content_set(s) == (-1, 1, 2)
+        assert d.values == (1, 2, 3)
+        assert d.by_content == ((-1, 1), (1, 2), (2, 3))
+        assert d.to_tableau().rows == ((2, 3), (1,))
+
+    def test_tableau_memory_per_value(self):
+        # a tableau keeps one values tuple beside its shared shape, not a
+        # tuple of (content, value) pairs: about 45 B per value against 82
+        rng = random.Random(5)
+        shapes = []
+        while len(shapes) < 20:
+            lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+            if make_skew(lam) not in shapes:
+                shapes.append(make_skew(lam))
+        draws = [{c: rng.randint(1, 3) for c in content_set(s)} for s in shapes * 100]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [diagonal_tableau(s, d) for s, d in zip(shapes * 100, draws)]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_values = sum(len(k.values) for k in kept)
+        assert retained < 64 * n_values, retained / n_values
 
     def test_memo_is_bounded(self):
         for n in range(2 * MEMO_SIZE):
