@@ -38,18 +38,11 @@ from .ribbons import (
     RIGHT,
     UP,
     OutsideDecomposition,
-    Ribbon,
     anchored_ribbon,
     decomposition_from_ribbon,
     ribbon_matrix,
 )
-from .shapes import (
-    DiagonalTableau,
-    content_set,
-    diagonal_tableau,
-    from_cells,
-    is_admissible,
-)
+from .shapes import DiagonalTableau, content_set, is_admissible
 from .symbolic import (
     GaussianRational,
     ZetaSymbolValue,
@@ -69,9 +62,6 @@ KIND_B = "B"
 KIND_S = "S"
 KIND_SSTAR = "SStar"
 _KINDS = (KIND_A, KIND_B, KIND_S, KIND_SSTAR)
-
-#: Guide preference when several tessellations succeed at once.
-KIND_PREFERENCE = (KIND_S, KIND_SSTAR, KIND_A, KIND_B)
 
 
 class StairKind(Record):
@@ -155,16 +145,12 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
             f"{kind.kind}(0) is the empty diagram (value 1); no tableau exists"
         )
     steps = _stair_steps(kind.kind, kind.n)
-    cells = anchored_ribbon(0, steps).shape.cells
-    mi = min(i for i, _ in cells)
-    mj = min(j for _, j in cells)
-    shape = from_cells([(i - mi + 1, j - mj + 1) for i, j in cells])
-    c0 = content_set(shape)[0]
-    by_content = {
-        c0 + k: _stair_value(kind.kind, k, kind.a, kind.b)
-        for k in range(kind.n_cells)
-    }
-    return diagonal_tableau(shape, by_content)
+    # anchored at content -ups, the walk starts in column 1 and ends in row 1
+    shape = anchored_ribbon(-steps.count(UP), steps).shape
+    values = tuple(
+        _stair_value(kind.kind, k, kind.a, kind.b) for k in range(kind.n_cells)
+    )
+    return DiagonalTableau(shape, values)
 
 
 @lru_cache(maxsize=None)
@@ -311,13 +297,6 @@ def _roles_13(t: CheckerboardTableau, op: str) -> Tuple[int, int]:
     return 1, 3
 
 
-def _phase_guide(t: CheckerboardTableau, a: int) -> Ribbon:
-    """The zigzag guide of a checked checkerboard: a-diagonals step right,
-    b-diagonals step up."""
-    steps = tuple(RIGHT if v == a else UP for v in t.values[:-1])
-    return anchored_ribbon(content_set(t.shape)[0], steps)
-
-
 def _classify_span(length: int, lowest: int, a: int, b: int) -> StairKind:
     """The unique stair kind matching a guide chunk of this length/phase."""
     if length % 2 == 1:
@@ -332,36 +311,48 @@ def piece_kinds(
     theta: OutsideDecomposition,
     roles: Optional[Tuple[int, int]] = None,
 ) -> Tuple[StairKind, ...]:
-    """Classify every piece of a guide decomposition as a complete stair."""
+    """The stair kind of every piece of the phase-guide cut, by its length
+    and lowest value.
+
+    Every piece is a complete stair: the guide steps right on a-diagonals
+    and up on b-diagonals, and the values alternate strictly, so the steps
+    of a piece alternate, starting right from an a-cell and up from a
+    b-cell.
+    """
     a, b = roles if roles is not None else check_checkerboard(t)
-    out = []
-    for p in theta.pieces:
-        sk = _classify_span(p.cmax - p.cmin + 1, t.value_at(p.cmin), a, b)
-        expected = _stair_steps(sk.kind, sk.n)
-        if p.steps != expected:
-            raise InternalCheckError(
-                f"piece on contents [{p.cmin},{p.cmax}] walks {p.steps}, "
-                f"not the {sk.kind}({sk.n}) stair {expected}"
-            )
-        out.append(sk)
-    return tuple(out)
+    return tuple(
+        _classify_span(p.cmax - p.cmin + 1, t.value_at(p.cmin), a, b)
+        for p in theta.pieces
+    )
+
+
+def stair_cut(
+    t: CheckerboardTableau, roles: Optional[Tuple[int, int]] = None
+) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
+    """The cut of a checkerboard along its phase guide, and each piece's kind.
+
+    The guide is the zigzag that steps right on a-diagonals and up on
+    b-diagonals, the common shape of all four stair families under the
+    host's colouring.  ``roles`` are the values ``(a, b)`` when the caller
+    has checked the host already; otherwise it is checked here.
+    """
+    a, b = roles if roles is not None else check_checkerboard(t)
+    steps = tuple(RIGHT if v == a else UP for v in t.values[:-1])
+    guide = anchored_ribbon(content_set(t.shape)[0], steps)
+    theta = decomposition_from_ribbon(t.shape, guide)
+    return theta, piece_kinds(t, theta, (a, b))
 
 
 def tessellation_check(
     t: CheckerboardTableau, kind: str
 ) -> Tuple[bool, OutsideDecomposition]:
-    """Cut along the stair guide and test purity of the given kind.
+    """Whether every piece of the stair cut is a stair of the given kind.
 
-    Builds the zigzag ribbon through the host's contents (the common shape
-    of all four stair families under the host's colouring), decomposes,
-    and reports whether every piece is a complete stair of the requested
-    kind.  The decomposition is returned either way.
+    The decomposition is returned either way.
     """
     if kind not in _KINDS:
         raise PreconditionError(f"unknown stair kind {kind!r}; use one of {_KINDS}")
-    a, _ = check_checkerboard(t)
-    theta = decomposition_from_ribbon(t.shape, _phase_guide(t, a))
-    kinds = piece_kinds(t, theta)
+    theta, kinds = stair_cut(t)
     return all(sk.kind == kind for sk in kinds), theta
 
 
@@ -369,12 +360,13 @@ class CheckerboardReport(Record):
     """Full record of one closed-form checkerboard evaluation.
 
     ``matrix`` holds the raw subribbon closed forms in piece order
-    (smallest starting content first).  ``display_matrix`` is the same
-    determinant re-expressed for reading: pieces relabelled largest-first
-    and each row/column rescaled by powers of 2 so that diagonal A/B
-    entries become unit-coefficient single zetas; ``prefactor`` collects
-    the inverse scalings, so prefactor times det(display_matrix) equals
-    ``value`` exactly.
+    (smallest starting content first).  ``tessellated`` is the kind all
+    pieces share, or None.  The reading form is derived on each read:
+    ``display_matrix`` is the same determinant with the pieces relabelled
+    largest-first and each row/column rescaled by powers of 2 so that
+    diagonal A/B entries become unit-coefficient single zetas, and
+    ``prefactor`` collects the inverse scalings, so prefactor times
+    det(display_matrix) equals ``value`` exactly.
     """
 
     value: ZetaSymbolValue
@@ -384,8 +376,14 @@ class CheckerboardReport(Record):
     pieces: Tuple[StairKind, ...]
     tessellated: Optional[str]
     matrix: Tuple[Tuple[ZetaSymbolValue, ...], ...]
-    prefactor: Fraction
-    display_matrix: Tuple[Tuple[ZetaSymbolValue, ...], ...]
+
+    @property
+    def prefactor(self) -> Fraction:
+        return _display_form(self.matrix, self.pieces)[0]
+
+    @property
+    def display_matrix(self) -> Tuple[Tuple[ZetaSymbolValue, ...], ...]:
+        return _display_form(self.matrix, self.pieces)[1]
 
 
 def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
@@ -401,11 +399,9 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     carries no T whenever the tableau is admissible; both are asserted.
     """
     a, b = _roles_13(t, "evaluate_checkerboard_13")
-    theta = decomposition_from_ribbon(t.shape, _phase_guide(t, a))
-    kinds = piece_kinds(t, theta, roles=(a, b))
-    tessellated = next(
-        (k for k in KIND_PREFERENCE if all(sk.kind == k for sk in kinds)), None
-    )
+    theta, kinds = stair_cut(t, (a, b))
+    first = kinds[0].kind
+    tessellated = first if all(sk.kind == first for sk in kinds) else None
     rows = ribbon_matrix(
         theta,
         lambda p, q, _r: closed_form_13(_classify_span(q - p + 1, t.value_at(p), a, b)),
@@ -427,18 +423,7 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
         raise InternalCheckError(
             "admissible checkerboard produced a T-dependent value"
         )
-    prefactor, display = _display_form(rows, kinds)
-    return CheckerboardReport(
-        value=value,
-        weight=weight,
-        admissible=admissible,
-        decomposition=theta,
-        pieces=kinds,
-        tessellated=tessellated,
-        matrix=rows,
-        prefactor=prefactor,
-        display_matrix=display,
-    )
+    return CheckerboardReport(value, weight, admissible, theta, kinds, tessellated, rows)
 
 
 def _display_form(

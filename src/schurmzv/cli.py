@@ -46,8 +46,7 @@ from .checkerboard import (
     KIND_SSTAR,
     alpha,
     evaluate_checkerboard_13,
-    piece_kinds,
-    tessellation_check,
+    stair_cut,
 )
 from .errors import (
     InternalCheckError,
@@ -75,6 +74,8 @@ from .shapes import (
     SkewShape,
     Tableau,
     as_diagonal,
+    content_set,
+    diagonal_tableau,
     from_cells,
     tableau_from_entries,
 )
@@ -443,6 +444,7 @@ def _kind_list(kinds) -> List[Dict[str, object]]:
 def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
+    display = report.display_matrix
     t_value = _finite("--T", args.T) if args.T is not None else 0.0
     numeric = numeric_value(report.value, t_value=t_value)
     result = {
@@ -453,7 +455,7 @@ def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
         "tessellated": report.tessellated,
         "pieces": _kind_list(report.pieces),
         "prefactor": _frac(report.prefactor),
-        "display_matrix": [[render(e) for e in row] for row in report.display_matrix],
+        "display_matrix": [[render(e) for e in row] for row in display],
         "value_numeric": numeric,
     }
     diagnostics = {
@@ -469,7 +471,7 @@ def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
         "pieces: " + ", ".join(f"{k.kind}(n={k.n})" for k in report.pieces),
         f"determinant = {result['prefactor']} * det of:",
     ]
-    for row in report.display_matrix:
+    for row in display:
         pretty_lines.append("  [ " + " | ".join(render(e) for e in row) + " ]")
     return result, diagnostics, "\n".join(pretty_lines)
 
@@ -498,35 +500,25 @@ def _cmd_checkerboard_alpha(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 def _cmd_checkerboard_tessellate(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     shape, entries, _ = _load_grid(args.shape)
-    attempts = []
     if entries is None:
-        phases = [1, 3]
         candidates = []
-        for even_value in phases:
-            values = {
-                (j - i): (even_value if (j - i) % 2 == 0 else 4 - even_value)
-                for i, j in shape.cells
-            }
-            candidates.append((even_value, as_diagonal(
-                tableau_from_entries(
-                    shape, {(i, j): values[j - i] for i, j in shape.cells}
-                )
-            )))
+        for even in (1, 3):
+            values = {c: 4 - even if c % 2 else even for c in content_set(shape)}
+            candidates.append((even, diagonal_tableau(shape, values)))
     else:
         candidates = [(None, as_diagonal(tableau_from_entries(shape, entries)))]
-    overall = False
+    attempts = []
     for even_value, t in candidates:
-        ok, theta = tessellation_check(t, args.kind)
-        kinds = piece_kinds(t, theta)
+        theta, kinds = stair_cut(t)
         attempts.append(
             {
                 "even_content_value": even_value,
-                "tessellates": ok,
+                "tessellates": all(sk.kind == args.kind for sk in kinds),
                 "n_pieces": theta.n_pieces,
                 "pieces": _kind_list(kinds),
             }
         )
-        overall = overall or ok
+    overall = any(att["tessellates"] for att in attempts)
     result = {"kind": args.kind, "tessellates": overall, "attempts": attempts}
     pretty_lines = [f"kind {args.kind}: tessellates={overall}"]
     for att in attempts:

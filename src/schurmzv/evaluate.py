@@ -179,4 +179,4 @@ def jacobi_trudi_check_exact(
         Fraction(0),
         Fraction(1),
     )
-    return JTReport(lhs=lhs, rhs=det_fraction(mat), n=len(mat))
+    return JTReport(lhs, det_fraction(mat), len(mat))

@@ -324,8 +324,8 @@ def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
     entries = ribbon_matrix(
         theta,
         lambda p, q, r: SubribbonEntry(SubribbonStatus.DEFINED, subribbon_of(r, p, q)),
-        SubribbonEntry(SubribbonStatus.UNDEFINED),
-        SubribbonEntry(SubribbonStatus.EMPTY),
+        SubribbonEntry(SubribbonStatus.UNDEFINED, None),
+        SubribbonEntry(SubribbonStatus.EMPTY, None),
     )
     return SubribbonTable(theta.guide, entries)
 

@@ -296,9 +296,6 @@ class Tableau(Record):
         return sum(v for row in self.rows for v in row)
 
 
-EMPTY_TABLEAU = Tableau(EMPTY_SHAPE, ())
-
-
 def tableau_from_entries(shape: SkewShape, entries: Mapping[Cell, int]) -> Tableau:
     """Assemble a :class:`Tableau` from a complete cell-to-entry mapping."""
     if set(entries) != shape.cell_set:

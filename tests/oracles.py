@@ -11,10 +11,10 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import Dict, List, Sequence, Tuple
 
-from schurmzv.checkerboard import check_checkerboard
+from schurmzv.checkerboard import StairKind, _stair_steps, check_checkerboard
 from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import det_fraction, s_f_m
-from schurmzv.ribbons import RIGHT, UP, Ribbon, anchored_ribbon
+from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon
 from schurmzv.shapes import Cell, DiagonalTableau, SkewShape, Tableau, content_set
 from schurmzv.symbolic import (
     GaussianRational,
@@ -32,6 +32,17 @@ def is_checkerboard(t: DiagonalTableau) -> bool:
     except PreconditionError:
         return False
     return True
+
+
+def pieces_walk_their_stairs(
+    theta: OutsideDecomposition, kinds: Sequence[StairKind]
+) -> bool:
+    """Whether there is one kind per piece and each piece walks the steps of
+    its complete stair: A(n) (R U)^n, B(n) (U R)^n, S(n) U (R U)^(n-1) and
+    SStar(n) R (U R)^(n-1)."""
+    return len(kinds) == theta.n_pieces and all(
+        p.steps == _stair_steps(sk.kind, sk.n) for p, sk in zip(theta.pieces, kinds)
+    )
 
 
 def corners_by_neighbours(shape: SkewShape) -> Tuple[Cell, ...]:

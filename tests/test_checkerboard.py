@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schurmzv.checkerboard import (
@@ -18,6 +18,7 @@ from schurmzv.checkerboard import (
     l12,
     piece_kinds,
     reg13_formulas,
+    stair_cut,
     stair_tableau,
     tessellation_check,
     zeta_13,
@@ -41,7 +42,12 @@ from schurmzv.symbolic import (
     z4_star_power,
 )
 
-from oracles import is_checkerboard, sstar13_bernoulli, zeta_four_block_star
+from oracles import (
+    is_checkerboard,
+    pieces_walk_their_stairs,
+    sstar13_bernoulli,
+    zeta_four_block_star,
+)
 from test_ribbons import connected_skew_shapes
 
 P = ZetaSymbolValue.P
@@ -291,6 +297,23 @@ class TestTessellationCheck:
     def test_unknown_kind_rejected(self):
         with pytest.raises(PreconditionError):
             tessellation_check(checkerboard((3, 3, 3)), "X")
+
+
+class TestStairCut:
+    # (value on even contents, value on odd contents): both colourings of
+    # each value pair; a one-cell host is the single-valued case
+    @settings(max_examples=200, deadline=None)
+    @given(
+        connected_skew_shapes(max_cells=10),
+        st.sampled_from([(1, 3), (3, 1), (1, 2), (2, 1), (2, 3), (3, 2)]),
+    )
+    @example(make_skew((1,)), (2, 3))
+    @example(make_skew((2,), (1,)), (1, 3))
+    def test_every_piece_walks_its_stair(self, shape, colouring):
+        even, odd = colouring
+        t = checkerboard(shape.lam, shape.mu, even=even, odd=odd)
+        theta, kinds = stair_cut(t)
+        assert pieces_walk_their_stairs(theta, kinds)
 
 
 # The displayed 3x3 determinant: entries frozen from the closed forms of

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 
@@ -6,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schurmzv import cli, evaluate
-from schurmzv.checkerboard import StairKind, stair_tableau
+from schurmzv.checkerboard import StairKind, stair_cut, stair_tableau, tessellation_check
 from schurmzv.errors import ParseError
-from schurmzv.shapes import as_diagonal, make_skew
+from schurmzv.shapes import as_diagonal, content_set, diagonal_tableau, make_skew
 
 from test_ribbons import connected_skew_shapes
 
@@ -393,6 +395,39 @@ class TestCheckerboard:
         assert doc["result"]["tessellates"] is False
         assert len(doc["result"]["attempts"]) == 1
         assert doc["result"]["attempts"][0]["even_content_value"] is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=connected_skew_shapes(max_cells=8),
+        kind=st.sampled_from(["A", "B", "S", "SStar"]),
+    )
+    def test_tessellate_attempts_are_the_stair_cuts(self, tmp_path_factory, shape, kind):
+        path = tmp_path_factory.mktemp("tessellate") / "host.shape"
+        path.write_text(cli.render_grid(shape))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["checkerboard", "tessellate", "--kind", kind, str(path)])
+        assert rc == 0
+        want = []
+        for even in (1, 3):
+            t = diagonal_tableau(
+                shape, {c: even if c % 2 == 0 else 4 - even for c in content_set(shape)}
+            )
+            theta, kinds = stair_cut(t)
+            want.append(
+                {
+                    "even_content_value": even,
+                    "tessellates": tessellation_check(t, kind)[0],
+                    "n_pieces": theta.n_pieces,
+                    "pieces": [{"kind": k.kind, "a": k.a, "b": k.b, "n": k.n} for k in kinds],
+                }
+            )
+        result = json.loads(out.getvalue())["result"]
+        assert result == {
+            "kind": kind,
+            "tessellates": any(a["tessellates"] for a in want),
+            "attempts": want,
+        }
 
 
 class TestMzv:

@@ -47,7 +47,7 @@ SAMPLES = {
     StairKind: (("kind", "a", "b", "n"), StairKind("A", 1, 3, 2)),
     CheckerboardReport: (
         ("value", "weight", "admissible", "decomposition", "pieces",
-         "tessellated", "matrix", "prefactor", "display_matrix"),
+         "tessellated", "matrix"),
         evaluate_checkerboard_13(diagonal_tableau(SQUARE, {-1: 1, 0: 3, 1: 1})),
     ),
 }
