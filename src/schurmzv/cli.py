@@ -9,7 +9,8 @@ byte-identical output.
 
 Grid file format (shared by every command that reads a diagram): one line
 per row, cells separated by whitespace; ``.`` marks a cell of ``mu`` (a
-hole), anything else is a cell of the diagram.  Integer tokens give tableau
+hole), anything else is a cell of the diagram.  Integer tokens (ASCII
+decimal digits with an optional sign, as every integer flag) give tableau
 entries; any other token (conventionally ``x``) marks an entry-less cell
 for the shape-only commands.  Row and column position inside the file fix
 each cell's content, so a guiding ribbon should be drawn in the same frame
@@ -99,6 +100,15 @@ DEFAULT_CHECK_TOL = 1e-4
 # grid files
 
 
+def decimal_int(tok: str) -> int:
+    """An integer in ASCII decimal digits with an optional sign, else
+    ValueError; ``int`` also reads ``1_0``, whitespace and non-ASCII digits."""
+    digits = tok[1:] if tok[:1] in ("+", "-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{tok!r} is not a decimal integer")
+    return int(tok)
+
+
 def parse_grid(text: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
     """Read a diagram (and its entries, when integral) from grid text.
 
@@ -131,7 +141,7 @@ def parse_grid(text: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
 
     def as_int(tok: str) -> Optional[int]:
         try:
-            return int(tok)
+            return decimal_int(tok)
         except ValueError:
             return None
 
@@ -200,7 +210,7 @@ def _ladder(args: argparse.Namespace) -> Tuple[int, ...]:
     if args.ladder is None:
         return DEFAULT_LADDER
     try:
-        ladder = tuple(int(m) for m in args.ladder.split(","))
+        ladder = tuple(decimal_int(m) for m in args.ladder.split(","))
     except ValueError as exc:
         raise ParseError(f"--ladder: {exc}") from exc
     if any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
@@ -478,11 +488,8 @@ def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 def _parse_n_range(text: str) -> List[int]:
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
+        lo_s, dots, hi_s = text.partition("..")
+        lo, hi = decimal_int(lo_s), decimal_int(hi_s if dots else lo_s)
     except ValueError as exc:
         raise ParseError(f"--n expects N or LO..HI, got {text!r}") from exc
     if lo < 1 or hi < lo:
@@ -536,7 +543,7 @@ def _cmd_checkerboard_tessellate(args: argparse.Namespace) -> Tuple[dict, dict, 
 
 def _cmd_mzv(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     try:
-        idx = tuple(int(s) for s in args.index.split(","))
+        idx = tuple(decimal_int(s) for s in args.index.split(","))
     except ValueError as exc:
         raise ParseError(f"--index: {exc}") from exc
     value = numeric_mzv(idx)
@@ -560,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="exact truncated value of a tableau")
-    p.add_argument("-M", type=int, required=True, help="truncation level")
+    p.add_argument("-M", type=decimal_int, required=True, help="truncation level")
     p.add_argument("--extrapolate", action="store_true",
                    help="also report a Richardson estimate over the ladder")
     p.add_argument("--ladder", help="comma-separated truncation levels for "
@@ -587,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("jt-check", help="determinant identity at one truncation")
-    p.add_argument("-M", type=int, help="truncation level (exact mode)")
+    p.add_argument("-M", type=decimal_int, help="truncation level (exact mode)")
     p.add_argument("--ribbon", required=True, help="ribbon grid file")
     p.add_argument("--regularized", action="store_true",
                    help="compare regularized values instead of exact truncations")

@@ -20,6 +20,7 @@ entries.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from enum import Enum
 from functools import cached_property, lru_cache
 from typing import Callable, Optional, Tuple, TypeVar, Union
@@ -333,23 +334,20 @@ def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:
 def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
     """Decorate a ribbon with the host's diagonal values of equal content.
 
-    The rows are the walk's runs: an up step starts the next row above,
-    and the shape has no rows below the walk's start.
+    The ribbon's contents are consecutive, so its values are one slice of
+    ``k.values``, found in ``content_set(k.shape)``, and
+    :meth:`~schurmzv.shapes.DiagonalTableau.to_tableau` cuts the rows.
     """
-    values = k.value_map
-    cmin, cmax = ribbon.cmin, ribbon.cmax
-    missing = [c for c in range(cmin, cmax + 1) if c not in values]
-    if missing:
+    contents = content_set(k.shape)
+    lo = bisect_left(contents, ribbon.cmin)
+    hi = lo + ribbon.n_cells
+    # n sorted distinct ints from contents[lo] >= cmin up to cmax are cmin..cmax
+    if hi > len(contents) or contents[hi - 1] != ribbon.cmax:
+        missing = [c for c in range(ribbon.cmin, ribbon.cmax + 1) if c not in k.value_map]
         raise PreconditionError(
             f"host tableau has no diagonal values for contents {missing}"
         )
-    runs = [[values[cmin]]]
-    for c, s in enumerate(ribbon.steps, start=cmin + 1):
-        if s == UP:
-            runs.append([])
-        runs[-1].append(values[c])
-    above = ((),) * (ribbon.start[0] - len(runs))
-    return Tableau(ribbon.shape, above + tuple(map(tuple, reversed(runs))))
+    return DiagonalTableau(ribbon.shape, k.values[lo:hi]).to_tableau()
 
 
 def fill_subribbon(

@@ -26,12 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .mzv import (
     Index,
     check_index,
     expand_tableau,
-    is_admissible_index,
     numeric_mzv,
     truncated_mzv,
 )
@@ -150,13 +149,6 @@ class TPoly(TermMap):
                     out[key] = out[key] + cuv * cw if key in out else cuv * cw
         return out
 
-    def check_admissible_support(self) -> None:
-        for j, idx in self.terms:
-            if idx and not is_admissible_index(idx):
-                raise InternalCheckError(
-                    f"coefficient of T^{j} has non-admissible support: {idx}"
-                )
-
     def __repr__(self) -> str:
         return "TPoly[" + "; ".join(repr(c) for c in self.coeffs) + "]"
 
@@ -172,6 +164,11 @@ def regularize(idx: Sequence[int]) -> TPoly:
     to T; the extension is a quasi-shuffle ring homomorphism.  Trailing 1s
     are eliminated by expanding (1)*(head) and solving for the target term,
     whose multiplicity is the number of trailing 1s.
+
+    Every coefficient is supported on admissible (or empty) indices, by
+    induction on the number of trailing 1s: every term of (1)*(head) other
+    than idx has fewer of them.  The tests check this
+    (``tests/oracles.admissible_support``); this function does not.
 
     A nonempty idx must pass mzv.check_index, or PreconditionError is
     raised.  A tuple is looked up in ``_regularize_cache`` before it is
@@ -192,7 +189,6 @@ def regularize(idx: Sequence[int]) -> TPoly:
             if term != idx:
                 TermMap._accumulate(acc, regularize(term).terms, -c)
         result = TPoly._canonical(acc) * Fraction(1, int(prod.terms[idx]))
-    result.check_admissible_support()
     _regularize_cache[idx] = result
     return result
 

@@ -16,20 +16,21 @@ take (generator, exponent) pairs, and ``render`` and ``to_json_dict``
 order terms on those pairs.
 
 The ring core of these values, TermMap, is shared with the quasi-shuffle
-algebra (stuffle.QSElement), its extension by T (stuffle.TPoly, keyed by
-(j, idx) for T^j times the index) and the Gaussian rationals below.  The
-class constant ``_unit`` names the key of the unit, ``()`` unless a
-subclass says otherwise.  ``det`` is the one determinant routine, over any
-commutative ring.  Public values always
-carry canonical Fraction coefficients; only inside ``sym_det`` (and
-``evaluate.det_fraction``) does ``det`` run on rows cleared to int
-coefficients, which are divided back into Fractions once at the end.
-At load time this module imports nothing from the package but ``errors``,
-so every other module can build on it without a cycle.
+algebra (stuffle.QSElement) and its extension by T (stuffle.TPoly, keyed by
+(j, idx) for T^j times the index); the tests build one more ring on it, the
+Gaussian rationals of their Bernoulli oracles.  The class constant
+``_unit`` names the key of the unit, ``()`` unless a subclass says
+otherwise.  ``det`` is the one determinant routine, over any commutative
+ring.  Public values always carry canonical Fraction coefficients; only
+inside ``sym_det`` (and ``evaluate.det_fraction``) does ``det`` run on
+rows cleared to int coefficients, which are divided back into Fractions
+once at the end.  At load time this module imports nothing from the
+package but ``errors``, so every other module can build on it without a
+cycle.
 
-Also provides Bernoulli numbers (B1 = -1/2), Bernoulli polynomials over
-Gaussian rationals, and the exact coefficient sequences for zeta({4}^n)
-and its star variant.  All values are immutable and safe to share.
+Also provides Bernoulli numbers (B1 = -1/2) and the exact coefficient
+sequences for zeta({4}^n) and its star variant.  All values are immutable
+and safe to share.
 """
 
 from __future__ import annotations
@@ -111,11 +112,11 @@ def monomial_weight(mono: Monomial) -> int:
 class TermMap:
     """Sparse map key -> nonzero Fraction: the arithmetic of the exact rings.
 
-    ZetaSymbolValue (keys are monomials), GaussianRational (keys ``()`` and
-    ``"i"``), stuffle.QSElement (keys are indices) and stuffle.TPoly (keys
-    are (power of T, index) pairs) share it.  A subclass supplies its
-    constructor and ``_product``, the bilinear product of two elements as a
-    term dict that may hold zeros; ``_unit`` is the key of the unit.
+    ZetaSymbolValue (keys are monomials), stuffle.QSElement (keys are
+    indices) and stuffle.TPoly (keys are (power of T, index) pairs) share
+    it.  A subclass supplies its constructor and ``_product``, the bilinear
+    product of two elements as a term dict that may hold zeros; ``_unit``
+    is the key of the unit.
     Rationals act as constants.  An operand of another subclass gets
     NotImplemented, so mixing rings raises TypeError and compares unequal.
     """
@@ -509,56 +510,6 @@ def bernoulli_number(k: int) -> Fraction:
     for j in range(k):
         acc += math.comb(k + 1, j) * bernoulli_number(j)
     return -acc / (k + 1)
-
-
-class GaussianRational(TermMap):
-    """re + im*i, keyed by ``()`` for the real part and ``"i"`` for the
-    imaginary part; a real value equals and hashes like its rational."""
-
-    __slots__ = ()
-
-    @classmethod
-    def of(cls, re: Scalar, im: Scalar = 0) -> "GaussianRational":
-        return cls._canonical({k: Fraction(c) for k, c in (((), re), ("i", im)) if c})
-
-    @property
-    def re(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    @property
-    def im(self) -> Fraction:
-        return self.terms.get("i", Fraction(0))
-
-    def _product(self, other: "GaussianRational") -> Dict[object, Fraction]:
-        """Term dict of self * other, with i * i = -1."""
-        out: Dict[object, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key, c = ((), -c1 * c2) if k1 and k2 else (k1 or k2, c1 * c2)
-                out[key] = out[key] + c if key in out else c
-        return out
-
-    def conj(self) -> "GaussianRational":
-        return self._canonical({k: -c if k else c for k, c in self.terms.items()})
-
-    def is_real(self) -> bool:
-        return "i" not in self.terms
-
-    def is_imaginary(self) -> bool:
-        return () not in self.terms
-
-    def __repr__(self) -> str:
-        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-
-def bernoulli_poly(k: int, x: Union[GaussianRational, Scalar]) -> GaussianRational:
-    """B_k(x) = sum_j C(k,j) B_j x^(k-j) over Gaussian rationals, by Horner's rule."""
-    if k < 0:
-        raise PreconditionError("Bernoulli index must be nonnegative")
-    total = GaussianRational.zero()
-    for j in range(k + 1):
-        total = total * x + math.comb(k, j) * bernoulli_number(j)
-    return total
 
 
 @lru_cache(maxsize=None)

@@ -1,28 +1,148 @@
 """Independent routes that only the tests read.
 
-Each one recomputes a library value a second way (a Bernoulli polynomial,
-a product of ``{4}`` blocks, an h-determinant, a determinant by Bareiss
-elimination, a decomposition's guide from its pieces, a shape's corners
-and connectivity from its cell set) or restates a check in boolean form;
-the tests compare the two.
+Each one recomputes a library value a second way (a Bernoulli polynomial
+over the Gaussian rationals, a product of ``{4}`` blocks, an
+h-determinant, a determinant by Bareiss elimination, a decomposition's
+guide from its pieces, a ribbon's rows from its walk, a shape's corners
+and connectivity from its cell set) or restates a theorem the library
+relies on as a boolean check; the tests compare the two.
 """
 
 from fractions import Fraction
-from math import factorial, lcm
-from typing import Dict, List, Sequence, Tuple
+from math import comb, factorial, lcm
+from typing import Dict, List, Sequence, Tuple, Union
 
-from schurmzv.checkerboard import StairKind, _stair_steps, check_checkerboard
+from schurmzv.checkerboard import (
+    CheckerboardReport,
+    StairKind,
+    _stair_steps,
+    check_checkerboard,
+)
 from schurmzv.errors import InternalCheckError, PreconditionError
 from schurmzv.evaluate import det_fraction, s_f_m
+from schurmzv.mzv import is_admissible_index
 from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon
 from schurmzv.shapes import Cell, DiagonalTableau, SkewShape, Tableau, content_set
+from schurmzv.stuffle import TPoly
 from schurmzv.symbolic import (
-    GaussianRational,
+    Scalar,
+    TermMap,
     ZetaSymbolValue,
-    bernoulli_poly,
+    bernoulli_number,
     z4_power,
     z4_star_power,
 )
+
+
+class GaussianRational(TermMap):
+    """re + im*i, keyed by ``()`` for the real part and ``"i"`` for the
+    imaginary part; a real value equals and hashes like its rational."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, re: Scalar, im: Scalar = 0) -> "GaussianRational":
+        return cls._canonical({k: Fraction(c) for k, c in (((), re), ("i", im)) if c})
+
+    @property
+    def re(self) -> Fraction:
+        return self.terms.get((), Fraction(0))
+
+    @property
+    def im(self) -> Fraction:
+        return self.terms.get("i", Fraction(0))
+
+    def _product(self, other: "GaussianRational") -> Dict[object, Fraction]:
+        """Term dict of self * other, with i * i = -1."""
+        out: Dict[object, Fraction] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, c = ((), -c1 * c2) if k1 and k2 else (k1 or k2, c1 * c2)
+                out[key] = out[key] + c if key in out else c
+        return out
+
+    def conj(self) -> "GaussianRational":
+        return self._canonical({k: -c if k else c for k, c in self.terms.items()})
+
+    def is_real(self) -> bool:
+        return "i" not in self.terms
+
+    def is_imaginary(self) -> bool:
+        return () not in self.terms
+
+    def __repr__(self) -> str:
+        return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
+
+
+def bernoulli_poly(k: int, x: Union[GaussianRational, Scalar]) -> GaussianRational:
+    """B_k(x) = sum_j C(k,j) B_j x^(k-j) over Gaussian rationals, by Horner's rule."""
+    if k < 0:
+        raise PreconditionError("Bernoulli index must be nonnegative")
+    total = GaussianRational.zero()
+    for j in range(k + 1):
+        total = total * x + comb(k, j) * bernoulli_number(j)
+    return total
+
+
+def alpha_by_bernoulli(n: int) -> Fraction:
+    """alpha(n) by the paper's Bernoulli-polynomial expression:
+    8 i (8n+1) C(8n,4n) B_{4n+1}((1-i)/2) times the alternating Bernoulli
+    double sum, which is (4n)!/4 times ``z4_star_power(n)``.  The product
+    is real, which is asserted."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    x = GaussianRational.of(Fraction(1, 2), Fraction(-1, 2))
+    w = (
+        GaussianRational.of(0, 8)
+        * bernoulli_poly(4 * n + 1, x)
+        * Fraction((8 * n + 1) * comb(8 * n, 4 * n))
+        * (z4_star_power(n) * Fraction(factorial(4 * n), 4))
+    )
+    if not w.is_real():
+        raise InternalCheckError(f"alpha({n}) came out non-real: {w!r}")
+    return w.re
+
+
+def checkerboard_value_is_consistent(report: CheckerboardReport) -> bool:
+    """Whether a (1,3) checkerboard value is what the paper proves it is:
+    nonzero, weight-homogeneous of the tableau's weight, and free of T when
+    the tableau is admissible."""
+    v = report.value
+    try:
+        weight = v.homogeneous_weight()
+    except InternalCheckError:
+        return False
+    return (
+        bool(v)
+        and weight == report.weight
+        and not (report.admissible and v.has_generator("T"))
+    )
+
+
+def admissible_support(p: TPoly) -> bool:
+    """Whether every coefficient of p is supported on admissible (or empty)
+    indices."""
+    return all(not idx or is_admissible_index(idx) for _, idx in p.terms)
+
+
+def fill_by_walk(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
+    """A ribbon decorated with the host's diagonal values, row by row along
+    its walk: an up step starts the next row above, and the rows above the
+    walk's last are empty."""
+    values = k.value_map
+    cmin, cmax = ribbon.cmin, ribbon.cmax
+    missing = [c for c in range(cmin, cmax + 1) if c not in values]
+    if missing:
+        raise PreconditionError(
+            f"host tableau has no diagonal values for contents {missing}"
+        )
+    runs = [[values[cmin]]]
+    for c, s in enumerate(ribbon.steps, start=cmin + 1):
+        if s == UP:
+            runs.append([])
+        runs[-1].append(values[c])
+    above = ((),) * (ribbon.start[0] - len(runs))
+    return Tableau(ribbon.shape, above + tuple(map(tuple, reversed(runs))))
 
 
 def is_checkerboard(t: DiagonalTableau) -> bool:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,7 @@ from schurmzv.mzv import (
     richardson_extrapolate,
     truncated_mzv_float,
 )
-from schurmzv.shapes import content_set, diagonal_tableau, make_skew
+from schurmzv.shapes import content_set, diagonal_tableau, is_edge_connected, make_skew
 from schurmzv.stuffle import eval_tpoly, schur_regularize
 from schurmzv.symbolic import (
     ZetaSymbolValue,
@@ -43,6 +44,8 @@ from schurmzv.symbolic import (
 )
 
 from oracles import (
+    alpha_by_bernoulli,
+    checkerboard_value_is_consistent,
     is_checkerboard,
     pieces_walk_their_stairs,
     sstar13_bernoulli,
@@ -417,6 +420,26 @@ class TestEvaluate13:
             closed = numeric_value(rep.value, t_value=t_value)
             assert truncated == pytest.approx(closed, abs=1e-3)
 
+    def test_values_are_consistent_in_a_5x5_box(self):
+        # seeded edge-connected shapes lam/mu inside the 5x5 box, in both
+        # colourings: admissible hosts and regularized ones
+        rng = random.Random(2404)
+        admissible = set()
+        for _ in range(400):
+            lam = sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 5))), reverse=True)
+            mu = []
+            for part in lam:
+                mu.append(rng.randint(0, min([part] + mu[-1:])))
+            shape = make_skew(lam, [m for m in mu if m])
+            if not shape.cells or not is_edge_connected(shape):
+                continue
+            for even in (1, 3):
+                t = checkerboard(shape.lam, shape.mu, even=even, odd=4 - even)
+                rep = evaluate_checkerboard_13(t)
+                assert checkerboard_value_is_consistent(rep), (shape, even)
+                admissible.add(rep.admissible)
+        assert admissible == {True, False}
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_stair_and_column_guides_agree(self, data):
@@ -475,6 +498,10 @@ class TestG13AndAlpha:
         assert alpha(3) == Fraction(9656199193420, 21)
         assert alpha(4) == 2222659435447178310
         assert alpha(5) == Fraction(766533703696349735861335868, 11)
+
+    def test_alpha_matches_the_bernoulli_expression(self):
+        for n in range(1, 41):
+            assert alpha(n) == alpha_by_bernoulli(n), n
 
     def test_alpha_denominators(self):
         assert alpha(9).denominator == 133

@@ -569,3 +569,65 @@ class TestNonFiniteNumbers:
         tab = grid(tmp_path, "sq.tab", SQUARE)
         doc = self.refused(tmp_path, capsys, "checkerboard", "eval", f"--T={t}", tab)
         assert doc["input"]["T"] == t
+
+
+class TestIntegerTokens:
+    """Grid tokens and integer flags are ASCII decimal digits with an
+    optional sign; ``int`` alone also reads underscores and non-ASCII
+    digits, so ``1_0`` once read as 10 and ``٣`` as 3."""
+
+    def test_decimal_int(self):
+        assert [cli.decimal_int(t) for t in ("0", "7", "+3", "-12", "007")] == [0, 7, 3, -12, 7]
+        for tok in ("1_0", "٣", "３", " 3", "3 ", "", "+", "-", "+-3", "--3", "1.0", "0x1", "²"):
+            with pytest.raises(ValueError):
+                cli.decimal_int(tok)
+
+    @pytest.mark.parametrize("tok", ["1_0", "٣", "３"])
+    def test_grid_token_is_a_bare_marker(self, tmp_path, capsys, tok):
+        assert cli.parse_grid(f"{tok} x\nx") == (make_skew((2, 1)), None)
+        with pytest.raises(ParseError, match="mixes"):
+            cli.parse_grid(f"{tok} 1\n1")
+        rc, doc = run_json(tmp_path, capsys, "eval", "-M", "3", grid(tmp_path, "t.tab", tok))
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("mzv", "--index", "٢"), "--index"),
+            (("mzv", "--index", "2,1_0"), "--index"),
+            (("mzv", "--index", "2, 3"), "--index"),
+            (("checkerboard", "alpha", "--n", "١"), "--n"),
+            (("checkerboard", "alpha", "--n", "1..1_0"), "--n"),
+            (("eval", "-M", "3", "--extrapolate", "--ladder", "8,1_6"), "--ladder"),
+            (("eval", "-M", "3", "--extrapolate", "--ladder", "8,١٦"), "--ladder"),
+        ],
+    )
+    def test_flag_refused(self, tmp_path, capsys, argv, flag):
+        tab = grid(tmp_path, "hook.tab", HOOK_111) if argv[0] == "eval" else None
+        rc, doc = run_json(tmp_path, capsys, *argv, *([tab] if tab else []))
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert doc["error"]["message"].startswith(flag)
+
+    @pytest.mark.parametrize("m", ["1_0", "٣", "+-3"])
+    def test_m_refused(self, capsys, m):
+        for argv in (("eval", "-M", m, "f"), ("jt-check", "-M", m, "--ribbon", "r", "f")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(list(argv))
+            assert exc.value.code == 2
+            assert "-M" in capsys.readouterr().err
+
+    def test_signs_reach_the_range_checks(self, tmp_path, capsys):
+        for tok in ("0", "-1"):
+            with pytest.raises(ParseError, match="not a positive integer"):
+                cli.parse_grid(f"{tok} 1\n1")
+            rc, doc = run_json(None, capsys, "checkerboard", "alpha", "--n", tok)
+            assert rc == 2
+            assert "1 <= lo <= hi" in doc["error"]["message"]
+        rc, doc = run_json(None, capsys, "mzv", "--index", "0")
+        assert rc == 3
+        assert "positive" in doc["error"]["message"]
+        rc, doc = run_json(None, capsys, "mzv", "--index", "+2,+3")
+        assert rc == 0
+        assert doc["result"]["index"] == [2, 3]

@@ -40,7 +40,7 @@ from schurmzv.shapes import (
     translation_equivalent,
 )
 
-from oracles import pinned_guide
+from oracles import fill_by_walk, pinned_guide
 
 HOST = make_skew((4, 3, 3, 2, 1), (1,))
 GUIDE = ribbon_of(make_skew((6, 6, 6, 5, 3), (6, 6, 4, 2)))
@@ -442,6 +442,33 @@ class TestWalkOracle:
         k = diagonal_tableau(make_skew((1,)), {0: 2})
         with pytest.raises(PreconditionError, match=r"contents \[-1, 1, 2\]"):
             fill_ribbon(k, r)
+
+    @pytest.mark.parametrize("lam", [(4, 1), (5, 1)])
+    def test_fill_ribbon_refuses_a_gap_in_the_host(self, lam):
+        # lam/(2) has contents -1 and 2..lam[0]-1: a ribbon over -1..2 lands
+        # on host contents at both ends but not in between; on (5,1)/(2)
+        # the host has as many contents from -1 on as the ribbon has cells
+        shape = make_skew(lam, (2,))
+        k = diagonal_tableau(shape, {c: 1 + 2 * (c % 2) for c in content_set(shape)})
+        r = anchored_ribbon(-1, (RIGHT, UP, RIGHT))
+        with pytest.raises(PreconditionError, match=r"contents \[0, 1\]$"):
+            fill_ribbon(k, r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fill_ribbon_matches_the_walk(self, data):
+        host = data.draw(connected_skew_shapes(max_cells=10))
+        span = content_set(host)
+        steps = data.draw(
+            st.lists(st.sampled_from((UP, RIGHT)), min_size=len(span) - 1, max_size=len(span) - 1)
+        )
+        guide = anchored_ribbon(span[0], tuple(steps))
+        values = data.draw(st.lists(st.integers(1, 9), min_size=len(span), max_size=len(span)))
+        k = diagonal_tableau(host, dict(zip(span, values)))
+        for p in span:
+            for q in span[span.index(p):]:
+                sub = subribbon_of(guide, p, q)
+                assert fill_ribbon(k, sub) == fill_by_walk(k, sub)
 
     @pytest.mark.parametrize(
         "start, steps",

@@ -47,6 +47,7 @@ from schurmzv.stuffle import (
 )
 from schurmzv.symbolic import det
 
+from oracles import admissible_support
 from test_acceptance import CRITERION_07_HOSTS, checkerboard, random_connected_shape, random_guide
 from test_ribbons import connected_skew_shapes
 
@@ -177,9 +178,13 @@ class TestRegularize:
         assert set(stuffle._regularize_cache) == {(2, 1), (2,), (1, 2), (3,), ()}
 
     def test_admissible_support_invariant(self):
-        for idx in [(1, 1, 1), (2, 1, 1), (1, 2, 1), (3, 1)]:
-            poly = regularize(idx)
-            poly.check_admissible_support()  # raises on violation
+        # every index of weight w <= 10: the cut points of 1..w-1 that a
+        # bit mask selects
+        for w in range(1, 11):
+            for mask in range(1 << (w - 1)):
+                cuts = [0] + [i for i in range(1, w) if mask >> (i - 1) & 1] + [w]
+                idx = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+                assert admissible_support(regularize(idx)), idx
 
     @settings(max_examples=20, deadline=None)
     @given(u=indices, v=indices)

@@ -16,11 +16,9 @@ from schurmzv.stuffle import QSElement, TPoly
 from schurmzv.symbolic import (
     EXPONENT_GUARD,
     FIELD_BITS,
-    GaussianRational,
     TermMap,
     ZetaSymbolValue,
     bernoulli_number,
-    bernoulli_poly,
     det,
     numeric_value,
     render,
@@ -31,7 +29,13 @@ from schurmzv.symbolic import (
     zeta_single,
 )
 
-from oracles import bareiss_det, zeta_four_block, zeta_four_block_star
+from oracles import (
+    GaussianRational,
+    bareiss_det,
+    bernoulli_poly,
+    zeta_four_block,
+    zeta_four_block_star,
+)
 
 Sym = ZetaSymbolValue
 
@@ -217,7 +221,7 @@ def test_every_term_map_is_sampled():
     for info in pkgutil.iter_modules(schurmzv.__path__):
         importlib.import_module(f"schurmzv.{info.name}")
     ours = {c for c in TermMap.__subclasses__() if c.__module__.startswith("schurmzv.")}
-    assert ours == set(RINGS)
+    assert ours == {c for c in RINGS if c.__module__.startswith("schurmzv.")}
 
 
 @pytest.mark.parametrize("cls", list(RINGS), ids=lambda c: c.__name__)
