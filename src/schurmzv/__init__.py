@@ -6,35 +6,25 @@ decomposes diagrams into ribbons, verifies the associated determinant
 identities, and produces closed forms for checkerboard-stair families.
 """
 
+import sys
+
 __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module cache (the README lists them) to free memory.
+    """Empty every module cache to free memory: each ``lru_cache`` that a
+    loaded ``schurmzv`` module defines, and each module-level ``_*_cache``
+    dict (the README lists them).
 
-    No cached value changes a result, so calls before and after agree.
-    The modules are imported here, not at package import, so ``import
-    schurmzv`` stays cheap.
+    No cached value changes a result, so calls before and after agree.  A
+    module not yet imported has nothing cached, so none is imported here,
+    and ``import schurmzv`` stays cheap.
     """
-    from . import checkerboard, mzv, ribbons, shapes, stuffle, symbolic
-
-    mzv._numeric_cache.clear()
-    stuffle._regularize_cache.clear()
-    for memo in (
-        shapes._cells,
-        shapes.shared_shape,
-        shapes._content_set,
-        shapes._values,
-        shapes._value_map,
-        ribbons._ribbon,
-        ribbons._walk_shape,
-        stuffle.stuffle_product,
-        symbolic.bernoulli_number,
-        symbolic.z4_power,
-        symbolic.z4_star_power,
-        checkerboard.closed_form_13,
-        checkerboard.zeta_13,
-        checkerboard.zeta_3_13,
-        checkerboard.reg13_formulas,
-    ):
-        memo.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if not name.startswith(__name__ + "."):
+            continue
+        for key, obj in vars(module).items():
+            if hasattr(obj, "cache_clear") and getattr(obj, "__module__", None) == name:
+                obj.cache_clear()
+            elif key.startswith("_") and key.endswith("_cache") and isinstance(obj, dict):
+                obj.clear()

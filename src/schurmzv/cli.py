@@ -9,13 +9,16 @@ byte-identical output.
 
 Grid file format (shared by every command that reads a diagram): one line
 per row, cells separated by whitespace; ``.`` marks a cell of ``mu`` (a
-hole), anything else is a cell of the diagram.  Integer tokens (ASCII
-decimal digits with an optional sign, as every integer flag) give tableau
+hole), anything else is a cell of the diagram.  Integer tokens give tableau
 entries; any other token (conventionally ``x``) marks an entry-less cell
 for the shape-only commands.  Row and column position inside the file fix
 each cell's content, so a guiding ribbon should be drawn in the same frame
 as its host; if its content range is offset, it is re-anchored onto the
 host's diagonals and the shift is reported.
+
+Numbers, in a grid and in every flag, are read by :func:`decimal_int` and
+:func:`decimal_float` only, ASCII and finite; a refused value is a
+:class:`ParseError` that names the flag, echoed as typed.
 
 Flags: there is no config file.  Each subcommand takes only the flags it
 reads, and a flag its chosen mode never reads is refused before any file is
@@ -25,10 +28,11 @@ opened: ``eval`` reads ``--ladder`` only with ``--extrapolate``, and
 ``evaluate.FILLING_CAP`` (10^8 fillings per truncated sum), reported as
 ``diagnostics.cap`` by ``eval`` and exact ``jt-check``.
 
-Exit codes: 0 success, 2 malformed input, 3 precondition violation,
-4 resource limit (the filling budget, or an exact value with more digits
-than Python converts an integer to text, ``sys.get_int_max_str_digits()``),
-5 internal consistency failure.
+Exit codes are the ``exit_code`` of the error types in
+:mod:`schurmzv.errors`: 0 success, 2 malformed input, 3 precondition
+violation, 4 resource limit (the filling budget, or an exact value with more
+digits than Python converts an integer to text,
+``sys.get_int_max_str_digits()``).
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from .checkerboard import (
     KIND_A,
@@ -49,13 +54,7 @@ from .checkerboard import (
     evaluate_checkerboard_13,
     stair_cut,
 )
-from .errors import (
-    InternalCheckError,
-    ParseError,
-    PreconditionError,
-    ResourceLimitError,
-    SchurMzvError,
-)
+from .errors import ParseError, ResourceLimitError, SchurMzvError
 from .evaluate import FILLING_CAP, jacobi_trudi_check_exact, truncated_schur_zeta
 from .mzv import (
     expand_tableau,
@@ -83,12 +82,6 @@ from .shapes import (
 from .stuffle import regularized_jt_check, schur_regularize
 from .symbolic import numeric_abs_sum, numeric_value, render, to_json_dict
 
-EXIT_OK = 0
-EXIT_PARSE = 2
-EXIT_PRECONDITION = 3
-EXIT_RESOURCE = 4
-EXIT_INTERNAL = 5
-
 #: Changes no value; perfbench/workloads.py passes it to numeric_mzv.
 DEFAULT_TOLERANCE = 1e-8
 DEFAULT_LADDER = (1024, 2048, 4096)
@@ -107,6 +100,34 @@ def decimal_int(tok: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"{tok!r} is not a decimal integer")
     return int(tok)
+
+
+def decimal_float(tok: str) -> float:
+    """A finite float in ASCII decimal notation, else ValueError; ``float``
+    also reads ``1_0``, whitespace, non-ASCII digits, ``nan``, ``inf`` and
+    hex, and reads ``1e400`` as inf."""
+    pattern = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?"
+    value = float(tok) if re.fullmatch(pattern, tok) else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"{tok!r} is not a finite decimal number")
+    return value
+
+
+N = TypeVar("N", int, float)
+
+
+def _read(flag: str, text: str, reader: Callable[[str], N]) -> N:
+    """One flag value through ``reader``, refused with a ParseError that
+    names the flag."""
+    try:
+        return reader(text)
+    except ValueError as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
+
+
+def _read_list(flag: str, text: str, reader: Callable[[str], N]) -> Tuple[N, ...]:
+    """A comma-separated flag value, each item through ``reader``."""
+    return tuple(_read(flag, item, reader) for item in text.split(","))
 
 
 def parse_grid(text: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
@@ -198,21 +219,11 @@ def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
 # flags
 
 
-def _finite(what: str, value: float) -> float:
-    """Pass a parsed float through, or refuse nan and infinities."""
-    if not math.isfinite(value):
-        raise ParseError(f"{what} must be a finite number, got {value}")
-    return value
-
-
 def _ladder(args: argparse.Namespace) -> Tuple[int, ...]:
     """The ``--ladder`` levels, or DEFAULT_LADDER when the flag is absent."""
     if args.ladder is None:
         return DEFAULT_LADDER
-    try:
-        ladder = tuple(decimal_int(m) for m in args.ladder.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--ladder: {exc}") from exc
+    ladder = _read_list("--ladder", args.ladder, decimal_int)
     if any(m < 2 for m in ladder) or sorted(set(ladder)) != list(ladder):
         raise ParseError(f"ladder must be strictly increasing levels >= 2, got {ladder}")
     return ladder
@@ -233,8 +244,9 @@ def _dest(flag: str) -> str:
 
 
 def check_flags(args: argparse.Namespace) -> None:
-    """Refuse flags the chosen mode never reads and out-of-range values,
-    before any file is opened."""
+    """Refuse flags the chosen mode never reads, and read the numbers of
+    ``-M``, ``--check-tol`` and ``checkerboard eval --T`` into ``args``,
+    refusing malformed and out-of-range values, before any file is opened."""
     for command, flag, mode, with_mode in _MODE_SETTINGS:
         if (
             args.command == command
@@ -247,11 +259,16 @@ def check_flags(args: argparse.Namespace) -> None:
             )
     if args.command == "eval":
         _ladder(args)
-    if getattr(args, "M", None) is not None and args.M < 1:
-        raise ParseError(f"-M must be at least 1, got {args.M}")
+    if getattr(args, "M", None) is not None:
+        args.M = _read("-M", args.M, decimal_int)
+        if args.M < 1:
+            raise ParseError(f"-M must be at least 1, got {args.M}")
     if getattr(args, "check_tol", None) is not None:
-        if _finite("--check-tol", args.check_tol) < 0:
+        args.check_tol = _read("--check-tol", args.check_tol, decimal_float)
+        if args.check_tol < 0:
             raise ParseError(f"--check-tol must not be negative, got {args.check_tol}")
+    if args.command == "checkerboard" and getattr(args, "T", None) is not None:
+        args.T = _read("--T", args.T, decimal_float)
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +418,8 @@ def _cmd_jt_check(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     diagnostics: Dict[str, object] = {"ribbon_shift": shift}
     if args.regularized:
         t_text = DEFAULT_T_SAMPLES if args.T is None else args.T
+        t_samples = _read_list("--T", t_text, decimal_float)
         check_tol = DEFAULT_CHECK_TOL if args.check_tol is None else args.check_tol
-        try:
-            t_samples = tuple(_finite("--T", float(s)) for s in t_text.split(","))
-        except ValueError as exc:
-            raise ParseError(f"--T: {exc}") from exc
         report = regularized_jt_check(diagonal, theta, t_samples)
         within = report.max_discrepancy <= check_tol
         result = {
@@ -455,7 +469,7 @@ def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     tab, _ = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
     display = report.display_matrix
-    t_value = _finite("--T", args.T) if args.T is not None else 0.0
+    t_value = 0.0 if args.T is None else args.T
     numeric = numeric_value(report.value, t_value=t_value)
     result = {
         "symbolic": to_json_dict(report.value),
@@ -542,10 +556,7 @@ def _cmd_checkerboard_tessellate(args: argparse.Namespace) -> Tuple[dict, dict, 
 
 
 def _cmd_mzv(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    try:
-        idx = tuple(decimal_int(s) for s in args.index.split(","))
-    except ValueError as exc:
-        raise ParseError(f"--index: {exc}") from exc
+    idx = _read_list("--index", args.index, decimal_int)
     value = numeric_mzv(idx)
     result = {"index": list(idx), "value_numeric": value}
     return result, {}, f"z{idx} ~ {value:.12g}"
@@ -567,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="exact truncated value of a tableau")
-    p.add_argument("-M", type=decimal_int, required=True, help="truncation level")
+    p.add_argument("-M", required=True, help="truncation level")
     p.add_argument("--extrapolate", action="store_true",
                    help="also report a Richardson estimate over the ladder")
     p.add_argument("--ladder", help="comma-separated truncation levels for "
@@ -594,13 +605,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("jt-check", help="determinant identity at one truncation")
-    p.add_argument("-M", type=decimal_int, help="truncation level (exact mode)")
+    p.add_argument("-M", help="truncation level (exact mode)")
     p.add_argument("--ribbon", required=True, help="ribbon grid file")
     p.add_argument("--regularized", action="store_true",
                    help="compare regularized values instead of exact truncations")
     p.add_argument("--T", help="comma-separated T samples for --regularized "
                                f"(default {DEFAULT_T_SAMPLES})")
-    p.add_argument("--check-tol", type=float,
+    p.add_argument("--check-tol",
                    help="acceptance threshold for --regularized discrepancies "
                         f"(default {DEFAULT_CHECK_TOL:g})")
     p.add_argument("tableau", help="diagonal-constant tableau grid file")
@@ -616,8 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p.add_subparsers(dest="subcommand", required=True)
 
     c = csub.add_parser("eval", help="closed-form value of a {1,3} checkerboard")
-    c.add_argument("--T", type=float,
-                   help="T value for the numeric companion (default 0)")
+    c.add_argument("--T", help="T value for the numeric companion (default 0)")
     c.add_argument("tableau", help="tableau grid file")
     _add_common(c)
     c.set_defaults(handler=_cmd_checkerboard_eval)
@@ -641,13 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _input_echo(args: argparse.Namespace) -> Dict[str, object]:
     skip = {"handler", "command", "subcommand", "pretty"}
     echo: Dict[str, object] = {}
-    for key in sorted(vars(args)):
-        if key in skip:
-            continue
-        value = getattr(args, key)
-        if isinstance(value, float) and not math.isfinite(value):
-            value = str(value)
-        if value is not None and value is not False:
+    for key, value in sorted(vars(args).items()):
+        if key not in skip and value is not None and value is not False:
             echo[key] = value
     return echo
 
@@ -662,12 +667,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         check_flags(args)
         result, diagnostics, pretty = args.handler(args)
     except SchurMzvError as exc:
-        code = {
-            ParseError: EXIT_PARSE,
-            PreconditionError: EXIT_PRECONDITION,
-            ResourceLimitError: EXIT_RESOURCE,
-            InternalCheckError: EXIT_INTERNAL,
-        }.get(type(exc), EXIT_PRECONDITION)
         payload = {
             "command": command,
             "input": _input_echo(args),
@@ -675,7 +674,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }
         print(json.dumps(payload, indent=2))
         print(f"error: {exc}", file=sys.stderr)
-        return code
+        return exc.exit_code
     payload = {
         "command": command,
         "input": _input_echo(args),
@@ -686,7 +685,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(pretty)
     else:
         print(json.dumps(payload, indent=2))
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

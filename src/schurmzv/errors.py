@@ -1,16 +1,18 @@
 """Exceptions shared across the package.
 
-The command line tool maps these onto distinct exit codes, so library code
-should raise the most specific one that applies.
+Each type carries the exit code the command line returns for it, so
+library code should raise the most specific one that applies.
 """
 
 
 class SchurMzvError(Exception):
     """Base class for all package errors."""
+    exit_code = 3
 
 
 class ParseError(SchurMzvError):
-    """Malformed textual input (tableau files, index strings, config)."""
+    """Malformed textual input (tableau files, index strings, flag values)."""
+    exit_code = 2
 
 
 class PreconditionError(SchurMzvError):
@@ -19,7 +21,4 @@ class PreconditionError(SchurMzvError):
 
 class ResourceLimitError(SchurMzvError):
     """An enumeration or summation exceeded its configured budget."""
-
-
-class InternalCheckError(SchurMzvError):
-    """A self-consistency assertion failed; indicates a bug, not bad input."""
+    exit_code = 4

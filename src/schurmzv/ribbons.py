@@ -33,6 +33,7 @@ from .shapes import (
     DiagonalTableau,
     SkewShape,
     Tableau,
+    canonical_rows,
     content,
     content_set,
     is_edge_connected,
@@ -98,9 +99,8 @@ class Ribbon(Record):
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _walk_shape(start: Cell, steps: Tuple[str, ...]) -> SkewShape:
-    """The walk's ``lam/mu``: row ``i`` spans the columns the walk visits
-    there, and the empty rows above the top run are anchored at its right
-    end."""
+    """The walk's canonical rows: row ``i`` spans the columns the walk
+    visits there, and the rows above the top run are empty."""
     i0, j0 = start
     lam, mu = [], []  # bottom row first
     lo = j = j0
@@ -113,12 +113,8 @@ def _walk_shape(start: Cell, steps: Tuple[str, ...]) -> SkewShape:
             lo = j
     lam.append(j)
     mu.append(lo - 1)
-    lam.reverse()
-    mu.reverse()
-    while mu and mu[-1] == 0:
-        mu.pop()
-    pad = (j,) * (i0 - len(lam))
-    return shared_shape(pad + tuple(lam), pad + tuple(mu))
+    pad = [0] * (i0 - len(lam))
+    return shared_shape(*canonical_rows(pad + lam[::-1], pad + mu[::-1]))
 
 
 @lru_cache(maxsize=MEMO_SIZE)

@@ -4,8 +4,7 @@ Cells are pairs ``(i, j)`` with row ``i`` counted from the top and column
 ``j`` from the left, both starting at 1.  The content of a cell is ``j - i``.
 A skew shape is stored as the pair of partitions ``lam/mu``; rows with
 ``lam[i] == mu[i]`` are legal and meaningful (they anchor the contents of the
-rows below), so normalisation only strips trailing empty rows and trailing
-zeros of ``mu``.
+rows below), so :func:`canonical_rows` keeps them, anchored at the row below.
 """
 
 from __future__ import annotations
@@ -119,80 +118,75 @@ def _cells(lam: Partition, mu: Partition) -> Tuple[Cell, ...]:
 @lru_cache(maxsize=MEMO_SIZE)
 def shared_shape(lam: Partition, mu: Partition) -> SkewShape:
     """The one :class:`SkewShape` for a canonical ``lam/mu`` while it is in
-    the memo, so equal shapes share one instance and one pair of tuples.
+    the memo, so equal shapes share one instance and one pair of tuples;
+    ``EMPTY_SHAPE`` for ``((), ())``.
 
     The partitions are taken as given; :func:`make_skew` and
-    :func:`from_cells` check and canonicalise them first.
+    :func:`from_cells` check them and bring them to :func:`canonical_rows`.
     """
-    return SkewShape(lam, mu)
+    return SkewShape(lam, mu) if lam else EMPTY_SHAPE
 
 
 EMPTY_SHAPE = SkewShape((), ())
 
 
-def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
-    """The shared canonical skew shape ``lam/mu``, as :func:`from_cells`
-    would return it for the cells.
+def canonical_rows(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
+    """The canonical, unvalidated ``(lam, mu)`` of rows ``mu_i < j <= lam_i``
+    (``mu`` zero-padded): trailing empty rows are dropped, each empty row is
+    anchored at the length of the row below, and ``mu``'s trailing zeros go."""
+    lam, mu = list(lam), list(mu) + [0] * (len(lam) - len(mu))
+    while lam and lam[-1] == mu[-1]:
+        lam.pop()
+        mu.pop()
+    for i in range(len(lam) - 2, -1, -1):
+        if lam[i] == mu[i]:
+            lam[i] = mu[i] = lam[i + 1]
+    while mu and mu[-1] == 0:
+        mu.pop()
+    return tuple(lam), tuple(mu)
 
-    Trailing empty rows are dropped, and each empty row above a nonempty
-    one is anchored at the length of the row below it.  Raises
-    :class:`PreconditionError` unless both arguments are partitions with
-    ``mu`` contained in ``lam``.
+
+def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
+    """The shared shape of :func:`shared_shape` for the canonical rows of
+    ``lam/mu``, as :func:`from_cells` would return it for the cells.
+
+    Raises :class:`PreconditionError` unless both arguments are partitions
+    with ``mu`` contained in ``lam``.
     """
     lam = check_partition(lam, name="lam")
     mu = check_partition(mu, name="mu")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         raise PreconditionError(f"mu={mu} is not contained in lam={lam}")
-    lam_l, mu_l = list(lam), list(mu) + [0] * (len(lam) - len(mu))
-    while lam_l and lam_l[-1] == mu_l[-1]:
-        lam_l.pop()
-        mu_l.pop()
-    if not lam_l:
-        return EMPTY_SHAPE
-    for i in range(len(lam_l) - 2, -1, -1):
-        if lam_l[i] == mu_l[i]:
-            lam_l[i] = mu_l[i] = lam_l[i + 1]
-    while mu_l and mu_l[-1] == 0:
-        mu_l.pop()
-    return shared_shape(tuple(lam_l), tuple(mu_l))
+    return shared_shape(*canonical_rows(lam, mu))
 
 
 def from_cells(cells: Iterable[Cell]) -> SkewShape:
-    """Reconstruct the canonical ``lam/mu`` presentation of a cell set, as
-    the shared shape of :func:`shared_shape`.
+    """The shared shape of :func:`shared_shape` for the canonical rows of a
+    cell set.
 
     Rows must occupy contiguous column intervals that weakly shift left going
-    down; empty rows between occupied ones are kept as ``lam_i == mu_i`` so
-    that contents are preserved.  Raises :class:`PreconditionError` if the
-    cells do not form a skew diagram.
+    down; an empty row between occupied ones is kept, anchored as
+    ``lam_i == mu_i``, so that contents are preserved.  Raises
+    :class:`PreconditionError` if the cells do not form a skew diagram.
     """
     cell_list = sorted(set((int(i), int(j)) for i, j in cells))
-    if not cell_list:
-        return EMPTY_SHAPE
     if any(i < 1 or j < 1 for i, j in cell_list):
         raise PreconditionError(f"cells must have positive coordinates: {cell_list}")
 
     by_row: Dict[int, list] = {}
     for i, j in cell_list:
         by_row.setdefault(i, []).append(j)
+    n_rows = max(by_row, default=0)
+    lam, mu = [0] * n_rows, [0] * n_rows
     for i, js in by_row.items():
         if js != list(range(js[0], js[0] + len(js))):
             raise PreconditionError(f"row {i} is not contiguous: columns {js}")
-    n_rows = max(by_row)
-    lam = [0] * (n_rows + 1)
-    mu = [0] * (n_rows + 1)
-    for i in range(n_rows, 0, -1):
-        if i in by_row:
-            mu[i], lam[i] = by_row[i][0] - 1, by_row[i][-1]
-        else:  # i < n_rows, since the last row holds a cell
-            mu[i] = lam[i] = lam[i + 1]
-    lam_t, mu_t = tuple(lam[1:]), tuple(mu[1:])
+        mu[i - 1], lam[i - 1] = js[0] - 1, js[-1]
+    lam_t, mu_t = canonical_rows(lam, mu)
     if any(a < b for a, b in zip(lam_t, lam_t[1:])) or any(
         a < b for a, b in zip(mu_t, mu_t[1:])
     ):
         raise PreconditionError(f"cells {cell_list} do not form a skew diagram")
-    while mu_t and mu_t[-1] == 0:
-        mu_t = mu_t[:-1]
     return shared_shape(lam_t, mu_t)
 
 

@@ -41,7 +41,7 @@ from functools import lru_cache, reduce
 from operator import or_
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, TypeVar, Union
 
-from .errors import InternalCheckError, PreconditionError, ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 
 Scalar = Union[int, Fraction]
 
@@ -292,12 +292,12 @@ class ZetaSymbolValue(TermMap):
         return out
 
     def homogeneous_weight(self) -> Optional[int]:
-        """Weight if homogeneous (None for 0); raises if weights are mixed."""
+        """Weight if homogeneous (None for 0); PreconditionError if mixed."""
         ws = {monomial_weight(m) for m in self.terms}
         if not ws:
             return None
         if len(ws) > 1:
-            raise InternalCheckError(f"value is not weight-homogeneous: weights {sorted(ws)}")
+            raise PreconditionError(f"value is not weight-homogeneous: weights {sorted(ws)}")
         return ws.pop()
 
     def coefficient(self, pairs: GeneratorPairs) -> Fraction:

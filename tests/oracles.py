@@ -18,7 +18,7 @@ from schurmzv.checkerboard import (
     _stair_steps,
     check_checkerboard,
 )
-from schurmzv.errors import InternalCheckError, PreconditionError
+from schurmzv.errors import PreconditionError
 from schurmzv.evaluate import det_fraction, s_f_m
 from schurmzv.mzv import is_admissible_index
 from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon
@@ -99,7 +99,7 @@ def alpha_by_bernoulli(n: int) -> Fraction:
         * (z4_star_power(n) * Fraction(factorial(4 * n), 4))
     )
     if not w.is_real():
-        raise InternalCheckError(f"alpha({n}) came out non-real: {w!r}")
+        raise AssertionError(f"alpha({n}) came out non-real: {w!r}")
     return w.re
 
 
@@ -110,7 +110,7 @@ def checkerboard_value_is_consistent(report: CheckerboardReport) -> bool:
     v = report.value
     try:
         weight = v.homogeneous_weight()
-    except InternalCheckError:
+    except PreconditionError:
         return False
     return (
         bool(v)
@@ -209,7 +209,7 @@ def sstar13_bernoulli(n: int) -> ZetaSymbolValue:
         4**n, factorial(4 * n + 1)
     )
     if not w.is_real():
-        raise InternalCheckError(
+        raise AssertionError(
             f"Bernoulli stair value has nonzero imaginary part: {w!r}"
         )
     return ZetaSymbolValue.P() ** n * w.re
@@ -270,7 +270,7 @@ def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fractio
     ]
     det = det_fraction(mat)
     if Fraction(value) != det:
-        raise InternalCheckError(
+        raise AssertionError(
             f"filling sum {value} disagrees with h-determinant {det} for {shape}"
         )
     return det
@@ -357,13 +357,13 @@ def pinned_guide(host: SkewShape, pieces: Sequence[Ribbon]) -> Ribbon:
 
     missing = [c for c in range(cmin, cmax) if c not in dirs]
     if missing:
-        raise InternalCheckError(
+        raise AssertionError(
             f"directions on diagonals {missing} left unpinned; host not edge-connected?"
         )
     r = anchored_ribbon(cmin, tuple(dirs[c] for c in range(cmin, cmax)))
     for p in pieces:
         if r.steps[p.cmin - cmin : p.cmax - cmin] != p.steps:
-            raise InternalCheckError(
+            raise AssertionError(
                 f"piece with contents [{p.cmin},{p.cmax}] does not embed in the ribbon"
             )
     return r

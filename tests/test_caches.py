@@ -2,9 +2,12 @@
 
 The caches are found by scanning the package, not by name: each
 ``lru_cache`` defined in a module and each module-level ``_*_cache`` dict.
-So a cache added later without a line in ``clear_caches`` fails here.
+``clear_caches`` finds them by the same rule in the loaded modules, so a
+cache added later is cleared without a line of its own; the inventory of
+17 here changes only with a new cache.
 """
 
+import functools
 import importlib
 import os
 import pkgutil
@@ -53,6 +56,21 @@ def test_clear_caches_empties_every_cache():
     assert cache_sizes() == before
 
 
+def test_clear_caches_finds_a_new_cache(monkeypatch):
+    @functools.lru_cache(maxsize=None)
+    def probe(n):
+        return n
+
+    probe.__module__ = shapes.__name__
+    monkeypatch.setattr(shapes, "_probe", probe, raising=False)
+    monkeypatch.setattr(shapes, "_probe_cache", {}, raising=False)
+    probe(1)
+    shapes._probe_cache[1] = 1
+    schurmzv.clear_caches()
+    assert probe.cache_info().currsize == 0
+    assert shapes._probe_cache == {}
+
+
 def test_value_memos_are_bounded():
     """The memos that share shapes, ribbons and diagonal values hold at most
     ``MEMO_SIZE`` entries, least recently used dropped first."""
@@ -77,9 +95,13 @@ def test_value_memos_are_bounded():
 
 
 def test_package_import_loads_no_module():
+    """Neither ``import schurmzv`` nor ``clear_caches`` loads a submodule."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    code = "import sys, schurmzv; print(*[m for m in sys.modules if m.startswith('schurmzv.')])"
+    code = (
+        "import sys, schurmzv; schurmzv.clear_caches(); "
+        "print(*[m for m in sys.modules if m.startswith('schurmzv.')])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )

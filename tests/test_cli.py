@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schurmzv import cli, evaluate
+from schurmzv import cli, errors, evaluate
 from schurmzv.checkerboard import StairKind, stair_cut, stair_tableau, tessellation_check
 from schurmzv.errors import ParseError
 from schurmzv.shapes import as_diagonal, content_set, diagonal_tableau, make_skew
@@ -571,6 +571,62 @@ class TestNonFiniteNumbers:
         assert doc["input"]["T"] == t
 
 
+class TestFloatFlags:
+    """``--T`` and ``--check-tol`` are ASCII decimal numbers; ``float``
+    alone also reads underscores, non-ASCII digits and hex, so ``١_٠`` once
+    ran as T = 10.0, and ``1e400`` as inf."""
+
+    def test_decimal_float(self):
+        accepted = {"0": 0.0, "-1": -1.0, "+2.5": 2.5, "1.": 1.0, ".5": 0.5,
+                    "007.50": 7.5, "1e-3": 1e-3, "2E+2": 200.0, "1e308": 1e308}
+        assert {tok: cli.decimal_float(tok) for tok in accepted} == accepted
+        for tok in ("1_0", "١", "nan", "inf", "infinity", "-inf", "0x1p1", " 1", "1 ", "",
+                    ".", "+", "1e", "e3", "1.5.2", "1e400", "-1e400"):
+            with pytest.raises(ValueError, match="not a finite decimal number"):
+                cli.decimal_float(tok)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("checkerboard", "eval", "--T", "١_٠"), "--T"),
+            (("checkerboard", "eval", "--T", "0x1p1"), "--T"),
+            (("checkerboard", "eval", "--T", "1e400"), "--T"),
+            (("jt-check", "--regularized", "--check-tol", "1_0"), "--check-tol"),
+            (("jt-check", "--regularized", "--T", "0,1_0"), "--T"),
+            (("jt-check", "--regularized", "--T", "٠,١"), "--T"),
+        ],
+    )
+    def test_refused_and_echoed_as_typed(self, tmp_path, capsys, argv, flag):
+        tab = grid(tmp_path, "sq.tab", SQUARE)
+        ribbon = ["--ribbon", grid(tmp_path, "stair.shape", STAIR_SHAPE)]
+        rc, doc = run_json(tmp_path, capsys, *argv, *(ribbon if argv[0] == "jt-check" else []), tab)
+        assert rc == 2
+        assert doc["error"]["type"] == "ParseError"
+        assert doc["error"]["message"].startswith(flag)
+        assert doc["input"][flag.lstrip("-").replace("-", "_")] == argv[-1]
+
+
+class TestExitCodes:
+    """Each error type carries its exit code, and ``main`` returns it."""
+
+    def test_every_error_type_carries_a_code(self):
+        kinds = [
+            e for e in vars(errors).values()
+            if isinstance(e, type) and issubclass(e, errors.SchurMzvError)
+        ]
+        assert {e.__name__: e.exit_code for e in kinds} == {
+            "SchurMzvError": 3, "ParseError": 2, "PreconditionError": 3, "ResourceLimitError": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "index, kind", [("2,x", "ParseError"), ("1,1", "PreconditionError"), ("283", "ResourceLimitError")]
+    )
+    def test_main_returns_the_code(self, capsys, index, kind):
+        rc, doc = run_json(None, capsys, "mzv", "--index", index)
+        assert doc["error"]["type"] == kind
+        assert rc == getattr(errors, kind).exit_code
+
+
 class TestIntegerTokens:
     """Grid tokens and integer flags are ASCII decimal digits with an
     optional sign; ``int`` alone also reads underscores and non-ASCII
@@ -613,10 +669,11 @@ class TestIntegerTokens:
     @pytest.mark.parametrize("m", ["1_0", "٣", "+-3"])
     def test_m_refused(self, capsys, m):
         for argv in (("eval", "-M", m, "f"), ("jt-check", "-M", m, "--ribbon", "r", "f")):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(list(argv))
-            assert exc.value.code == 2
-            assert "-M" in capsys.readouterr().err
+            rc, doc = run_json(None, capsys, *argv)
+            assert rc == 2
+            assert doc["error"]["type"] == "ParseError"
+            assert doc["error"]["message"].startswith("-M")
+            assert doc["input"]["M"] == m
 
     def test_signs_reach_the_range_checks(self, tmp_path, capsys):
         for tok in ("0", "-1"):

@@ -12,9 +12,15 @@ generates methods with ``exec`` at start-up.
 Each call runs in a fresh interpreter, since this test process has long
 since imported all three itself and a module loaded by one call would
 hide whether the next one loads it too.
+
+The benchmark's modules under ``perfbench/`` are loaded from their paths,
+to check that what they read of the package still exists and works.
 """
 
+import importlib
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -83,24 +89,66 @@ def test_extrapolate_without_numpy(tmp_path):
     assert run_call(tmp_path, blocked, CALLS["eval --extrapolate"]) == []
 
 
+def load_bench_module(name):
+    """A module of ``perfbench/`` loaded from its path."""
+    path = SRC.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_trace_targets_resolve():
     """Every function the benchmark tracer wraps exists in the package.
 
     ``Tracer.install`` looks each of ``perfbench/tracing.py``'s TARGETS up
     without a default, so a renamed or removed function would break every
-    traced run.  The tracer imports only the standard library and is
-    loaded from its path.
+    traced run.  The tracer imports only the standard library.
     """
-    import importlib
-    import importlib.util
-
-    path = SRC.parent / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_module("tracing")
     missing = [
         f"{mod}.{fn}"
         for mod, fn, _ in tracing.TARGETS
         if not callable(getattr(importlib.import_module(f"schurmzv.{mod}"), fn, None))
     ]
     assert tracing.TARGETS and missing == []
+
+
+def cheap_ops(draw, rng, n, top_class):
+    """The first ``n`` ops ``draw`` gives of cost class at most ``top_class``."""
+    ops = []
+    while len(ops) < n:
+        cls, op = draw(rng)
+        if op is not None and 0 <= cls <= top_class:
+            ops.append(op)
+    return ops
+
+
+def test_benchmark_workloads_run_and_check(tmp_path, capsys):
+    """The benchmark's workloads read library attributes that no other test
+    here reads (``DiagonalTableau.value_map`` and ``value_at``,
+    ``cli.render_grid``, ``cli.DEFAULT_LADDER``, ...): a few cheap ops of
+    each, drawn, run and checked by ``perfbench/workloads.py``'s own
+    functions, and one round of CLI calls in process."""
+    from schurmzv import cli
+
+    W = load_bench_module("workloads")
+    rng = random.Random(25)
+    for op in cheap_ops(W.draw_fillings, rng, 3, 2):
+        report = W.fillings_run(op)
+        assert report.equal and report.lhs == W.fillings_oracle(op)
+    for op in cheap_ops(W.draw_checkerboard, rng, 3, 6):
+        stair, column = W.closed_run(op)
+        assert stair == column
+    for _ in range(3):
+        assert W.reg_run(W.draw_regularize(rng)).max_discrepancy <= W.REG_TOL
+
+    def write(text):
+        path = tmp_path / f"in{len(list(tmp_path.iterdir())):04d}.txt"
+        path.write_text(text, encoding="utf-8")
+        return str(path)
+
+    for op in W.make_cli_round(rng, write):
+        assert cli.main(op.argv) == 0, op.argv
+        out = capsys.readouterr().out
+        assert W.cli_check(op, W.parse_cli_output(out.encode("utf-8"))) is None, op.argv

@@ -9,6 +9,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schurmzv
 from schurmzv import ribbons
 from schurmzv.errors import PreconditionError
 from schurmzv.ribbons import (
@@ -379,6 +380,10 @@ class TestWalkOracle:
             assert_same_ribbon(
                 Ribbon(start, steps), cell_ribbon(walk_cells(start, steps))
             )
+            # rows above a top run below row 1 are padding; after a clear,
+            # no older instance sits in one memo and not in the other
+            schurmzv.clear_caches()
+            assert Ribbon(start, steps).shape is from_cells(walk_cells(start, steps))
 
     def test_anchored_and_every_subribbon(self):
         for rng, cmin, steps in random_walks(1202, 150):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import schurmzv
 from schurmzv.errors import PreconditionError
 from schurmzv.shapes import (
     EMPTY_SHAPE,
@@ -114,7 +115,7 @@ class TestFromCells:
 
     @given(skew_shapes())
     def test_roundtrip_random(self, s):
-        assert from_cells(s.cells) == s
+        assert from_cells(s.cells) is s
 
     @given(skew_shapes())
     def test_membership_matches_cells(self, s):
@@ -292,6 +293,12 @@ class TestDerivedMemo:
         # the empty rows above a nonempty one are anchored below
         assert make_skew((4, 2), (4,)) is make_skew((2, 2), (2,))
         assert make_skew((2, 1), (2, 1)) is EMPTY_SHAPE
+
+    def test_empty_shape_after_clear_caches(self):
+        schurmzv.clear_caches()
+        assert make_skew((2, 1), (2, 1)) is EMPTY_SHAPE
+        assert from_cells(()) is EMPTY_SHAPE
+        assert make_skew((), ()) is EMPTY_SHAPE
 
     def test_diagonal_tableau_stores_values_by_content(self):
         s = make_skew((3, 1), (1,))  # contents -1, 1, 2: not consecutive

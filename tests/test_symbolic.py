@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurmzv
-from schurmzv.errors import InternalCheckError, PreconditionError, ResourceLimitError
+from schurmzv.errors import PreconditionError, ResourceLimitError
 from schurmzv.evaluate import det_fraction
 from schurmzv.stuffle import QSElement, TPoly
 from schurmzv.symbolic import (
@@ -262,7 +262,7 @@ class TestRing:
         v = Sym.P() * Sym.Z(3) * Sym.T()
         assert v.homogeneous_weight() == 8
         assert Sym.zero().homogeneous_weight() is None
-        with pytest.raises(InternalCheckError):
+        with pytest.raises(PreconditionError, match="not weight-homogeneous"):
             (Sym.P() + Sym.Z(3)).homogeneous_weight()
 
     def test_even_generator_rejected(self):
