@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every module cache to free memory: each ``lru_cache`` that a
-    loaded ``schurmzv`` module defines, and each module-level ``_*_cache``
-    dict (the README lists them).
+    """Empty every module cache to free memory: each ``lru_cache`` and
+    interned record class that a loaded ``schurmzv`` module defines, and
+    each module-level ``_*_cache`` dict (the README lists them).
 
     No cached value changes a result, so calls before and after agree.  A
     module not yet imported has nothing cached, so none is imported here,

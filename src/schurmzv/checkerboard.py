@@ -148,7 +148,7 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
     values = tuple(
         _stair_value(kind.kind, k, kind.a, kind.b) for k in range(kind.n_cells)
     )
-    return DiagonalTableau(shape, values)
+    return DiagonalTableau._make(shape, values)
 
 
 @lru_cache(maxsize=None)

@@ -229,6 +229,11 @@ def _ladder(args: argparse.Namespace) -> Tuple[int, ...]:
     return ladder
 
 
+def _t_samples(args: argparse.Namespace) -> Tuple[float, ...]:
+    """The ``jt-check --T`` samples, or DEFAULT_T_SAMPLES when the flag is absent."""
+    return _read_list("--T", DEFAULT_T_SAMPLES if args.T is None else args.T, decimal_float)
+
+
 #: Flags a command reads in one mode only: (command, flag, mode flag,
 #: whether the flag is read with that mode on).
 _MODE_SETTINGS = (
@@ -246,7 +251,8 @@ def _dest(flag: str) -> str:
 def check_flags(args: argparse.Namespace) -> None:
     """Refuse flags the chosen mode never reads, and read the numbers of
     ``-M``, ``--check-tol`` and ``checkerboard eval --T`` into ``args``,
-    refusing malformed and out-of-range values, before any file is opened."""
+    refusing malformed and out-of-range values, before any file is opened;
+    ``--ladder`` and ``jt-check --T`` are checked, but left as typed."""
     for command, flag, mode, with_mode in _MODE_SETTINGS:
         if (
             args.command == command
@@ -259,6 +265,8 @@ def check_flags(args: argparse.Namespace) -> None:
             )
     if args.command == "eval":
         _ladder(args)
+    if args.command == "jt-check":
+        _t_samples(args)
     if getattr(args, "M", None) is not None:
         args.M = _read("-M", args.M, decimal_int)
         if args.M < 1:
@@ -417,8 +425,7 @@ def _cmd_jt_check(args: argparse.Namespace) -> Tuple[dict, dict, str]:
     theta = decomposition_from_ribbon(tab.shape, ribbon)
     diagnostics: Dict[str, object] = {"ribbon_shift": shift}
     if args.regularized:
-        t_text = DEFAULT_T_SAMPLES if args.T is None else args.T
-        t_samples = _read_list("--T", t_text, decimal_float)
+        t_samples = _t_samples(args)
         check_tol = DEFAULT_CHECK_TOL if args.check_tol is None else args.check_tol
         report = regularized_jt_check(diagonal, theta, t_samples)
         within = report.max_discrepancy <= check_tol

@@ -5,39 +5,78 @@ class-level value is that field's default.  Instances behave like frozen
 dataclasses: positional or keyword construction followed by
 ``__post_init__``, equality only between instances of the same class,
 ``hash`` of the field tuple, ``Name(field=value, ...)`` reprs, and
-assignment or deletion raising ``AttributeError``.  Fields live in the
-instance ``__dict__``, so ``functools.cached_property`` works (only
-``OutsideDecomposition.pieces`` uses it; values derived from a shape or a
-ribbon go in bounded per-value memos instead) and ``object.__setattr__``
-may still set a field while an instance is built.
+assignment or deletion raising ``AttributeError``.  The fields and each
+``cached_property`` are the class's ``__slots__``; a cached property's
+slot is filled on its first read.  A class made by :class:`Interned` keeps
+one instance per value: its class call and :meth:`Record._make` return the
+instance for the normalised fields from the class's LRU memo of
+``MEMO_SIZE`` entries.  ``clear_caches`` finds the memo through the
+class's ``cache_clear``, which its instances lack.
 
-This module exists because ``dataclasses`` imports ``inspect`` and
-generates every method with ``exec``, which a command-line call pays on
-each start.  It imports nothing from the package.
+``dataclasses`` imports ``inspect`` and generates every method with
+``exec``, which a command-line call would pay on each start.  This module
+imports nothing from the package.
 """
 
+from functools import cached_property, lru_cache
 from operator import attrgetter
+
+#: instances kept by the memo of each interned record class
+MEMO_SIZE = 512
 
 _set = object.__setattr__
 
 
-class Record:
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        fields = tuple(cls.__dict__.get("__annotations__", ()))
-        cls._fields = fields
-        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
-        get = attrgetter(*fields)
-        # attrgetter of one name returns the bare value, not a 1-tuple
-        cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+class RecordType(type):
+    def __new__(mcs, name, bases, ns):
+        fields = tuple(ns.get("__annotations__", ()))
+        derive = {k: v.func for k, v in ns.items() if isinstance(v, cached_property)}
+        defaults = {f: ns[f] for f in fields if f in ns}
+        ns = {k: v for k, v in ns.items() if k not in derive and k not in defaults}
+        ns["__slots__"] = fields + tuple(derive)
+        cls = super().__new__(mcs, name, bases, ns)
+        cls._fields, cls._defaults, cls._derive = fields, defaults, derive
+        if fields:
+            get = attrgetter(*fields)
+            # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._key = get if len(fields) > 1 else staticmethod(lambda self: (get(self),))
+        return cls
 
-    def __init__(self, *args, **kwargs) -> None:
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for name, value in zip(fields, args):
-            _set(self, name, value)
+    def __call__(cls, *args, **kwargs):
+        if kwargs or len(args) != len(cls._fields):
+            args = cls._bind(args, kwargs)
+        self = cls._build(*args)
         self.__post_init__()
+        return self
+
+
+class Interned(RecordType):
+    """``_make`` is the class's memo; ``_kept(self)``, if defined, picks what it stores."""
+
+    def __init__(cls, name, bases, ns):
+        super().__init__(name, bases, ns)
+        kept = ns.get("_kept", lambda value: value)
+        cls._make = lru_cache(maxsize=MEMO_SIZE)(lambda *fields: kept(cls._build(*fields)))
+
+    def __call__(cls, *args, **kwargs):
+        return cls._make(*cls._key(super().__call__(*args, **kwargs)))
+
+    def __getattr__(cls, name: str):
+        if name in ("cache_info", "cache_clear"):
+            return getattr(cls._make, name)
+        raise AttributeError(f"type object {cls.__name__!r} has no attribute {name!r}")
+
+
+class Record(metaclass=RecordType):
+    @classmethod
+    def _make(cls, *fields) -> "Record":
+        """The instance of valid, normalised fields, without ``__post_init__``."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            _set(self, name, value)
+        return self
+
+    _build = _make  # the new instance, also where _make is a memo
 
     @classmethod
     def _bind(cls, args: tuple, kwargs: dict) -> list:
@@ -56,6 +95,14 @@ class Record:
     def __post_init__(self) -> None:
         pass
 
+    def __getattr__(self, name: str):
+        # reached only when the slot is empty
+        if name not in self._derive:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = self._derive[name](self)
+        _set(self, name, value)
+        return value
+
     def __eq__(self, other: object):
         if other.__class__ is self.__class__:
             key = self._key
@@ -64,6 +111,9 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._key(self))
+
+    def __reduce__(self):
+        return type(self), self._key(self)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)

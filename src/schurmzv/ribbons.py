@@ -22,13 +22,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional, Tuple, TypeVar, Union
 
 from .errors import PreconditionError
-from .record import Record
+from .record import Interned, Record
 from .shapes import (
-    MEMO_SIZE,
     Cell,
     DiagonalTableau,
     SkewShape,
@@ -37,7 +36,6 @@ from .shapes import (
     content,
     content_set,
     is_edge_connected,
-    shared_shape,
 )
 
 UP = "U"
@@ -46,12 +44,13 @@ RIGHT = "R"
 E = TypeVar("E")
 
 
-class Ribbon(Record):
+class Ribbon(Record, metaclass=Interned):
     """A ribbon as its walk: the smallest-content cell and the steps from it.
 
     ``steps[k]`` moves from content cmin+k to cmin+k+1.  Raises
     :class:`PreconditionError` on an unknown step letter or a walk that
-    leaves the positive quadrant.
+    leaves the positive quadrant.  Interned: equal ribbons are one instance
+    while in the class's memo.
     """
 
     start: Cell
@@ -72,11 +71,27 @@ class Ribbon(Record):
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
 
+    @cached_property
+    def _rows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        # row i spans the columns the walk visits there; rows above are empty
+        (i0, j0), lam, mu = self.start, [], []  # bottom row first
+        lo = j = j0
+        for s in self.steps:
+            if s == RIGHT:
+                j += 1
+            else:
+                lam.append(j)
+                mu.append(lo - 1)
+                lo = j
+        lam.append(j)
+        mu.append(lo - 1)
+        pad = [0] * (i0 - len(lam))
+        return canonical_rows(pad + lam[::-1], pad + mu[::-1])
+
     @property
     def shape(self) -> SkewShape:
-        """``lam/mu`` in the canonical form :func:`~schurmzv.shapes.from_cells`
-        would return, memoized per value: equal ribbons share one shape."""
-        return _walk_shape(self.start, self.steps)
+        """The shape ``from_cells`` returns for the cells, looked up on each read."""
+        return SkewShape._make(*self._rows)
 
     @property
     def end(self) -> Cell:
@@ -97,33 +112,6 @@ class Ribbon(Record):
         return len(self.steps) + 1
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _walk_shape(start: Cell, steps: Tuple[str, ...]) -> SkewShape:
-    """The walk's canonical rows: row ``i`` spans the columns the walk
-    visits there, and the rows above the top run are empty."""
-    i0, j0 = start
-    lam, mu = [], []  # bottom row first
-    lo = j = j0
-    for s in steps:
-        if s == RIGHT:
-            j += 1
-        else:
-            lam.append(j)
-            mu.append(lo - 1)
-            lo = j
-    lam.append(j)
-    mu.append(lo - 1)
-    pad = [0] * (i0 - len(lam))
-    return shared_shape(*canonical_rows(pad + lam[::-1], pad + mu[::-1]))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _ribbon(i0: int, j0: int, steps: Tuple[str, ...]) -> Ribbon:
-    """The one :class:`Ribbon` from ``(i0, j0)`` with these steps while it is
-    in the memo, so equal ribbons share one instance."""
-    return Ribbon((i0, j0), steps)
-
-
 def ribbon_of(shape: SkewShape) -> Ribbon:
     """The ribbon with the shape's cells, read off them by increasing content.
 
@@ -142,22 +130,20 @@ def ribbon_of(shape: SkewShape) -> Ribbon:
             steps.append(RIGHT)
         else:
             raise PreconditionError(f"{shape} is not a ribbon")
-    return _ribbon(*cells[0], tuple(steps))
+    return Ribbon(cells[0], tuple(steps))
 
 
 def anchored_ribbon(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
     """The furthest-left ribbon with the given smallest content and steps."""
     steps = tuple(steps)
     i0 = max(steps.count(UP) + 1, 1 - cmin)
-    return _ribbon(i0, i0 + cmin, steps)
+    return Ribbon((i0, i0 + cmin), steps)
 
 
 def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
     """The furthest-left subribbon of ``r`` spanning contents ``[p, q]``."""
     if not (r.cmin <= p <= q <= r.cmax):
-        raise PreconditionError(
-            f"content interval [{p},{q}] not inside [{r.cmin},{r.cmax}]"
-        )
+        raise PreconditionError(f"content interval [{p},{q}] not inside [{r.cmin},{r.cmax}]")
     return anchored_ribbon(p, r.steps[p - r.cmin : q - r.cmin])
 
 
@@ -180,7 +166,7 @@ class OutsideDecomposition(Record):
 
     def __post_init__(self) -> None:
         host, r = self.host, self.guide
-        if not host.cells or not is_edge_connected(host):
+        if not host.n_cells or not is_edge_connected(host):
             raise PreconditionError("host must be a nonempty edge-connected skew shape")
         if content_set(host) != tuple(range(r.cmin, r.cmax + 1)):
             raise PreconditionError(
@@ -195,7 +181,8 @@ class OutsideDecomposition(Record):
         bottom-most first on ties."""
         r = self.guide
         dirs = {r.cmin + k: s for k, s in enumerate(r.steps)}
-        host = self.host.cell_set
+        cells = self.host.cells
+        host = frozenset(cells)
 
         def successor(cell: Cell) -> Optional[Cell]:
             d = dirs.get(content(cell))
@@ -213,14 +200,14 @@ class OutsideDecomposition(Record):
             prev = (i + 1, j) if d == UP else (i, j - 1)
             return prev in host
 
-        starts = [c for c in self.host.cells if not has_predecessor(c)]
+        starts = [c for c in cells if not has_predecessor(c)]
         starts.sort(key=lambda c: (content(c), -c[0]))
         pieces = []
         for s in starts:
             end = s
             while (nxt := successor(end)) is not None:
                 end = nxt
-            pieces.append(Ribbon(s, r.steps[content(s) - r.cmin : content(end) - r.cmin]))
+            pieces.append(Ribbon._make(s, r.steps[content(s) - r.cmin : content(end) - r.cmin]))
         return tuple(pieces)
 
     @property
@@ -340,10 +327,8 @@ def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
     # n sorted distinct ints from contents[lo] >= cmin up to cmax are cmin..cmax
     if hi > len(contents) or contents[hi - 1] != ribbon.cmax:
         missing = [c for c in range(ribbon.cmin, ribbon.cmax + 1) if c not in k.value_map]
-        raise PreconditionError(
-            f"host tableau has no diagonal values for contents {missing}"
-        )
-    return DiagonalTableau(ribbon.shape, k.values[lo:hi]).to_tableau()
+        raise PreconditionError(f"host tableau has no diagonal values for contents {missing}")
+    return DiagonalTableau._make(ribbon.shape, k.values[lo:hi]).to_tableau()
 
 
 def fill_subribbon(

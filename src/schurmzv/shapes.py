@@ -10,13 +10,13 @@ rows below), so :func:`canonical_rows` keeps them, anchored at the row below.
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import lru_cache
+from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .errors import PreconditionError
-from .record import Record
+from .record import Interned, Record
 
 Partition = Tuple[int, ...]
 Cell = Tuple[int, int]
@@ -60,11 +60,15 @@ def content(cell: Cell) -> int:
     return cell[1] - cell[0]
 
 
-class SkewShape(Record):
-    """A skew diagram ``lam/mu``, canonicalised; build via :func:`make_skew`."""
+class SkewShape(Record, metaclass=Interned):
+    """A skew diagram ``lam/mu``, canonicalised; build via :func:`make_skew`.
+    Interned; ``content_set`` is derived once per instance."""
 
     lam: Partition
     mu: Partition
+
+    def _kept(self) -> SkewShape:
+        return self if self.lam else EMPTY_SHAPE  # the one empty shape, across clears
 
     @property
     def padded_mu(self) -> Partition:
@@ -73,13 +77,13 @@ class SkewShape(Record):
 
     @property
     def cells(self) -> Tuple[Cell, ...]:
-        """All cells in row-major order.
+        """All cells in row-major order, built on each read."""
+        rows = enumerate(zip(self.padded_mu, self.lam), start=1)
+        return tuple((i, j) for i, (lo, hi) in rows for j in range(lo + 1, hi + 1))
 
-        Memoized per value, not per instance: equal shapes share one tuple
-        from a bounded memo keyed by ``(lam, mu)``, and no instance keeps a
-        copy of its own.
-        """
-        return _cells(self.lam, self.mu)
+    @cached_property
+    def _content_set(self) -> Tuple[int, ...]:
+        return tuple(sorted({j - i for i, j in self.cells}))
 
     @property
     def cell_set(self) -> frozenset:
@@ -87,7 +91,7 @@ class SkewShape(Record):
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return sum(self.lam) - sum(self.mu)
 
     def __contains__(self, cell: Cell) -> bool:
         i, j = cell
@@ -103,31 +107,7 @@ class SkewShape(Record):
         return f"({lam})/({mu})"
 
 
-#: entries in each memo of values derived from a shape's or tableau's fields
-MEMO_SIZE = 512
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _cells(lam: Partition, mu: Partition) -> Tuple[Cell, ...]:
-    out = []
-    for i, (lo, hi) in enumerate(zip(mu + (0,) * (len(lam) - len(mu)), lam), start=1):
-        out.extend((i, j) for j in range(lo + 1, hi + 1))
-    return tuple(out)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def shared_shape(lam: Partition, mu: Partition) -> SkewShape:
-    """The one :class:`SkewShape` for a canonical ``lam/mu`` while it is in
-    the memo, so equal shapes share one instance and one pair of tuples;
-    ``EMPTY_SHAPE`` for ``((), ())``.
-
-    The partitions are taken as given; :func:`make_skew` and
-    :func:`from_cells` check them and bring them to :func:`canonical_rows`.
-    """
-    return SkewShape(lam, mu) if lam else EMPTY_SHAPE
-
-
-EMPTY_SHAPE = SkewShape((), ())
+EMPTY_SHAPE = SkewShape._build((), ())
 
 
 def canonical_rows(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
@@ -147,8 +127,8 @@ def canonical_rows(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Pa
 
 
 def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
-    """The shared shape of :func:`shared_shape` for the canonical rows of
-    ``lam/mu``, as :func:`from_cells` would return it for the cells.
+    """The shape of the canonical rows of ``lam/mu``, the instance
+    :func:`from_cells` returns for its cells.
 
     Raises :class:`PreconditionError` unless both arguments are partitions
     with ``mu`` contained in ``lam``.
@@ -157,12 +137,11 @@ def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
     mu = check_partition(mu, name="mu")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         raise PreconditionError(f"mu={mu} is not contained in lam={lam}")
-    return shared_shape(*canonical_rows(lam, mu))
+    return SkewShape._make(*canonical_rows(lam, mu))
 
 
 def from_cells(cells: Iterable[Cell]) -> SkewShape:
-    """The shared shape of :func:`shared_shape` for the canonical rows of a
-    cell set.
+    """The shape of the canonical rows of a cell set.
 
     Rows must occupy contiguous column intervals that weakly shift left going
     down; an empty row between occupied ones is kept, anchored as
@@ -187,18 +166,12 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
         a < b for a, b in zip(mu_t, mu_t[1:])
     ):
         raise PreconditionError(f"cells {cell_list} do not form a skew diagram")
-    return shared_shape(lam_t, mu_t)
+    return SkewShape._make(lam_t, mu_t)
 
 
 def content_set(shape: SkewShape) -> Tuple[int, ...]:
-    """Sorted distinct contents of the shape's cells, memoized per value:
-    equal shapes share one tuple."""
-    return _content_set(shape.lam, shape.mu)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _content_set(lam: Partition, mu: Partition) -> Tuple[int, ...]:
-    return tuple(sorted({j - i for i, j in _cells(lam, mu)}))
+    """Sorted distinct contents of the shape's cells."""
+    return shape._content_set
 
 
 def corners(shape: SkewShape) -> Tuple[Cell, ...]:
@@ -230,11 +203,7 @@ def translate(shape: SkewShape, t: int) -> SkewShape:
 
 def furthest_left(shape: SkewShape) -> SkewShape:
     """The diagonal translate with the smallest legal coordinates."""
-    if not shape.cells:
-        return shape
-    min_i = min(i for i, _ in shape.cells)
-    min_j = min(j for _, j in shape.cells)
-    return translate(shape, 1 - min(min_i, min_j))
+    return translate(shape, 1 - min(map(min, shape.cells), default=1))
 
 
 def translation_equivalent(a: SkewShape, b: SkewShape) -> bool:
@@ -313,14 +282,13 @@ def transpose_tableau(t: Tableau) -> Tableau:
     return tableau_from_entries(transpose_shape(t.shape), flipped)
 
 
-class DiagonalTableau(Record):
+class DiagonalTableau(Record, metaclass=Interned):
     """A tableau whose entries are constant along diagonals.
 
     ``values[k]`` is the entry on the ``k``-th content of
-    ``content_set(shape)``, in increasing order.  Equal tableaux share one
-    ``values`` tuple, and ``content_set`` one contents tuple per shape
-    value, each from a bounded memo.  ``by_content`` and ``value_map`` are
-    read-only views derived from the two; ``value_map`` is memoized too.
+    ``content_set(shape)``, in increasing order.  Interned: equal tableaux
+    are one instance while in the class's memo.  ``by_content`` and
+    ``value_map`` are read-only views of the two fields, built on each read.
     """
 
     shape: SkewShape
@@ -335,7 +303,7 @@ class DiagonalTableau(Record):
         for v in values:
             if not isinstance(v, int) or v < 1:
                 raise PreconditionError(f"entries must be positive integers, got {v!r}")
-        object.__setattr__(self, "values", _values(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def by_content(self) -> Tuple[Tuple[int, int], ...]:
@@ -344,11 +312,15 @@ class DiagonalTableau(Record):
 
     @property
     def value_map(self) -> Mapping[int, int]:
-        """Read-only content -> entry map, shared by equal tableaux."""
-        return _value_map(content_set(self.shape), self.values)
+        """Read-only content -> entry map."""
+        return MappingProxyType(dict(zip(content_set(self.shape), self.values)))
 
     def value_at(self, c: int) -> int:
-        return self.value_map[c]
+        contents = content_set(self.shape)
+        k = bisect_left(contents, c)
+        if contents[k : k + 1] != (c,):
+            raise KeyError(c)
+        return self.values[k]
 
     def to_tableau(self) -> Tableau:
         """The tableau, each row sliced out of ``values``: a row's contents
@@ -359,19 +331,7 @@ class DiagonalTableau(Record):
         for i, (l, m) in enumerate(zip(shape.lam, shape.padded_mu), start=1):
             k = bisect_left(contents, m + 1 - i)
             rows.append(values[k : k + l - m])
-        return Tableau(shape, tuple(rows))
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _values(values: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The first of the equal ``values`` tuples still in the memo: equal
-    tableaux share one tuple instead of each keeping a copy."""
-    return values
-
-
-@lru_cache(maxsize=MEMO_SIZE)
-def _value_map(contents: Tuple[int, ...], values: Tuple[int, ...]) -> Mapping[int, int]:
-    return MappingProxyType(dict(zip(contents, values)))
+        return Tableau._make(shape, tuple(rows))
 
 
 def diagonal_tableau(shape: SkewShape, by_content: Mapping[int, int]) -> DiagonalTableau:
@@ -380,9 +340,7 @@ def diagonal_tableau(shape: SkewShape, by_content: Mapping[int, int]) -> Diagona
     contents = content_set(shape)
     got = tuple(sorted(by_content))
     if got != contents:
-        raise PreconditionError(
-            f"contents {got} do not match the shape's contents {contents}"
-        )
+        raise PreconditionError(f"contents {got} do not match the shape's contents {contents}")
     return DiagonalTableau(shape, tuple(by_content[c] for c in contents))
 
 

@@ -2,9 +2,10 @@
 
 The caches are found by scanning the package, not by name: each
 ``lru_cache`` defined in a module and each module-level ``_*_cache`` dict.
-``clear_caches`` finds them by the same rule in the loaded modules, so a
-cache added later is cleared without a line of its own; the inventory of
-17 here changes only with a new cache.
+An interned record class counts as one: it answers ``cache_info`` and
+``cache_clear`` with its instance memo.  ``clear_caches`` finds them by the
+same rule in the loaded modules, so a cache added later is cleared without
+a line of its own; the inventory of 13 here changes only with a new cache.
 """
 
 import functools
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 import schurmzv
-from schurmzv import mzv, ribbons, shapes, stuffle
+from schurmzv import mzv, record, ribbons, shapes, stuffle
 from schurmzv.checkerboard import evaluate_checkerboard_13, evaluate_checkerboard_13_column
 from schurmzv.shapes import diagonal_tableau, make_skew
 
@@ -49,7 +50,7 @@ def test_clear_caches_empties_every_cache():
     schurmzv.clear_caches()
     warm()
     before = cache_sizes()
-    assert len(before) == 17 and all(before.values()), before
+    assert len(before) == 13 and all(before.values()), before
     schurmzv.clear_caches()
     assert set(cache_sizes().values()) == {0}
     warm()
@@ -72,24 +73,17 @@ def test_clear_caches_finds_a_new_cache(monkeypatch):
 
 
 def test_value_memos_are_bounded():
-    """The memos that share shapes, ribbons and diagonal values hold at most
-    ``MEMO_SIZE`` entries, least recently used dropped first."""
+    """The memos of the interned shapes, ribbons and diagonal tableaux hold
+    at most ``MEMO_SIZE`` instances, least recently used dropped first."""
     schurmzv.clear_caches()
-    for n in range(2 * shapes.MEMO_SIZE):
+    for n in range(2 * record.MEMO_SIZE):
         shape = make_skew((n + 1,), (n,))
         assert shapes.content_set(shape) == (n,)
         assert diagonal_tableau(shape, {n: n + 1}).value_map == {n: n + 1}
         assert ribbons.anchored_ribbon(n, ()).shape.n_cells == 1
-    memos = (
-        shapes.shared_shape,
-        shapes._content_set,
-        shapes._values,
-        shapes._value_map,
-        ribbons._ribbon,
-        ribbons._walk_shape,
-    )
+    memos = (shapes.SkewShape, shapes.DiagonalTableau, ribbons.Ribbon)
     for memo in memos:
-        assert memo.cache_info().currsize == shapes.MEMO_SIZE, memo
+        assert memo.cache_info().currsize == record.MEMO_SIZE, memo
     schurmzv.clear_caches()
     assert all(memo.cache_info().currsize == 0 for memo in memos)
 

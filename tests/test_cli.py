@@ -605,6 +605,15 @@ class TestFloatFlags:
         assert doc["error"]["message"].startswith(flag)
         assert doc["input"][flag.lstrip("-").replace("-", "_")] == argv[-1]
 
+    def test_t_is_read_before_the_files(self, tmp_path, capsys):
+        missing = [str(tmp_path / "missing.shape"), str(tmp_path / "missing.tab")]
+        rc, doc = run_json(
+            tmp_path, capsys, "jt-check", "--regularized", "--T", "0,x", "--ribbon", *missing
+        )
+        assert rc == 2
+        assert doc["error"]["message"].startswith("--T")
+        assert doc["input"]["T"] == "0,x"
+
 
 class TestExitCodes:
     """Each error type carries its exit code, and ``main`` returns it."""

@@ -1,17 +1,26 @@
 """Every value and report type is a ``Record`` with frozen-dataclass semantics.
 
 One sample instance per class, with the field names in declaration order,
-pins construction, equality, hashing, repr and frozenness.
+pins construction, equality, hashing, repr and frozenness.  The trusted
+constructor ``_make`` is checked against the public one on random values.
 """
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from schurmzv.checkerboard import CheckerboardReport, StairKind, evaluate_checkerboard_13
+from schurmzv.checkerboard import (
+    CheckerboardReport,
+    StairKind,
+    evaluate_checkerboard_13,
+    stair_tableau,
+)
 from schurmzv.errors import PreconditionError
 from schurmzv.evaluate import JTReport
-from schurmzv.record import Record
+from schurmzv.record import Interned, Record
 from schurmzv.ribbons import (
     OutsideDecomposition,
     Ribbon,
@@ -20,11 +29,22 @@ from schurmzv.ribbons import (
     SubribbonTable,
     anchored_ribbon,
     decomposition_from_ribbon,
+    fill_ribbon,
     ribbon_of,
+    subribbon_of,
     subribbon_table,
 )
-from schurmzv.shapes import DiagonalTableau, SkewShape, Tableau, diagonal_tableau, make_skew
+from schurmzv.shapes import (
+    DiagonalTableau,
+    SkewShape,
+    Tableau,
+    content_set,
+    diagonal_tableau,
+    make_skew,
+)
 from schurmzv.stuffle import RegJTReport
+
+from test_shapes import skew_shapes
 
 HOOK = make_skew((2, 1))
 THETA = decomposition_from_ribbon(HOOK, anchored_ribbon(-1, ("U", "R")))
@@ -67,7 +87,8 @@ def test_record_parity(cls):
     # construction: positional and keyword, fields stored in order
     for y in (cls(*values), cls(**dict(zip(names, values)))):
         assert y == x and not (y != x)
-        assert list(vars(y))[: len(names)] == list(names)
+        assert y._fields == names == y.__slots__[: len(names)]
+        assert not hasattr(y, "__dict__")
 
     # hashing: hash of the field tuple, or TypeError for an unhashable field
     try:
@@ -95,6 +116,11 @@ def test_record_parity(cls):
     with pytest.raises(AttributeError):
         delattr(x, names[0])
     assert tuple(getattr(x, f) for f in names) == values
+
+    # copies and pickles go through the class call: an interned value
+    # comes back as the instance in its memo
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and (y is cls(*values)) == (type(cls) is Interned)
 
     # bad calls
     with pytest.raises(TypeError):
@@ -136,10 +162,45 @@ def test_post_init_checks_still_run(build):
 def test_cached_properties_and_walk_built_ribbons():
     shape = make_skew((3, 2), (1,))
     assert shape.cells == ((1, 2), (1, 3), (2, 1), (2, 2))
-    # cells is memoized per value: equal shapes share one tuple, and no
-    # instance keeps its own copy.
-    assert "cells" not in vars(shape)
-    assert SkewShape((3, 2), (1,)).cells is shape.cells
+    # cells is built on each read: no instance keeps a copy
+    assert "cells" not in SkewShape.__slots__
+    assert SkewShape((3, 2), (1,)) is shape
     r =anchored_ribbon(0, ("R", "U", "R"))
     assert r == ribbon_of(r.shape) and hash(r) == hash(ribbon_of(r.shape))
     assert r.steps == ribbon_of(r.shape).steps
+
+
+walks = st.tuples(st.integers(-6, 6), st.lists(st.sampled_from("UR"), max_size=9).map(tuple))
+
+
+@given(skew_shapes(), walks, st.data())
+def test_make_is_the_public_constructor(shape, walk, data):
+    """``_make`` on validated fields gives what the class call gives: the
+    same instance for the three interned classes, an equal value for a
+    tableau, on every route that uses it."""
+    assert SkewShape._make(shape.lam, shape.mu) is shape is SkewShape(shape.lam, shape.mu)
+    assert make_skew(shape.lam, shape.mu) is shape
+
+    r = anchored_ribbon(*walk)
+    assert Ribbon._make(r.start, r.steps) is r is Ribbon(list(r.start), list(r.steps))
+    assert ribbon_of(r.shape) is r
+
+    values = tuple(data.draw(st.integers(1, 4)) for _ in content_set(shape))
+    k = DiagonalTableau._make(shape, values)
+    assert k is DiagonalTableau(shape, list(values))
+    assert k is diagonal_tableau(shape, dict(zip(content_set(shape), values)))
+    t = k.to_tableau()
+    assert t == Tableau(shape, t.rows)
+
+    big = diagonal_tableau(r.shape, {c: 1 + c % 3 for c in content_set(r.shape)})
+    p = data.draw(st.integers(r.cmin, r.cmax))
+    q = data.draw(st.integers(p, r.cmax))
+    sub = subribbon_of(r, p, q)
+    filled = fill_ribbon(big, sub)
+    assert filled == Tableau(sub.shape, filled.rows)
+    sliced = big.values[p - r.cmin : q - r.cmin + 1]
+    assert filled == DiagonalTableau(sub.shape, sliced).to_tableau()
+
+    kind = StairKind(data.draw(st.sampled_from("ABS")), 1, 3, data.draw(st.integers(1, 4)))
+    stair = stair_tableau(kind)
+    assert stair is DiagonalTableau(stair.shape, stair.values)

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 import schurmzv
 from schurmzv.errors import PreconditionError
+from schurmzv.record import MEMO_SIZE
 from schurmzv.shapes import (
     EMPTY_SHAPE,
-    MEMO_SIZE,
     DiagonalTableau,
     SkewShape,
     as_diagonal,
@@ -30,7 +30,6 @@ from schurmzv.shapes import (
     transpose_shape,
     transpose_tableau,
     Tableau,
-    _cells,
 )
 
 from oracles import corners_by_neighbours, edge_connected_by_search
@@ -264,24 +263,27 @@ class TestDiagonalTableau:
 
 
 class TestDerivedMemo:
-    """cells, content_set and value_map are memoized per value, not stored
-    per instance; equal shapes are one instance, and equal diagonal
-    tableaux share one values tuple."""
+    """Equal shapes and equal diagonal tableaux are one instance;
+    content_set is a slot derived once on it, while cells and value_map are
+    built on each read, so a kept instance holds no copy of them."""
 
-    def test_equal_shapes_share_one_cells_tuple(self):
+    def test_equal_shapes_keep_no_cells_copy(self):
         a, b = make_skew((3, 2), (1,)), SkewShape((3, 2), (1,))
-        assert a is not b and a.cells is b.cells
-        assert "cells" not in vars(a) and "padded_mu" not in vars(a)
-        assert set(vars(a)) == {"lam", "mu"}
+        assert a is b and a.cells == b.cells
+        assert not hasattr(a, "__dict__") and a._fields == ("lam", "mu")
+        assert a.__slots__ == ("lam", "mu", "_content_set")
 
-    def test_equal_tableaux_share_one_read_only_value_map(self):
+    def test_equal_tableaux_are_one_instance_with_a_read_only_value_map(self):
         s = make_skew((2, 2))
         a = diagonal_tableau(s, {-1: 2, 0: 1, 1: 3})
         b = diagonal_tableau(s, {1: 3, 0: 1, -1: 2})
-        assert a.value_map is b.value_map
-        assert a.values is b.values
+        assert a is b and a.value_map == b.value_map == {-1: 2, 0: 1, 1: 3}
+        assert [a.value_at(c) for c in (-1, 0, 1)] == [2, 1, 3]
+        with pytest.raises(KeyError):
+            a.value_at(2)
         assert a.values == (2, 1, 3)
-        assert set(vars(a)) == {"shape", "values"}
+        assert a is b and not hasattr(a, "__dict__")
+        assert a._fields == ("shape", "values")
         with pytest.raises(TypeError):
             a.value_map[0] = 5
 
@@ -331,6 +333,6 @@ class TestDerivedMemo:
     def test_memo_is_bounded(self):
         for n in range(2 * MEMO_SIZE):
             assert SkewShape((n + 1,), (n,)).cells == ((1, n + 1),)
-        assert _cells.cache_info().currsize == MEMO_SIZE
+        assert SkewShape.cache_info().currsize == MEMO_SIZE
         assert make_skew((2, 1)).cells == ((1, 1), (1, 2), (2, 1))
 
