@@ -38,11 +38,11 @@ from .ribbons import (
     RIGHT,
     UP,
     OutsideDecomposition,
-    anchored_ribbon,
+    _anchored,
     decomposition_from_ribbon,
     ribbon_matrix,
 )
-from .shapes import DiagonalTableau, content_set, is_admissible
+from .shapes import DiagonalTableau, check_entries, content_set, int_parts, is_admissible
 from .symbolic import (
     ZetaSymbolValue,
     sym_det,
@@ -68,7 +68,8 @@ class StairKind(Record):
     ``n`` counts the (a, b) pairs: A and B stairs have ``2n + 1`` cells,
     S and SStar stairs have ``2n``.  The degenerate cases are ``A(0)`` and
     ``B(0)`` (a single box holding ``a`` resp. ``b``) and ``S(0)`` and
-    ``SStar(0)`` (the empty diagram, value 1).
+    ``SStar(0)`` (the empty diagram, value 1).  ``a`` and ``b`` are tableau
+    entries, and ``n`` follows the integer rule of partition parts.
     """
 
     kind: str
@@ -78,13 +79,12 @@ class StairKind(Record):
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
-            raise PreconditionError(
-                f"unknown stair kind {self.kind!r}; use one of {_KINDS}"
-            )
-        if self.a < 1 or self.b < 1:
-            raise PreconditionError("stair entries must be positive integers")
-        if self.n < 0:
+            raise PreconditionError(f"unknown stair kind {self.kind!r}; use one of {_KINDS}")
+        check_entries((self.a, self.b))
+        (n,) = int_parts((self.n,), "pair count")
+        if n < 0:
             raise PreconditionError("the pair count n must be nonnegative")
+        object.__setattr__(self, "n", n)
 
     @property
     def n_cells(self) -> int:
@@ -144,7 +144,7 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
         )
     steps = _stair_steps(kind.kind, kind.n)
     # anchored at content -ups, the walk starts in column 1 and ends in row 1
-    shape = anchored_ribbon(-steps.count(UP), steps).shape
+    shape = _anchored(-steps.count(UP), steps).shape
     values = tuple(
         _stair_value(kind.kind, k, kind.a, kind.b) for k in range(kind.n_cells)
     )
@@ -299,16 +299,12 @@ def _classify_span(length: int, lowest: int, a: int, b: int) -> StairKind:
     """The unique stair kind matching a guide chunk of this length/phase."""
     if length % 2 == 1:
         kind = KIND_A if lowest == a else KIND_B
-        return StairKind(kind, a, b, (length - 1) // 2)
+        return StairKind._make(kind, a, b, (length - 1) // 2)
     kind = KIND_SSTAR if lowest == a else KIND_S
-    return StairKind(kind, a, b, length // 2)
+    return StairKind._make(kind, a, b, length // 2)
 
 
-def piece_kinds(
-    t: CheckerboardTableau,
-    theta: OutsideDecomposition,
-    roles: Optional[Tuple[int, int]] = None,
-) -> Tuple[StairKind, ...]:
+def piece_kinds(t: CheckerboardTableau, theta: OutsideDecomposition) -> Tuple[StairKind, ...]:
     """The stair kind of every piece of the phase-guide cut, by its length
     and lowest value.
 
@@ -317,28 +313,35 @@ def piece_kinds(
     of a piece alternate, starting right from an a-cell and up from a
     b-cell.
     """
-    a, b = roles if roles is not None else check_checkerboard(t)
+    return _piece_kinds(t, theta, *check_checkerboard(t))
+
+
+def _piece_kinds(
+    t: CheckerboardTableau, theta: OutsideDecomposition, a: int, b: int
+) -> Tuple[StairKind, ...]:
     return tuple(
         _classify_span(p.cmax - p.cmin + 1, t.value_at(p.cmin), a, b)
         for p in theta.pieces
     )
 
 
-def stair_cut(
-    t: CheckerboardTableau, roles: Optional[Tuple[int, int]] = None
-) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
+def stair_cut(t: CheckerboardTableau) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
     """The cut of a checkerboard along its phase guide, and each piece's kind.
 
     The guide is the zigzag that steps right on a-diagonals and up on
     b-diagonals, the common shape of all four stair families under the
-    host's colouring.  ``roles`` are the values ``(a, b)`` when the caller
-    has checked the host already; otherwise it is checked here.
+    host's colouring.
     """
-    a, b = roles if roles is not None else check_checkerboard(t)
+    return _stair_cut(t, *check_checkerboard(t))
+
+
+def _stair_cut(
+    t: CheckerboardTableau, a: int, b: int
+) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
+    """:func:`stair_cut` of a host already checked, with its values ``(a, b)``."""
     steps = tuple(RIGHT if v == a else UP for v in t.values[:-1])
-    guide = anchored_ribbon(content_set(t.shape)[0], steps)
-    theta = decomposition_from_ribbon(t.shape, guide)
-    return theta, piece_kinds(t, theta, (a, b))
+    theta = decomposition_from_ribbon(t.shape, _anchored(content_set(t.shape)[0], steps))
+    return theta, _piece_kinds(t, theta, a, b)
 
 
 def tessellation_check(
@@ -399,7 +402,7 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     function does not.
     """
     a, b = _roles_13(t, "evaluate_checkerboard_13")
-    theta, kinds = stair_cut(t, (a, b))
+    theta, kinds = _stair_cut(t, a, b)
     first = kinds[0].kind
     tessellated = first if all(sk.kind == first for sk in kinds) else None
     rows = ribbon_matrix(
@@ -453,8 +456,7 @@ def evaluate_checkerboard_13_column(t: CheckerboardTableau) -> ZetaSymbolValue:
     """
     _roles_13(t, "evaluate_checkerboard_13_column")
     contents = content_set(t.shape)
-    guide = anchored_ribbon(contents[0], (UP,) * (len(contents) - 1))
-    theta = decomposition_from_ribbon(t.shape, guide)
+    theta = decomposition_from_ribbon(t.shape, _anchored(contents[0], (UP,) * (len(contents) - 1)))
     return sym_det(
         ribbon_matrix(
             theta,

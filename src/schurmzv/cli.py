@@ -211,7 +211,7 @@ def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
     """Read a ribbon grid and re-anchor it onto the host's diagonals."""
     shape, _, _ = _load_grid(path)
     r = ribbon_of(shape)
-    host_cmin = min(j - i for i, j in host.cells)
+    host_cmin = content_set(host)[0]
     return anchored_ribbon(host_cmin, r.steps), host_cmin - r.cmin
 
 

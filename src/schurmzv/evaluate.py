@@ -13,9 +13,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Dict, Iterator, Sequence
 
-from .errors import PreconditionError, ResourceLimitError
+from .errors import ResourceLimitError
 from .record import Record
-from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
+from .ribbons import OutsideDecomposition, jacobi_trudi_sides
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
 from .symbolic import _integer_rows, det
 
@@ -170,13 +170,7 @@ def jacobi_trudi_check_exact(
     with the host's diagonal entries; empty subribbons contribute 1 and
     undefined ones 0 (see :func:`ribbon_matrix`).
     """
-    if k.shape != theta.host:
-        raise PreconditionError("diagonal tableau must live on the decomposition host")
-    lhs = truncated_schur_zeta(k.to_tableau(), M)
-    mat = ribbon_matrix(
-        theta,
-        lambda p, q, r: truncated_schur_zeta(fill_ribbon(k, subribbon_of(r, p, q)), M),
-        Fraction(0),
-        Fraction(1),
+    lhs, mat = jacobi_trudi_sides(
+        k, theta, lambda t: truncated_schur_zeta(t, M), Fraction(0), Fraction(1)
     )
     return JTReport(lhs, det_fraction(mat), len(mat))

@@ -7,8 +7,12 @@ dataclasses: positional or keyword construction followed by
 ``hash`` of the field tuple, ``Name(field=value, ...)`` reprs, and
 assignment or deletion raising ``AttributeError``.  The fields and each
 ``cached_property`` are the class's ``__slots__``; a cached property's
-slot is filled on its first read.  A class made by :class:`Interned` keeps
-one instance per value: its class call and :meth:`Record._make` return the
+slot is filled on its first read.
+
+Each value is checked once, where it enters: the class call checks and
+normalises fields that come from outside, and :meth:`Record._make` builds,
+without a check, a value derived from values already checked.  A class
+made by :class:`Interned` keeps one instance per value: both return the
 instance for the normalised fields from the class's LRU memo of
 ``MEMO_SIZE`` entries.  ``clear_caches`` finds the memo through the
 class's ``cache_clear``, which its instances lack.

@@ -23,7 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Optional, Tuple, TypeVar, Union
+from typing import Callable, Optional, Sequence, Tuple, TypeVar, Union
 
 from .errors import PreconditionError
 from .record import Interned, Record
@@ -35,6 +35,7 @@ from .shapes import (
     canonical_rows,
     content,
     content_set,
+    int_parts,
     is_edge_connected,
 )
 
@@ -48,25 +49,20 @@ class Ribbon(Record, metaclass=Interned):
     """A ribbon as its walk: the smallest-content cell and the steps from it.
 
     ``steps[k]`` moves from content cmin+k to cmin+k+1.  Raises
-    :class:`PreconditionError` on an unknown step letter or a walk that
-    leaves the positive quadrant.  Interned: equal ribbons are one instance
-    while in the class's memo.
+    :class:`PreconditionError` on an unknown step letter, a start other than
+    two integers, or a walk that leaves the positive quadrant.  Interned:
+    equal ribbons are one instance while in the class's memo.
     """
 
     start: Cell
     steps: Tuple[str, ...]
 
     def __post_init__(self) -> None:
-        i0, j0 = start = int(self.start[0]), int(self.start[1])
-        steps = tuple(self.steps)
-        ups = steps.count(UP)
-        if ups + steps.count(RIGHT) != len(steps):
-            s = next(s for s in steps if s != UP and s != RIGHT)
-            raise PreconditionError(f"unknown step {s!r}; use {UP!r} or {RIGHT!r}")
-        if i0 - ups < 1 or j0 < 1:
+        start, steps = int_parts(self.start, "start cell"), _checked_steps(self.steps)
+        if len(start) != 2 or start[0] - steps.count(UP) < 1 or start[1] < 1:
             raise PreconditionError(
-                f"walk from {start} with steps {''.join(steps)} leaves the "
-                "positive quadrant; cells must have positive coordinates"
+                f"walk from {start} with steps {''.join(steps)} does not stay on "
+                "cells (i, j) of positive integers"
             )
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
@@ -130,21 +126,36 @@ def ribbon_of(shape: SkewShape) -> Ribbon:
             steps.append(RIGHT)
         else:
             raise PreconditionError(f"{shape} is not a ribbon")
-    return Ribbon(cells[0], tuple(steps))
+    return Ribbon._make(cells[0], tuple(steps))
 
 
-def anchored_ribbon(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
-    """The furthest-left ribbon with the given smallest content and steps."""
+def _checked_steps(steps: Sequence[str]) -> Tuple[str, ...]:
+    """The steps as a tuple, refusing any letter but UP and RIGHT."""
     steps = tuple(steps)
+    if steps.count(UP) + steps.count(RIGHT) != len(steps):
+        s = next(s for s in steps if s != UP and s != RIGHT)
+        raise PreconditionError(f"unknown step {s!r}; use {UP!r} or {RIGHT!r}")
+    return steps
+
+
+def _anchored(cmin: int, steps: Tuple[str, ...]) -> Ribbon:
+    """:func:`anchored_ribbon` of an int content and checked steps, built
+    unchecked: a furthest-left walk stays in the positive quadrant."""
     i0 = max(steps.count(UP) + 1, 1 - cmin)
-    return Ribbon((i0, i0 + cmin), steps)
+    return Ribbon._make((i0, i0 + cmin), steps)
+
+
+def anchored_ribbon(cmin: int, steps: Sequence[str]) -> Ribbon:
+    """The furthest-left ribbon with the given smallest content and steps."""
+    return _anchored(*int_parts((cmin,), "content"), _checked_steps(steps))
 
 
 def subribbon_of(r: Ribbon, p: int, q: int) -> Ribbon:
     """The furthest-left subribbon of ``r`` spanning contents ``[p, q]``."""
+    p, q = int_parts((p, q), "content interval")
     if not (r.cmin <= p <= q <= r.cmax):
         raise PreconditionError(f"content interval [{p},{q}] not inside [{r.cmin},{r.cmax}]")
-    return anchored_ribbon(p, r.steps[p - r.cmin : q - r.cmin])
+    return _anchored(p, r.steps[p - r.cmin : q - r.cmin])
 
 
 class OutsideDecomposition(Record):
@@ -173,40 +184,24 @@ class OutsideDecomposition(Record):
                 f"ribbon contents [{r.cmin},{r.cmax}] do not match host contents "
                 f"{content_set(host)}"
             )
-        object.__setattr__(self, "guide", anchored_ribbon(r.cmin, r.steps))
+        object.__setattr__(self, "guide", _anchored(r.cmin, r.steps))
 
     @cached_property
     def pieces(self) -> Tuple[Ribbon, ...]:
         """The pieces in host coordinates, ordered by smallest content,
         bottom-most first on ties."""
-        r = self.guide
-        dirs = {r.cmin + k: s for k, s in enumerate(r.steps)}
-        cells = self.host.cells
-        host = frozenset(cells)
-
-        def successor(cell: Cell) -> Optional[Cell]:
-            d = dirs.get(content(cell))
-            if d is None:
-                return None
-            i, j = cell
-            nxt = (i - 1, j) if d == UP else (i, j + 1)
-            return nxt if nxt in host else None
-
-        def has_predecessor(cell: Cell) -> bool:
-            d = dirs.get(content(cell) - 1)
-            if d is None:
-                return False
-            i, j = cell
-            prev = (i + 1, j) if d == UP else (i, j - 1)
-            return prev in host
-
-        starts = [c for c in cells if not has_predecessor(c)]
-        starts.sort(key=lambda c: (content(c), -c[0]))
+        r, cells = self.guide, self.host.cells
+        host, succ = frozenset(cells), {}  # cell -> the host cell its guide step leads to
+        for i, j in cells:
+            if j - i < r.cmax:
+                nxt = (i - 1, j) if r.steps[j - i - r.cmin] == UP else (i, j + 1)
+                if nxt in host:
+                    succ[(i, j)] = nxt
         pieces = []
-        for s in starts:
+        for s in sorted(host - set(succ.values()), key=lambda c: (content(c), -c[0])):
             end = s
-            while (nxt := successor(end)) is not None:
-                end = nxt
+            while end in succ:
+                end = succ[end]
             pieces.append(Ribbon._make(s, r.steps[content(s) - r.cmin : content(end) - r.cmin]))
         return tuple(pieces)
 
@@ -329,6 +324,20 @@ def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
         missing = [c for c in range(ribbon.cmin, ribbon.cmax + 1) if c not in k.value_map]
         raise PreconditionError(f"host tableau has no diagonal values for contents {missing}")
     return DiagonalTableau._make(ribbon.shape, k.values[lo:hi]).to_tableau()
+
+
+def jacobi_trudi_sides(
+    k: DiagonalTableau, theta: OutsideDecomposition, value: Callable[[Tableau], E], zero: E, one: E
+) -> Tuple[E, Tuple[Tuple[E, ...], ...]]:
+    """Both sides of a determinant identity: the value of ``k``, which must
+    live on the host, and the :func:`ribbon_matrix` of the values of its
+    subribbons filled by :func:`fill_ribbon`."""
+    if k.shape != theta.host:
+        raise PreconditionError("diagonal tableau must live on the decomposition host")
+    lhs = value(k.to_tableau())
+    return lhs, ribbon_matrix(
+        theta, lambda p, q, r: value(fill_ribbon(k, subribbon_of(r, p, q))), zero, one
+    )
 
 
 def fill_subribbon(

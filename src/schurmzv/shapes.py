@@ -55,6 +55,13 @@ def check_partition(parts: Sequence[int], *, name: str = "partition") -> Partiti
     return parts
 
 
+def check_entries(entries: Iterable) -> None:
+    """Refuses any entry that is not a positive ``int``, such as ``2.0``."""
+    for v in entries:
+        if not isinstance(v, int) or v < 1:
+            raise PreconditionError(f"entries must be positive integers, got {v!r}")
+
+
 def content(cell: Cell) -> int:
     """Content ``j - i`` of a cell."""
     return cell[1] - cell[0]
@@ -148,9 +155,9 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
     ``lam_i == mu_i``, so that contents are preserved.  Raises
     :class:`PreconditionError` if the cells do not form a skew diagram.
     """
-    cell_list = sorted(set((int(i), int(j)) for i, j in cells))
-    if any(i < 1 or j < 1 for i, j in cell_list):
-        raise PreconditionError(f"cells must have positive coordinates: {cell_list}")
+    cell_list = sorted(set(int_parts(cell, "cell") for cell in cells))
+    if any(len(cell) != 2 or min(cell) < 1 for cell in cell_list):
+        raise PreconditionError(f"cells must be pairs of positive integers: {cell_list}")
 
     by_row: Dict[int, list] = {}
     for i, j in cell_list:
@@ -236,10 +243,7 @@ class Tableau(Record):
                 f"row lengths {tuple(len(r) for r in self.rows)} do not match "
                 f"shape {self.shape} widths {widths}"
             )
-        for row in self.rows:
-            for v in row:
-                if not isinstance(v, int) or v < 1:
-                    raise PreconditionError(f"entries must be positive integers, got {v!r}")
+        check_entries(chain.from_iterable(self.rows))
 
     @property
     def entries(self) -> Mapping[Cell, int]:
@@ -300,9 +304,7 @@ class DiagonalTableau(Record, metaclass=Interned):
             raise PreconditionError(
                 f"{len(values)} values do not match the shape's contents {contents}"
             )
-        for v in values:
-            if not isinstance(v, int) or v < 1:
-                raise PreconditionError(f"entries must be positive integers, got {v!r}")
+        check_entries(values)
         object.__setattr__(self, "values", values)
 
     @property
@@ -351,4 +353,4 @@ def as_diagonal(t: Tableau) -> DiagonalTableau:
         c = content(cell)
         if seen.setdefault(c, v) != v:
             raise PreconditionError(f"entries differ along diagonal {c}")
-    return diagonal_tableau(t.shape, seen)
+    return DiagonalTableau._make(t.shape, tuple(v for _, v in sorted(seen.items())))

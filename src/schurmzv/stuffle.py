@@ -26,7 +26,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import PreconditionError
 from .mzv import (
     Index,
     check_index,
@@ -35,7 +34,7 @@ from .mzv import (
     truncated_mzv,
 )
 from .record import Record
-from .ribbons import OutsideDecomposition, fill_ribbon, ribbon_matrix, subribbon_of
+from .ribbons import OutsideDecomposition, jacobi_trudi_sides
 from .shapes import DiagonalTableau, Tableau, is_admissible
 from .symbolic import Scalar, TermMap, det
 
@@ -247,18 +246,8 @@ def regularized_jt_check(
     For admissible k the spread of the determinant across samples measures
     the (expected) cancellation of T.
     """
-    if k.shape != theta.host:
-        raise PreconditionError("tableau shape does not match the decomposition host")
-    flat = k.to_tableau()
-    lhs_poly = schur_regularize(flat)
-    lhs_coeffs = _coefficient_values(lhs_poly)
-    entry_coeffs = ribbon_matrix(
-        theta,
-        lambda p, q, r: _coefficient_values(
-            schur_regularize(fill_ribbon(k, subribbon_of(r, p, q)))
-        ),
-        (0.0,),
-        (1.0,),
+    lhs_coeffs, entry_coeffs = jacobi_trudi_sides(
+        k, theta, lambda t: _coefficient_values(schur_regularize(t)), (0.0,), (1.0,)
     )
 
     lhs_vals: List[float] = []
@@ -273,7 +262,7 @@ def regularized_jt_check(
         tuple(lhs_vals),
         tuple(det_vals),
         disc,
-        is_admissible(flat),
+        is_admissible(k.to_tableau()),
         spread,
-        lhs_poly.degree,
+        len(lhs_coeffs) - 1,
     )

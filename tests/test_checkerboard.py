@@ -74,6 +74,27 @@ class TestStairKind:
         with pytest.raises(PreconditionError):
             StairKind("A", 1, 3, -1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            # stair_tableau once filled this with (1.5, 3, 1.5)
+            ("A", 1.5, 3, 1),
+            ("A", 1, 3.0, 1),
+            ("B", 1, "3", 1),
+            # n_cells once read 4.0
+            ("A", 1, 3, 1.5),
+            ("A", 1, 3, "1"),
+        ],
+    )
+    def test_entries_and_pair_count_are_integers(self, fields):
+        with pytest.raises(PreconditionError):
+            StairKind(*fields)
+
+    def test_integral_pair_count_is_read_as_an_int(self):
+        kind = StairKind("A", 1, 3, 2.0)
+        assert kind == StairKind("A", 1, 3, 2) and type(kind.n) is int
+        assert kind.n_cells == 5
+
     def test_cell_counts(self):
         assert StairKind("A", 1, 3, 2).n_cells == 5
         assert StairKind("S", 1, 3, 2).n_cells == 4

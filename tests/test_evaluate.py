@@ -220,6 +220,11 @@ class TestJacobiTrudi:
         other = diagonal_tableau(make_skew((1,)), {0: 2})
         with pytest.raises(PreconditionError):
             jacobi_trudi_check_exact(other, theta, 3)
+        # a host with the same contents: every subribbon could be filled
+        hook = decomposition_from_ribbon(make_skew((2, 1)), anchored_ribbon(-1, (UP, RIGHT)))
+        skew = diagonal_tableau(make_skew((2, 2), (1,)), {-1: 1, 0: 2, 1: 3})
+        with pytest.raises(PreconditionError, match="host"):
+            jacobi_trudi_check_exact(skew, hook, 3)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_skew_shapes(max_cells=7), st.data())

@@ -2,7 +2,9 @@
 
 One sample instance per class, with the field names in declaration order,
 pins construction, equality, hashing, repr and frozenness.  The trusted
-constructor ``_make`` is checked against the public one on random values.
+constructor ``_make`` is checked against the public one on random values,
+and the determinant routes are checked to build every derived value with
+it, so that no value is checked twice.
 """
 
 import copy
@@ -16,12 +18,16 @@ from schurmzv.checkerboard import (
     CheckerboardReport,
     StairKind,
     evaluate_checkerboard_13,
+    piece_kinds,
+    stair_cut,
     stair_tableau,
 )
 from schurmzv.errors import PreconditionError
-from schurmzv.evaluate import JTReport
+from schurmzv.evaluate import JTReport, jacobi_trudi_check_exact
 from schurmzv.record import Interned, Record
 from schurmzv.ribbons import (
+    RIGHT,
+    UP,
     OutsideDecomposition,
     Ribbon,
     SubribbonEntry,
@@ -42,7 +48,7 @@ from schurmzv.shapes import (
     diagonal_tableau,
     make_skew,
 )
-from schurmzv.stuffle import RegJTReport
+from schurmzv.stuffle import RegJTReport, regularized_jt_check
 
 from test_shapes import skew_shapes
 
@@ -196,6 +202,7 @@ def test_make_is_the_public_constructor(shape, walk, data):
     p = data.draw(st.integers(r.cmin, r.cmax))
     q = data.draw(st.integers(p, r.cmax))
     sub = subribbon_of(r, p, q)
+    assert sub is Ribbon(list(sub.start), list(sub.steps))
     filled = fill_ribbon(big, sub)
     assert filled == Tableau(sub.shape, filled.rows)
     sliced = big.values[p - r.cmin : q - r.cmin + 1]
@@ -204,3 +211,45 @@ def test_make_is_the_public_constructor(shape, walk, data):
     kind = StairKind(data.draw(st.sampled_from("ABS")), 1, 3, data.draw(st.integers(1, 4)))
     stair = stair_tableau(kind)
     assert stair is DiagonalTableau(stair.shape, stair.values)
+
+    # the guide of a decomposition is re-anchored furthest left
+    shifted = Ribbon((r.start[0] + 2, r.start[1] + 2), r.steps)
+    guide = decomposition_from_ribbon(shifted.shape, shifted).guide
+    assert guide is anchored_ribbon(shifted.cmin, shifted.steps) is r
+
+    # the stair kinds of a checkerboard's pieces
+    board = diagonal_tableau(r.shape, {c: 3 if c % 2 else 1 for c in content_set(r.shape)})
+    theta, kinds = stair_cut(board)
+    assert piece_kinds(board, theta) == kinds
+    assert kinds == tuple(StairKind(k.kind, k.a, k.b, k.n) for k in kinds)
+
+
+JT_HOST = make_skew((3, 3, 3))
+JT_TABLEAU = diagonal_tableau(JT_HOST, {c: 1 if c % 2 else 3 for c in content_set(JT_HOST)})
+JT_THETA = decomposition_from_ribbon(JT_HOST, anchored_ribbon(-2, (UP, RIGHT, UP, RIGHT)))
+SQUARE_5 = make_skew((5,) * 5)
+SQUARE_13 = diagonal_tableau(SQUARE_5, {c: 1 if c % 2 else 3 for c in content_set(SQUARE_5)})
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda: jacobi_trudi_check_exact(JT_TABLEAU, JT_THETA, 4),
+        lambda: regularized_jt_check(JT_TABLEAU, JT_THETA, (0.0, 0.5)),
+        lambda: evaluate_checkerboard_13(SQUARE_13),
+    ],
+    ids=["exact", "regularized", "checkerboard"],
+)
+def test_the_determinant_routes_check_nothing_twice(monkeypatch, route):
+    """Every value a route derives from its checked inputs is built by
+    ``_make``, so no ``__post_init__`` runs."""
+    checks = dict.fromkeys((Ribbon, Tableau, DiagonalTableau, StairKind), 0)
+    for cls in checks:
+
+        def counted(self, cls=cls, check=cls.__post_init__):
+            checks[cls] += 1
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    route()
+    assert checks == dict.fromkeys(checks, 0)

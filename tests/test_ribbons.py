@@ -6,6 +6,7 @@ is the worked golden case: four pieces of sizes 1, 4, 6, 1.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -487,6 +488,34 @@ class TestWalkOracle:
             from_cells(walk_cells(start, steps))
         with pytest.raises(PreconditionError):
             Ribbon(start, steps)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            # int() once moved this start to (2, 1)
+            lambda: Ribbon((2.7, 1.2), (UP,)),
+            # the third coordinate was dropped
+            lambda: Ribbon((2, 1, 1), (UP,)),
+            lambda: Ribbon((2,), (UP,)),
+            lambda: Ribbon(("2", "1"), (UP,)),
+            # the content was truncated to 0
+            lambda: anchored_ribbon(0.5, (UP,)),
+            lambda: anchored_ribbon("0", (UP,)),
+            lambda: subribbon_of(GUIDE, 0.5, 2),
+        ],
+    )
+    def test_coordinates_follow_the_partition_rule(self, build):
+        with pytest.raises(PreconditionError):
+            build()
+
+    def test_integral_coordinates_are_read_as_ints(self):
+        r = Ribbon((2, 1), (UP,))
+        assert Ribbon((2.0, np.int64(1)), [UP]) is r
+        assert type(r.start[0]) is int
+        assert anchored_ribbon(np.int64(-1), (UP,)) is anchored_ribbon(-1, (UP,))
+        sub = subribbon_of(GUIDE, np.int64(-2), np.int64(1))
+        assert sub is subribbon_of(GUIDE, -2, 1)
+        assert all(type(x) is int for x in sub.start)
 
     @pytest.mark.parametrize("steps", [("X",), (UP, "u"), (RIGHT, "UR")])
     def test_unknown_step_letter(self, steps):

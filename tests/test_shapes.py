@@ -132,6 +132,14 @@ class TestFromCells:
         with pytest.raises(PreconditionError):
             from_cells([(1, 1), (2, 1), (2, 2)])
 
+    def test_coordinates_follow_the_partition_rule(self):
+        # int() once truncated (1, 1.5) to (1, 1) and parsed ("1", "1"); a
+        # triple raised a bare ValueError
+        for cells in ([(1, 1.5), (1, 2)], [("1", "1")], [(1, 2, 3)], [(1,)], [(1, None)]):
+            with pytest.raises(PreconditionError):
+                from_cells(cells)
+        assert from_cells([(1.0, np.int64(1)), (1, 2), (2, 1)]) is make_skew((2, 1))
+
 
 class TestGeometry:
     def test_content(self):

@@ -337,3 +337,8 @@ class TestRegularizedJT:
         theta = trivial_decomposition(ribbon_of(make_skew((1, 1, 1))))
         with pytest.raises(PreconditionError):
             regularized_jt_check(k, theta, [0.0])
+        # a host with the same contents: every subribbon could be filled
+        skew = diagonal_tableau(make_skew((2, 2), (1,)), {-1: 1, 0: 2, 1: 3})
+        hook = trivial_decomposition(ribbon_of(make_skew((2, 1))))
+        with pytest.raises(PreconditionError, match="host"):
+            regularized_jt_check(skew, hook, [0.0])
