@@ -11,7 +11,7 @@ statements the library can demonstrate in a few lines.
 import math
 
 from schurmzv.mzv import EULER_GAMMA, truncated_mzv, truncated_mzv_float
-from schurmzv.stuffle import eval_tpoly, qs_truncated, regularize, stuffle_product
+from schurmzv.stuffle import eval_tpoly, regularize, stuffle_product
 
 # The stuffle rule: zeta_M(2) * zeta_M(3) = zeta_M(2,3) + zeta_M(3,2)
 # + zeta_M(5), and likewise for any pair of indices.
@@ -21,7 +21,7 @@ print("stuffle product of", u, "and", v, "->", prod)
 
 for M in (4, 10, 25):
     lhs = truncated_mzv(u, M) * truncated_mzv(v, M)
-    rhs = qs_truncated(prod, M)
+    rhs = sum(c * truncated_mzv(idx, M) for idx, c in prod.terms.items())
     print(f"  M = {M:2d}: product {lhs} == expansion {rhs}: {lhs == rhs}")
 
 # Divergent indices end in 1, and their truncations grow like log M.

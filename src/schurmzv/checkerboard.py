@@ -81,14 +81,20 @@ class StairKind(Record):
         if self.kind not in _KINDS:
             raise PreconditionError(f"unknown stair kind {self.kind!r}; use one of {_KINDS}")
         check_entries((self.a, self.b))
-        (n,) = int_parts((self.n,), "pair count")
-        if n < 0:
-            raise PreconditionError("the pair count n must be nonnegative")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", _pair_count(self.n, 0))
 
     @property
     def n_cells(self) -> int:
         return 2 * self.n + (1 if self.kind in (KIND_A, KIND_B) else 0)
+
+
+def _pair_count(n, least: int) -> int:
+    """The pair count ``n`` by the integer rule of partition parts; refuses
+    a count below ``least``."""
+    (n,) = int_parts((n,), "pair count")
+    if n < least:
+        raise PreconditionError(f"the pair count n must be at least {least}, got {n}")
+    return n
 
 
 def check_checkerboard(t: DiagonalTableau) -> Tuple[int, int]:
@@ -154,8 +160,7 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
 @lru_cache(maxsize=None)
 def zeta_13(n: int) -> ZetaSymbolValue:
     """The alternating column value ((1,3) repeated n times) as 2/(4n+2)! P^n."""
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
+    n = _pair_count(n, 0)
     return ZetaSymbolValue.P() ** n * Fraction(2, factorial(4 * n + 2))
 
 
@@ -166,8 +171,7 @@ def zeta_3_13(n: int) -> ZetaSymbolValue:
     Equals the alternating sum of Z_{4k+3} against the pure (1,3) columns:
     sum over k of (-1/4)^k zeta(4k+3) zeta_13(n-k).
     """
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
+    n = _pair_count(n, 0)
     out = ZetaSymbolValue.zero()
     for k in range(n + 1):
         out = out + ZetaSymbolValue.Z(4 * k + 3) * zeta_13(n - k) * Fraction(
@@ -215,8 +219,7 @@ def reg13_formulas(n: int) -> Tuple[ZetaSymbolValue, ZetaSymbolValue]:
     (-1)^n SStar(n).  Both are elements of Q[P, Z_odd][T]; n = 0 gives T
     and 1 respectively.
     """
-    if n < 0:
-        raise PreconditionError("n must be nonnegative")
+    n = _pair_count(n, 0)
     first = zeta_13(n) * ZetaSymbolValue.T()
     for j in range(1, n + 1):
         first = first + (
@@ -281,8 +284,7 @@ def closed_form_12(kind: StairKind) -> ZetaSymbolValue:
 
 def l12(n: int) -> Dict[Index, int]:
     """The weight-(3n+1) combination: 3 times each (3..3, 4, 3..3) index."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
+    n = _pair_count(n, 1)
     return {(3,) * m + (4,) + (3,) * (n - 1 - m): 3 for m in range(n)}
 
 
@@ -304,27 +306,6 @@ def _classify_span(length: int, lowest: int, a: int, b: int) -> StairKind:
     return StairKind._make(kind, a, b, length // 2)
 
 
-def piece_kinds(t: CheckerboardTableau, theta: OutsideDecomposition) -> Tuple[StairKind, ...]:
-    """The stair kind of every piece of the phase-guide cut, by its length
-    and lowest value.
-
-    Every piece is a complete stair: the guide steps right on a-diagonals
-    and up on b-diagonals, and the values alternate strictly, so the steps
-    of a piece alternate, starting right from an a-cell and up from a
-    b-cell.
-    """
-    return _piece_kinds(t, theta, *check_checkerboard(t))
-
-
-def _piece_kinds(
-    t: CheckerboardTableau, theta: OutsideDecomposition, a: int, b: int
-) -> Tuple[StairKind, ...]:
-    return tuple(
-        _classify_span(p.cmax - p.cmin + 1, t.value_at(p.cmin), a, b)
-        for p in theta.pieces
-    )
-
-
 def stair_cut(t: CheckerboardTableau) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
     """The cut of a checkerboard along its phase guide, and each piece's kind.
 
@@ -338,10 +319,17 @@ def stair_cut(t: CheckerboardTableau) -> Tuple[OutsideDecomposition, Tuple[Stair
 def _stair_cut(
     t: CheckerboardTableau, a: int, b: int
 ) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
-    """:func:`stair_cut` of a host already checked, with its values ``(a, b)``."""
+    """:func:`stair_cut` of a host already checked, with its values ``(a, b)``.
+
+    Every piece is a complete stair, classified by its length and lowest
+    value: the values alternate strictly, so the steps of a piece
+    alternate, starting right from an a-cell and up from a b-cell.
+    """
     steps = tuple(RIGHT if v == a else UP for v in t.values[:-1])
     theta = decomposition_from_ribbon(t.shape, _anchored(content_set(t.shape)[0], steps))
-    return theta, _piece_kinds(t, theta, a, b)
+    return theta, tuple(
+        _classify_span(p.cmax - p.cmin + 1, t.value_at(p.cmin), a, b) for p in theta.pieces
+    )
 
 
 def tessellation_check(
@@ -478,31 +466,12 @@ def _column_value(top: int, bottom: int, length: int) -> ZetaSymbolValue:
     return reg13_formulas(length // 2)[1]
 
 
-def g13(n: int) -> ZetaSymbolValue:
-    """The 2x2 stair determinant det[[A(n), S(n)], [SStar(n), B(n-1)]]."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
-    return sym_det(
-        [
-            [
-                closed_form_13(StairKind(KIND_A, 1, 3, n)),
-                closed_form_13(StairKind(KIND_S, 1, 3, n)),
-            ],
-            [
-                closed_form_13(StairKind(KIND_SSTAR, 1, 3, n)),
-                closed_form_13(StairKind(KIND_B, 1, 3, n - 1)),
-            ],
-        ]
-    )
-
-
 def alpha(n: int) -> Fraction:
     """The rational ratio S(n) SStar(n) / zeta_13(2n): the product of the
     P^n coefficients of S(n) and SStar(n), over the P^{2n} coefficient
     2/(8n+2)! of zeta_13(2n).  The paper's Bernoulli-polynomial expression
     is a test oracle (``tests/oracles.alpha_by_bernoulli``)."""
-    if n < 1:
-        raise PreconditionError("n must be at least 1")
+    n = _pair_count(n, 1)
     s_coeff, sstar_coeff = (
         closed_form_13(StairKind(kind, 1, 3, n)).coefficient((("P", n),))
         for kind in (KIND_S, KIND_SSTAR)

@@ -1,17 +1,18 @@
-"""Weighted sums over semistandard fillings and the determinant identity.
+"""Truncated Schur multiple zeta values and the exact determinant identity.
 
-The central object is the generic sum over restricted semistandard Young
-tableaux: rows weakly increase, columns strictly increase, all entries below
-a bound M, and each filling contributes the product of a weight f(m, k) over
-its cells.  Specializations give truncated Schur multiple zeta values
-(f = m^-k) and skew Schur polynomials (f = x_m).
+A truncation sums over restricted semistandard Young tableaux: rows weakly
+increase, columns strictly increase, all entries are below a bound M, and
+a filling with summation variables m contributes the product of m^-k over
+its cells, k the tableau's entry there.  The generic sum with any weight
+f(m, k), which also gives skew Schur polynomials (f = x_m), is a test
+oracle (``tests/oracles.s_f_m``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, Iterator, Sequence
+from typing import Dict, Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .record import Record
@@ -26,8 +27,6 @@ FILLING_CAP = 10**8
 #: The most bits the common denominator of an exact truncation may need;
 #: a larger one raises ResourceLimitError before it is built.
 DENOMINATOR_BITS_CAP = 2**20
-
-WeightFunction = Callable[[int, int], object]
 
 
 def _fill_plan(shape: SkewShape):
@@ -76,30 +75,14 @@ def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
     return rec(0)
 
 
-def s_f_m(k: Tableau, M: int, f: WeightFunction) -> object:
-    """Sum of prod f(m_cell, k_cell) over all semistandard fillings < M.
-
-    Generic over any commutative ring whose elements combine with the
-    integers 0 and 1 under + and *; the empty shape gives 1.
-    """
-    total = 0
-    exps = [e for row in k.rows for e in row]
-    for filling in enumerate_ssyt(k.shape, M):
-        term = 1
-        for m, e in zip(filling.values(), exps):
-            term = term * f(m, e)
-        total = total + term
-    return total
-
-
 def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     """Exact truncation of the nested zeta sum attached to the tableau.
 
-    Equals s_f_m with f(m, d) = m^-d but accumulates one integer numerator
-    over the common denominator lcm(1..M-1)^weight, which keeps the rational
-    reductions out of the inner loop.  Raises :class:`ResourceLimitError`
-    when that denominator needs more than ``DENOMINATOR_BITS_CAP`` bits, or
-    when more than ``FILLING_CAP`` fillings are summed.
+    Accumulates one integer numerator over the common denominator
+    lcm(1..M-1)^weight, which keeps the rational reductions out of the
+    inner loop.  Raises :class:`ResourceLimitError` when that denominator
+    needs more than ``DENOMINATOR_BITS_CAP`` bits, or when more than
+    ``FILLING_CAP`` fillings are summed.
     """
     cap = FILLING_CAP
     cells, left, up, below = _fill_plan(k.shape)

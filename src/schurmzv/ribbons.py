@@ -215,11 +215,6 @@ def decomposition_from_ribbon(shape: SkewShape, r: Ribbon) -> OutsideDecompositi
     return OutsideDecomposition(shape, r)
 
 
-def trivial_decomposition(r: Ribbon) -> OutsideDecomposition:
-    """The one-piece decomposition of a ribbon-shaped host into itself."""
-    return decomposition_from_ribbon(r.shape, r)
-
-
 def minimal_containing_ribbon(theta: OutsideDecomposition) -> Ribbon:
     """The furthest-left ribbon containing every piece, content-aligned:
     the decomposition's guide."""

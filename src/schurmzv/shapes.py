@@ -68,11 +68,17 @@ def content(cell: Cell) -> int:
 
 
 class SkewShape(Record, metaclass=Interned):
-    """A skew diagram ``lam/mu``, canonicalised; build via :func:`make_skew`.
-    Interned; ``content_set`` is derived once per instance."""
+    """A skew diagram ``lam/mu``; the class call checks and canonicalises
+    its fields as :func:`make_skew` does.  Interned; ``content_set`` is
+    derived once per instance."""
 
     lam: Partition
     mu: Partition
+
+    def __post_init__(self) -> None:
+        lam, mu = _skew_rows(self.lam, self.mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
 
     def _kept(self) -> SkewShape:
         return self if self.lam else EMPTY_SHAPE  # the one empty shape, across clears
@@ -103,10 +109,6 @@ class SkewShape(Record, metaclass=Interned):
     def __contains__(self, cell: Cell) -> bool:
         i, j = cell
         return 1 <= i <= len(self.lam) and self.padded_mu[i - 1] < j <= self.lam[i - 1]
-
-    def row_span(self, i: int) -> Tuple[int, int]:
-        """Column interval ``(mu_i + 1, lam_i)`` occupied by row ``i``."""
-        return self.padded_mu[i - 1] + 1, self.lam[i - 1]
 
     def __str__(self) -> str:
         mu = ",".join(str(p) for p in self.mu)
@@ -140,11 +142,16 @@ def make_skew(lam: Sequence[int], mu: Sequence[int] = ()) -> SkewShape:
     Raises :class:`PreconditionError` unless both arguments are partitions
     with ``mu`` contained in ``lam``.
     """
+    return SkewShape._make(*_skew_rows(lam, mu))
+
+
+def _skew_rows(lam: Sequence[int], mu: Sequence[int]) -> Tuple[Partition, Partition]:
+    """The canonical rows of ``lam/mu``, checked as :func:`make_skew` states."""
     lam = check_partition(lam, name="lam")
     mu = check_partition(mu, name="mu")
     if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
         raise PreconditionError(f"mu={mu} is not contained in lam={lam}")
-    return SkewShape._make(*canonical_rows(lam, mu))
+    return canonical_rows(lam, mu)
 
 
 def from_cells(cells: Iterable[Cell]) -> SkewShape:
@@ -218,11 +225,6 @@ def translation_equivalent(a: SkewShape, b: SkewShape) -> bool:
     return furthest_left(a) == furthest_left(b)
 
 
-def transpose_shape(shape: SkewShape) -> SkewShape:
-    """Reflect across the main diagonal (rows become columns)."""
-    return from_cells([(j, i) for i, j in shape.cells])
-
-
 class Tableau(Record):
     """A skew shape with a positive integer written in every cell.
 
@@ -278,12 +280,6 @@ def tableau_from_entries(shape: SkewShape, entries: Mapping[Cell, int]) -> Table
 def is_admissible(t: Tableau) -> bool:
     """True if every corner entry is at least 2 (convergence criterion)."""
     return all(t.rows[i - 1][-1] >= 2 for i, _ in corners(t.shape))
-
-
-def transpose_tableau(t: Tableau) -> Tableau:
-    """Transpose the shape, carrying entries along."""
-    flipped = {(j, i): v for (i, j), v in zip(t.shape.cells, chain.from_iterable(t.rows))}
-    return tableau_from_entries(transpose_shape(t.shape), flipped)
 
 
 class DiagonalTableau(Record, metaclass=Interned):

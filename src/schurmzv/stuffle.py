@@ -26,13 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
-from .mzv import (
-    Index,
-    check_index,
-    expand_tableau,
-    numeric_mzv,
-    truncated_mzv,
-)
+from .mzv import Index, check_index, expand_tableau, numeric_mzv
 from .record import Record
 from .ribbons import OutsideDecomposition, jacobi_trudi_sides
 from .shapes import DiagonalTableau, Tableau, is_admissible
@@ -92,14 +86,6 @@ def stuffle_product(u: Index, v: Index) -> QSElement:
             key = idx + (last,)
             out[key] = out[key] + c if key in out else c
     return QSElement._canonical(out)
-
-
-def qs_truncated(elem: QSElement, M: int) -> Fraction:
-    """Linear extension of the truncated value to combinations."""
-    total = Fraction(0)
-    for idx, c in elem.terms.items():
-        total += c * (Fraction(1) if idx == () else truncated_mzv(idx, M))
-    return total
 
 
 class TPoly(TermMap):

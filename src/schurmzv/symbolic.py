@@ -291,25 +291,12 @@ class ZetaSymbolValue(TermMap):
             raise ResourceLimitError(f"a product exponent reaches {EXPONENT_GUARD}")
         return out
 
-    def homogeneous_weight(self) -> Optional[int]:
-        """Weight if homogeneous (None for 0); PreconditionError if mixed."""
-        ws = {monomial_weight(m) for m in self.terms}
-        if not ws:
-            return None
-        if len(ws) > 1:
-            raise PreconditionError(f"value is not weight-homogeneous: weights {sorted(ws)}")
-        return ws.pop()
-
     def coefficient(self, pairs: GeneratorPairs) -> Fraction:
         return self.terms.get(_monomial(pairs), Fraction(0))
 
     def generators(self) -> Set[str]:
         """Names of the generators in the support."""
         return {_gen_name(i) for m in self.terms for i, _ in _exponents(m)}
-
-    def has_generator(self, name: str) -> bool:
-        shift = FIELD_BITS * _slot(name)
-        return any(m >> shift & _FIELD for m in self.terms)
 
     def substitute_t(self, t: Scalar) -> "ZetaSymbolValue":
         """Replace T by an exact rational."""

@@ -4,34 +4,55 @@ Each one recomputes a library value a second way (a Bernoulli polynomial
 over the Gaussian rationals, a product of ``{4}`` blocks, an
 h-determinant, a determinant by Bareiss elimination, a decomposition's
 guide from its pieces, a ribbon's rows from its walk, a shape's corners
-and connectivity from its cell set) or restates a theorem the library
-relies on as a boolean check; the tests compare the two.
+and connectivity from its cell set), restates a theorem the library
+relies on as a boolean check, or is a reference route no library route
+reads (the generic weighted filling sum, transposes, the linear extension
+of truncation to stuffle combinations, the 2x2 stair determinant G(n),
+a value's weight); the tests compare the two.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, lcm
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from schurmzv.checkerboard import (
+    KIND_A,
+    KIND_B,
+    KIND_S,
+    KIND_SSTAR,
     CheckerboardReport,
     StairKind,
     _stair_steps,
     check_checkerboard,
+    closed_form_13,
 )
 from schurmzv.errors import PreconditionError
-from schurmzv.evaluate import det_fraction, s_f_m
-from schurmzv.mzv import is_admissible_index
+from schurmzv.evaluate import det_fraction, enumerate_ssyt
+from schurmzv.mzv import is_admissible_index, truncated_mzv
 from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon
-from schurmzv.shapes import Cell, DiagonalTableau, SkewShape, Tableau, content_set
-from schurmzv.stuffle import TPoly
+from schurmzv.shapes import (
+    Cell,
+    DiagonalTableau,
+    SkewShape,
+    Tableau,
+    content_set,
+    from_cells,
+    tableau_from_entries,
+)
+from schurmzv.stuffle import QSElement, TPoly
 from schurmzv.symbolic import (
     Scalar,
     TermMap,
     ZetaSymbolValue,
     bernoulli_number,
+    monomial_weight,
+    sym_det,
     z4_power,
     z4_star_power,
 )
+
+WeightFunction = Callable[[int, int], object]
 
 
 class GaussianRational(TermMap):
@@ -103,19 +124,47 @@ def alpha_by_bernoulli(n: int) -> Fraction:
     return w.re
 
 
+def g13(n: int) -> ZetaSymbolValue:
+    """The 2x2 stair determinant det[[A(n), S(n)], [SStar(n), B(n-1)]]."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
+    return sym_det(
+        [
+            [
+                closed_form_13(StairKind(KIND_A, 1, 3, n)),
+                closed_form_13(StairKind(KIND_S, 1, 3, n)),
+            ],
+            [
+                closed_form_13(StairKind(KIND_SSTAR, 1, 3, n)),
+                closed_form_13(StairKind(KIND_B, 1, 3, n - 1)),
+            ],
+        ]
+    )
+
+
+def homogeneous_weight(v: ZetaSymbolValue) -> Optional[int]:
+    """Weight if homogeneous (None for 0); PreconditionError if mixed."""
+    ws = {monomial_weight(m) for m in v.terms}
+    if not ws:
+        return None
+    if len(ws) > 1:
+        raise PreconditionError(f"value is not weight-homogeneous: weights {sorted(ws)}")
+    return ws.pop()
+
+
 def checkerboard_value_is_consistent(report: CheckerboardReport) -> bool:
     """Whether a (1,3) checkerboard value is what the paper proves it is:
     nonzero, weight-homogeneous of the tableau's weight, and free of T when
     the tableau is admissible."""
     v = report.value
     try:
-        weight = v.homogeneous_weight()
+        weight = homogeneous_weight(v)
     except PreconditionError:
         return False
     return (
         bool(v)
         and weight == report.weight
-        and not (report.admissible and v.has_generator("T"))
+        and not (report.admissible and "T" in v.generators())
     )
 
 
@@ -123,6 +172,14 @@ def admissible_support(p: TPoly) -> bool:
     """Whether every coefficient of p is supported on admissible (or empty)
     indices."""
     return all(not idx or is_admissible_index(idx) for _, idx in p.terms)
+
+
+def qs_truncated(elem: QSElement, M: int) -> Fraction:
+    """Linear extension of the truncated value to combinations."""
+    total = Fraction(0)
+    for idx, c in elem.terms.items():
+        total += c * (Fraction(1) if idx == () else truncated_mzv(idx, M))
+    return total
 
 
 def fill_by_walk(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
@@ -195,6 +252,17 @@ def edge_connected_by_search(shape: SkewShape) -> bool:
     return len(seen) == len(cells)
 
 
+def transpose_shape(shape: SkewShape) -> SkewShape:
+    """Reflect across the main diagonal (rows become columns)."""
+    return from_cells([(j, i) for i, j in shape.cells])
+
+
+def transpose_tableau(t: Tableau) -> Tableau:
+    """Transpose the shape, carrying entries along."""
+    flipped = {(j, i): v for (i, j), v in zip(t.shape.cells, chain.from_iterable(t.rows))}
+    return tableau_from_entries(transpose_shape(t.shape), flipped)
+
+
 def sstar13_bernoulli(n: int) -> ZetaSymbolValue:
     """SStar(1,3,n) through the Bernoulli polynomial at (1-i)/2.
 
@@ -237,6 +305,22 @@ def _complete_homogeneous(x: Sequence[Fraction], kmax: int) -> List[Fraction]:
     return h
 
 
+def s_f_m(k: Tableau, M: int, f: WeightFunction) -> object:
+    """Sum of prod f(m_cell, k_cell) over all semistandard fillings < M.
+
+    Generic over any commutative ring whose elements combine with the
+    integers 0 and 1 under + and *; the empty shape gives 1.
+    """
+    total = 0
+    exps = [e for row in k.rows for e in row]
+    for filling in enumerate_ssyt(k.shape, M):
+        term = 1
+        for m, e in zip(filling.values(), exps):
+            term = term * f(m, e)
+        total = total + term
+    return total
+
+
 def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fraction:
     """Skew Schur polynomial at x, cross-checked against its h-determinant.
 
@@ -247,13 +331,7 @@ def schur_poly_check(shape: SkewShape, M: int, x: Sequence[Fraction]) -> Fractio
     if len(x) != M - 1:
         raise PreconditionError(f"need {M - 1} variable values, got {len(x)}")
     x = [Fraction(v) for v in x]
-    ones = Tableau(
-        shape,
-        tuple(
-            tuple(1 for _ in range(lo, hi + 1))
-            for lo, hi in (shape.row_span(i) for i in range(1, len(shape.lam) + 1))
-        ),
-    )
+    ones = tableau_from_entries(shape, dict.fromkeys(shape.cells, 1))
     value = s_f_m(ones, M, lambda m, _d: x[m - 1])
     ell = len(shape.lam)
     mu = shape.padded_mu

@@ -60,7 +60,6 @@ from schurmzv.shapes import (
 from schurmzv.stuffle import (
     TPoly,
     eval_tpoly,
-    qs_truncated,
     regularize,
     regularized_jt_check,
     schur_regularize,
@@ -68,7 +67,7 @@ from schurmzv.stuffle import (
 )
 from schurmzv.symbolic import ZetaSymbolValue, numeric_value, sym_det, zeta_single
 
-from oracles import sstar13_bernoulli, zeta_four_block, zeta_four_block_star
+from oracles import qs_truncated, sstar13_bernoulli, zeta_four_block, zeta_four_block_star
 
 P = ZetaSymbolValue.P
 Z = ZetaSymbolValue.Z

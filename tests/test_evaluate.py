@@ -11,7 +11,6 @@ from schurmzv.evaluate import (
     det_fraction,
     enumerate_ssyt,
     jacobi_trudi_check_exact,
-    s_f_m,
     truncated_schur_zeta,
 )
 from schurmzv.ribbons import (
@@ -29,7 +28,7 @@ from schurmzv.shapes import (
     tableau_from_entries,
 )
 
-from oracles import bareiss_det, schur_poly_check
+from oracles import bareiss_det, s_f_m, schur_poly_check
 from test_ribbons import connected_skew_shapes
 
 EMPTY_T = Tableau(make_skew(()), ())

@@ -18,7 +18,6 @@ from schurmzv.checkerboard import (
     CheckerboardReport,
     StairKind,
     evaluate_checkerboard_13,
-    piece_kinds,
     stair_cut,
     stair_tableau,
 )
@@ -219,8 +218,7 @@ def test_make_is_the_public_constructor(shape, walk, data):
 
     # the stair kinds of a checkerboard's pieces
     board = diagonal_tableau(r.shape, {c: 3 if c % 2 else 1 for c in content_set(r.shape)})
-    theta, kinds = stair_cut(board)
-    assert piece_kinds(board, theta) == kinds
+    kinds = stair_cut(board)[1]
     assert kinds == tuple(StairKind(k.kind, k.a, k.b, k.n) for k in kinds)
 
 

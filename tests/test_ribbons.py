@@ -427,7 +427,7 @@ class TestWalkOracle:
     def test_fill_ribbon_matches_cell_map(self):
         # empty rows below the cells: the shape is read off the walk,
         # in canonical form, without them
-        extra = [ribbon_of(SkewShape((3, 2, 2), (1, 2, 2)))]
+        extra = [ribbon_of(SkewShape._make((3, 2, 2), (1, 2, 2)))]
         assert extra[0].shape == SkewShape((3,), (1,))
         for rng, cmin, steps in random_walks(1204, 300):
             r = anchored_ribbon(cmin, steps)

@@ -27,12 +27,15 @@ from schurmzv.shapes import (
     tableau_from_entries,
     translate,
     translation_equivalent,
-    transpose_shape,
-    transpose_tableau,
     Tableau,
 )
 
-from oracles import corners_by_neighbours, edge_connected_by_search
+from oracles import (
+    corners_by_neighbours,
+    edge_connected_by_search,
+    transpose_shape,
+    transpose_tableau,
+)
 
 
 @st.composite
@@ -52,7 +55,7 @@ def raw_skew_shapes(draw, max_len=5, max_part=6):
     ``lam_i = mu_i`` it was drawn with, and ``mu`` may end in zeros."""
     lam = draw(partitions(max_len, max_part))
     mu = sorted((draw(st.integers(0, l)) for l in lam), reverse=True)
-    return SkewShape(lam, tuple(min(m, l) for m, l in zip(mu, lam)))
+    return SkewShape._make(lam, tuple(min(m, l) for m, l in zip(mu, lam)))
 
 
 def skew_shapes(max_len=5, max_part=6):
@@ -86,6 +89,14 @@ class TestMakeSkew:
 
     def test_trailing_zeros_stripped(self):
         assert make_skew((3, 2, 0), (1, 0)) == make_skew((3, 2), (1,))
+
+    def test_class_call_checks_and_canonicalises(self):
+        # the class call once gave n_cells == -2 for (1,2)/(5)
+        for lam, mu in [((1, 2), (5,)), ((2,), (3,)), ((2.5,), ())]:
+            with pytest.raises(PreconditionError):
+                SkewShape(lam, mu)
+        assert SkewShape([3, 2, 0], (1, 0)) is make_skew((3, 2), (1,))
+        assert SkewShape((2, 2), (2, 2)) is EMPTY_SHAPE
 
     def test_leading_empty_rows_kept(self):
         # Rows 1-2 carry no cells but anchor the contents of rows 3-5.

@@ -24,7 +24,6 @@ from schurmzv.ribbons import (
     ribbon_matrix,
     ribbon_of,
     subribbon_of,
-    trivial_decomposition,
 )
 from schurmzv.shapes import (
     Tableau,
@@ -39,7 +38,6 @@ from schurmzv.stuffle import (
     QSElement,
     TPoly,
     eval_tpoly,
-    qs_truncated,
     regularize,
     regularized_jt_check,
     schur_regularize,
@@ -47,7 +45,7 @@ from schurmzv.stuffle import (
 )
 from schurmzv.symbolic import det
 
-from oracles import admissible_support
+from oracles import admissible_support, qs_truncated
 from test_acceptance import CRITERION_07_HOSTS, checkerboard, random_connected_shape, random_guide
 from test_ribbons import connected_skew_shapes
 
@@ -262,7 +260,7 @@ class TestRegularizedJT:
     def test_trivial_column(self):
         shape = make_skew((1, 1))
         t = tableau_from_entries(shape, {(1, 1): 3, (2, 1): 1})
-        theta = trivial_decomposition(ribbon_of(shape))
+        theta = decomposition_from_ribbon(shape, ribbon_of(shape))
         rep = regularized_jt_check(as_diagonal(t), theta, [0.0, 1.0])
         # lhs and the 1x1 determinant evaluate the same polynomial; only
         # the determinant routine's rounding separates them
@@ -334,11 +332,13 @@ class TestRegularizedJT:
 
     def test_shape_mismatch(self):
         k = diagonal_tableau(make_skew((1, 1)), {-1: 2, 0: 2})
-        theta = trivial_decomposition(ribbon_of(make_skew((1, 1, 1))))
+        column = make_skew((1, 1, 1))
+        theta = decomposition_from_ribbon(column, ribbon_of(column))
         with pytest.raises(PreconditionError):
             regularized_jt_check(k, theta, [0.0])
         # a host with the same contents: every subribbon could be filled
         skew = diagonal_tableau(make_skew((2, 2), (1,)), {-1: 1, 0: 2, 1: 3})
-        hook = trivial_decomposition(ribbon_of(make_skew((2, 1))))
+        hook_shape = make_skew((2, 1))
+        hook = decomposition_from_ribbon(hook_shape, ribbon_of(hook_shape))
         with pytest.raises(PreconditionError, match="host"):
             regularized_jt_check(skew, hook, [0.0])

@@ -33,6 +33,7 @@ from oracles import (
     GaussianRational,
     bareiss_det,
     bernoulli_poly,
+    homogeneous_weight,
     zeta_four_block,
     zeta_four_block_star,
 )
@@ -260,10 +261,10 @@ class TestRing:
 
     def test_weight(self):
         v = Sym.P() * Sym.Z(3) * Sym.T()
-        assert v.homogeneous_weight() == 8
-        assert Sym.zero().homogeneous_weight() is None
+        assert homogeneous_weight(v) == 8
+        assert homogeneous_weight(Sym.zero()) is None
         with pytest.raises(PreconditionError, match="not weight-homogeneous"):
-            (Sym.P() + Sym.Z(3)).homogeneous_weight()
+            homogeneous_weight(Sym.P() + Sym.Z(3))
 
     def test_even_generator_rejected(self):
         with pytest.raises(PreconditionError):
@@ -309,7 +310,7 @@ class TestRing:
         v = Sym.P() * Sym.Z(11) ** 2 + 3 * Sym.T()
         assert v.generators() == {"P", "T", "Z11"}
         assert Sym.one().generators() == set() == Sym.zero().generators()
-        assert v.has_generator("Z11") and not v.has_generator("Z3")
+        assert "Z11" in v.generators() and "Z3" not in v.generators()
 
     def test_products_match_pair_oracle(self):
         """The exponent-vector product against the merge of sorted pairs:
@@ -567,7 +568,7 @@ class TestZ4Series:
     def test_ring_elements(self):
         assert zeta_four_block(1) == Sym.rational(Fraction(1, 90)) * Sym.P()
         assert zeta_four_block_star(0) == Sym.one()
-        assert zeta_four_block_star(2).homogeneous_weight() == 8
+        assert homogeneous_weight(zeta_four_block_star(2)) == 8
 
 
 class TestZetaSingle:
