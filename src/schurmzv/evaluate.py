@@ -11,7 +11,7 @@ oracle (``tests/oracles.s_f_m``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 from typing import Dict, Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -75,14 +75,41 @@ def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
     return rec(0)
 
 
+def _lcm_upto(n: int) -> int:
+    """lcm(1..n): the largest power up to n of each prime up to n, multiplied."""
+    sieve = bytearray([1]) * (n + 1)
+    powers = []
+    for p in range(2, n + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+            q = p
+            while q * p <= n:
+                q *= p
+            powers.append(q)
+    return prod(powers)
+
+
 def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     """Exact truncation of the nested zeta sum attached to the tableau.
 
     Accumulates one integer numerator over the common denominator
-    lcm(1..M-1)^weight, which keeps the rational reductions out of the
-    inner loop.  Raises :class:`ResourceLimitError` when that denominator
-    needs more than ``DENOMINATOR_BITS_CAP`` bits, or when more than
-    ``FILLING_CAP`` fillings are summed.
+    ``D = L^weight``, ``L = lcm(1..M-1)``, which keeps the rational
+    reductions out of the inner loop.  A filling's share of D is the
+    product of ``(L // v)^e`` over its cells, exact since every v divides
+    L; the recursion carries that product down the cells in row-major
+    order and stops at the last cell.  Its values run over ``[lo, top)``,
+    so the stop adds the carried product to the weight of ``lo``; one
+    descending sweep ``v = top-1 .. 1`` then keeps the tail sum of
+    ``(L // v)^e`` of the last cell and adds each weight times its tail.
+
+    Memory: one weight per lower bound the last cell reaches (the one-cell
+    tableau holds one) and a one-byte sieve over ``1..M-1`` for L; no
+    big-integer table over ``1..M-1`` is built.
+
+    Raises :class:`ResourceLimitError` when D needs more than
+    ``DENOMINATOR_BITS_CAP`` bits, or when more than ``FILLING_CAP``
+    fillings are summed; each stop counts the ``top - lo`` fillings that
+    the last cell's range completes.
     """
     cap = FILLING_CAP
     cells, left, up, below = _fill_plan(k.shape)
@@ -91,39 +118,49 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     if M <= 1:
         return Fraction(0)
     exps = [e for row in k.rows for e in row]
-    L, weight = lcm(*range(1, M)), sum(exps)
+    L, weight = _lcm_upto(M - 1), sum(exps)
     # L^weight has at least weight * (bits of L - 1) bits
     if weight * (L.bit_length() - 1) > DENOMINATOR_BITS_CAP:
         raise ResourceLimitError(
             f"the common denominator lcm(1..{M - 1})^{weight} needs more than "
             f"{DENOMINATOR_BITS_CAP} bits"
         )
-    D = L**weight
-    n = len(cells)
-    vals = [0] * n
-    num = 0
+    last = len(cells) - 1
+    top = M - below[last]
+    vals = [0] * last
+    weights: Dict[int, int] = {}
     count = 0
 
-    def rec(t: int, den: int) -> None:
-        nonlocal num, count
-        if t == n:
-            num += D // den
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(f"more than {cap} fillings enumerated")
-            return
+    def rec(t: int, share: int) -> None:
+        nonlocal count
         lo = 1
         if left[t] is not None:
             lo = vals[left[t]]
         if up[t] is not None:
             lo = max(lo, vals[up[t]] + 1)
+        if t == last:
+            if lo < top:
+                weights[lo] = weights.get(lo, 0) + share
+                count += top - lo
+                if count > cap:
+                    raise ResourceLimitError(f"more than {cap} fillings enumerated")
+            return
         e = exps[t]
         for v in range(lo, M - below[t]):
             vals[t] = v
-            rec(t + 1, den * v**e)
+            rec(t + 1, share * (L // v) ** e)
 
     rec(0, 1)
-    return Fraction(num, D)
+    if not weights:
+        return Fraction(0)
+    e = exps[last]
+    Le = L**e
+    num = tail = 0
+    for v in range(top - 1, min(weights) - 1, -1):
+        tail += Le // v**e
+        if v in weights:
+            num += weights[v] * tail
+    return Fraction(num, L**weight)
 
 
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -31,7 +31,10 @@ def int_parts(parts: Iterable, what: str) -> Tuple[int, ...]:
     """
     given = tuple(parts)
     try:
-        out = tuple(map(int, given))
+        # Through a list: tuple() of an iterator without a length starts at
+        # 10 slots and resizes, so each call would leave one more tuple of
+        # its final size in CPython's tuple free lists.
+        out = tuple([int(p) for p in given])
     except (TypeError, ValueError, OverflowError) as exc:
         raise PreconditionError(f"{what} has a non-integer part: {given}") from exc
     if out != given:
@@ -162,9 +165,13 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
     ``lam_i == mu_i``, so that contents are preserved.  Raises
     :class:`PreconditionError` if the cells do not form a skew diagram.
     """
-    cell_list = sorted(set(int_parts(cell, "cell") for cell in cells))
-    if any(len(cell) != 2 or min(cell) < 1 for cell in cell_list):
-        raise PreconditionError(f"cells must be pairs of positive integers: {cell_list}")
+    given = [tuple(cell) for cell in cells]
+    if any(len(cell) != 2 for cell in given):
+        raise PreconditionError(f"cells must be pairs of positive integers: {given}")
+    flat = int_parts([x for cell in given for x in cell], "cells")
+    if min(flat, default=1) < 1:
+        raise PreconditionError(f"cells must be pairs of positive integers: {given}")
+    cell_list = sorted(set(zip(flat[::2], flat[1::2])))
 
     by_row: Dict[int, list] = {}
     for i, j in cell_list:

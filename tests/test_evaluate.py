@@ -1,5 +1,7 @@
 """Tests for SSYT enumeration, weighted sums, and the exact determinant identity."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,7 +27,6 @@ from schurmzv.shapes import (
     content_set,
     diagonal_tableau,
     make_skew,
-    tableau_from_entries,
 )
 
 from oracles import bareiss_det, s_f_m, schur_poly_check
@@ -115,6 +116,52 @@ class TestTruncatedSchurZeta:
             assert truncated_schur_zeta(t, M) == s_f_m(
                 t, M, lambda m, d: Fraction(1, m**d)
             )
+
+    def test_matches_enumeration_on_seeded_tableaux(self):
+        # The fixed shapes: an empty middle row, a last cell with both a left
+        # and an upper neighbour, one row and one column.
+        shapes = [
+            make_skew((3, 2, 1), (2, 2)),
+            make_skew((3, 3), (1,)),
+            make_skew((5,)),
+            make_skew((1, 1, 1, 1)),
+        ]
+        rng = random.Random(29)
+        while len(shapes) < 24:
+            lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+            mu = sorted((rng.randint(0, part) for part in lam), reverse=True)
+            shape = make_skew(lam, [min(m, part) for m, part in zip(mu, lam)])
+            if 1 <= len(shape.cells) <= 7:
+                shapes.append(shape)
+        for shape in shapes:
+            rows = tuple(
+                tuple(rng.randint(1, 4) for _ in range(part - m))
+                for part, m in zip(shape.lam, shape.padded_mu)
+            )
+            t = Tableau(shape, rows)
+            for M in range(1, 10):
+                want = s_f_m(t, M, lambda m, d: Fraction(1, m**d))
+                assert truncated_schur_zeta(t, M) == want, (shape, rows, M)
+
+    def test_cap_counts_every_filling(self, monkeypatch):
+        t = Tableau(make_skew((3, 2), (1,)), ((2, 1), (1, 3)))
+        n = len(list(enumerate_ssyt(t.shape, 6)))
+        want = s_f_m(t, 6, lambda m, d: Fraction(1, m**d))
+        monkeypatch.setattr(evaluate, "FILLING_CAP", n)
+        assert truncated_schur_zeta(t, 6) == want
+        monkeypatch.setattr(evaluate, "FILLING_CAP", n - 1)
+        with pytest.raises(ResourceLimitError, match=f"more than {n - 1} fillings"):
+            truncated_schur_zeta(t, 6)
+
+    @pytest.mark.parametrize("e", [2, 3])
+    def test_single_cell_is_the_partial_zeta_sum(self, e):
+        assert truncated_schur_zeta(single(e), 300) == sum(
+            Fraction(1, v**e) for v in range(1, 300)
+        )
+
+    def test_lcm_from_prime_powers(self):
+        for M in range(1, 401):
+            assert evaluate._lcm_upto(M - 1) == math.lcm(*range(1, M))
 
 
 class TestDetFraction:

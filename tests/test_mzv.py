@@ -24,7 +24,6 @@ from schurmzv.mzv import (
     _series_length,
     check_index,
     expand_tableau,
-    is_admissible_index,
     numeric_mzv,
     richardson_extrapolate,
     truncated_mzv,
