@@ -89,6 +89,19 @@ def _lcm_upto(n: int) -> int:
     return prod(powers)
 
 
+class _Factors(dict):
+    """``(L // v) ** e`` by v, each computed when first read."""
+
+    __slots__ = ("L", "e")
+
+    def __init__(self, L: int, e: int):
+        self.L, self.e = L, e
+
+    def __missing__(self, v: int) -> int:
+        f = self[v] = (self.L // v) ** self.e
+        return f
+
+
 def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     """Exact truncation of the nested zeta sum attached to the tableau.
 
@@ -97,19 +110,24 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     reductions out of the inner loop.  A filling's share of D is the
     product of ``(L // v)^e`` over its cells, exact since every v divides
     L; the recursion carries that product down the cells in row-major
-    order and stops at the last cell.  Its values run over ``[lo, top)``,
-    so the stop adds the carried product to the weight of ``lo``; one
-    descending sweep ``v = top-1 .. 1`` then keeps the tail sum of
-    ``(L // v)^e`` of the last cell and adds each weight times its tail.
+    order and stops at the penultimate cell.  For each of its values the
+    last cell, in the bottom row, runs over ``[lo, M)``, with ``lo`` read
+    off the value when the last cell is to its right or directly below it
+    and fixed by the earlier cells otherwise, so the loop adds the share
+    to the weight of ``lo``; one descending sweep ``v = M-1 .. 1`` then
+    keeps the tail sum of ``(L // v)^e`` of the last cell and adds each
+    weight times its tail.
 
-    Memory: one weight per lower bound the last cell reaches (the one-cell
-    tableau holds one) and a one-byte sieve over ``1..M-1`` for L; no
-    big-integer table over ``1..M-1`` is built.
+    Memory: at most one factor per distinct exponent of the cells before
+    the last and per value the recursion reaches, each computed on first
+    read; no factor table for the last cell, whose ``L^e // v^e`` the
+    sweep computes as it goes; one weight slot per value below M and a
+    one-byte sieve over ``1..M-1`` for L.
 
     Raises :class:`ResourceLimitError` when D needs more than
     ``DENOMINATOR_BITS_CAP`` bits, or when more than ``FILLING_CAP``
-    fillings are summed; each stop counts the ``top - lo`` fillings that
-    the last cell's range completes.
+    fillings are summed; each value of the penultimate cell counts the
+    ``M - lo`` fillings that the last cell's range completes.
     """
     cap = FILLING_CAP
     cells, left, up, below = _fill_plan(k.shape)
@@ -126,39 +144,66 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
             f"{DENOMINATOR_BITS_CAP} bits"
         )
     last = len(cells) - 1
-    top = M - below[last]
-    vals = [0] * last
-    weights: Dict[int, int] = {}
-    count = 0
+    # weights[lo]: the summed shares of the fillings of the cells before
+    # the last that leave it the range [lo, M), as it is in the bottom row
+    weights = [0] * M
+    if last == 0:
+        weights[1] = 1  # M - 1 fillings: an M past the cap fails the bits cap
+    else:
+        tables = {e: _Factors(L, e) for e in set(exps[:last])}
+        factors = [tables[e] for e in exps[:last]]
+        pen = last - 1
+        vals = [0] * pen
+        # the last cell's left neighbour, if any, is the penultimate cell
+        beside, above = left[last] is not None, up[last]
+        under = above == pen
+        count = 0
 
-    def rec(t: int, share: int) -> None:
-        nonlocal count
-        lo = 1
-        if left[t] is not None:
-            lo = vals[left[t]]
-        if up[t] is not None:
-            lo = max(lo, vals[up[t]] + 1)
-        if t == last:
-            if lo < top:
-                weights[lo] = weights.get(lo, 0) + share
-                count += top - lo
+        def rec(t: int, share: int) -> None:
+            nonlocal count
+            lo = 1
+            if left[t] is not None:
+                lo = vals[left[t]]
+            if up[t] is not None:
+                lo = max(lo, vals[up[t]] + 1)
+            f = factors[t]
+            if t < pen:
+                for v in range(lo, M - below[t]):
+                    vals[t] = v
+                    rec(t + 1, share * f[v])
+                return
+            if under:  # the last cell starts at v + 1
+                for v in range(lo, M - below[t]):
+                    weights[v + 1] += share * f[v]
+                    count += M - 1 - v
+                    if count > cap:
+                        raise ResourceLimitError(f"more than {cap} fillings enumerated")
+                return
+            c = 1 if above is None else vals[above] + 1
+            if beside:  # the last cell starts at max(v, c)
+                for v in range(lo, M - below[t]):
+                    b = v if v > c else c
+                    weights[b] += share * f[v]
+                    count += M - b
+                    if count > cap:
+                        raise ResourceLimitError(f"more than {cap} fillings enumerated")
+                return
+            for v in range(lo, M - below[t]):  # the last cell starts at c
+                weights[c] += share * f[v]
+                count += M - c
                 if count > cap:
                     raise ResourceLimitError(f"more than {cap} fillings enumerated")
-            return
-        e = exps[t]
-        for v in range(lo, M - below[t]):
-            vals[t] = v
-            rec(t + 1, share * (L // v) ** e)
 
-    rec(0, 1)
-    if not weights:
+        rec(0, 1)
+    lowest = next((v for v, w in enumerate(weights) if w), 0)
+    if not lowest:
         return Fraction(0)
     e = exps[last]
     Le = L**e
     num = tail = 0
-    for v in range(top - 1, min(weights) - 1, -1):
+    for v in range(M - 1, lowest - 1, -1):
         tail += Le // v**e
-        if v in weights:
+        if weights[v]:
             num += weights[v] * tail
     return Fraction(num, L**weight)
 

@@ -95,7 +95,8 @@ class SkewShape(Record, metaclass=Interned):
     def cells(self) -> Tuple[Cell, ...]:
         """All cells in row-major order, built on each read."""
         rows = enumerate(zip(self.padded_mu, self.lam), start=1)
-        return tuple((i, j) for i, (lo, hi) in rows for j in range(lo + 1, hi + 1))
+        # through a list, for the reason given in int_parts
+        return tuple([(i, j) for i, (lo, hi) in rows for j in range(lo + 1, hi + 1)])
 
     @cached_property
     def _content_set(self) -> Tuple[int, ...]:

@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from schurmzv.evaluate import (
     jacobi_trudi_check_exact,
     truncated_schur_zeta,
 )
+from schurmzv.mzv import truncated_mzv
 from schurmzv.ribbons import (
     RIGHT,
     UP,
@@ -158,6 +161,56 @@ class TestTruncatedSchurZeta:
         assert truncated_schur_zeta(single(e), 300) == sum(
             Fraction(1, v**e) for v in range(1, 300)
         )
+
+    # One shape per place of the last cell against the penultimate one:
+    # to its right (under a cell of the first row), directly below it, and
+    # apart from it (below the first cell of a longer row).
+    @pytest.mark.parametrize(
+        "shape, beside, under",
+        [
+            (make_skew((3, 2), (1,)), True, False),
+            (make_skew((2, 1, 1)), False, True),
+            (make_skew((3, 1)), False, False),
+        ],
+        ids=["beside", "under", "apart"],
+    )
+    def test_each_place_of_the_last_cell(self, shape, beside, under):
+        cells, left, up, _ = evaluate._fill_plan(shape)
+        last = len(cells) - 1
+        assert (left[last] == last - 1, up[last] == last - 1) == (beside, under)
+        rng = random.Random(30)
+        for M in range(1, 13):
+            rows = tuple(
+                tuple(rng.randint(1, 4) for _ in range(part - m))
+                for part, m in zip(shape.lam, shape.padded_mu)
+            )
+            t = Tableau(shape, rows)
+            want = s_f_m(t, M, lambda m, d: Fraction(1, m**d))
+            assert truncated_schur_zeta(t, M) == want, (rows, M)
+
+    @pytest.mark.parametrize("a, b", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 3)])
+    def test_two_cells_are_truncated_mzvs(self, a, b):
+        column = Tableau(make_skew((1, 1)), ((a,), (b,)))
+        row = Tableau(make_skew((2,)), ((a, b),))
+        assert truncated_schur_zeta(column, 64) == truncated_mzv((a, b), 64)
+        assert truncated_schur_zeta(row, 64) == truncated_mzv((a, b), 64) + truncated_mzv(
+            (a + b,), 64
+        )
+
+    def test_large_level_refused_with_little_memory(self):
+        # The first cell's factors are computed only for the values reached
+        # before the cap: about 500 of them, not 200,000.
+        row = Tableau(make_skew((2,)), ((1, 1),))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ResourceLimitError, match="more than 100000000 fillings enumerated"):
+                truncated_schur_zeta(row, 200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak <= 64 * 2**20
 
     def test_lcm_from_prime_powers(self):
         for M in range(1, 401):
