@@ -11,7 +11,7 @@ oracle (``tests/oracles.s_f_m``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 from typing import Dict, Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -20,13 +20,18 @@ from .ribbons import OutsideDecomposition, jacobi_trudi_sides
 from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
 from .symbolic import _integer_rows, det
 
-#: The most fillings one call may enumerate; more raise ResourceLimitError.
-#: Each call reads it once, into a local its leaf compares against.
+#: The most fillings below M a shape may have for one call to enumerate or
+#: sum them; more raise ResourceLimitError before the first is reached.
 FILLING_CAP = 10**8
 
 #: The most bits the common denominator of an exact truncation may need;
 #: a larger one raises ResourceLimitError before it is built.
 DENOMINATOR_BITS_CAP = 2**20
+
+#: The most work the last cell's sweep of an exact truncation may take,
+#: counted as the denominator's bits times the M - 1 values it may sweep;
+#: more raise ResourceLimitError before any sum.
+SWEEP_BITS_CAP = 2**30
 
 
 def _fill_plan(shape: SkewShape):
@@ -40,27 +45,67 @@ def _fill_plan(shape: SkewShape):
     return cells, left, up, below
 
 
+def filling_count(shape: SkewShape, M: int) -> int:
+    """The number of semistandard fillings of the shape with entries < M.
+
+    Classical Jacobi–Trudi at M - 1 unit variables (Macdonald, *Symmetric
+    Functions and Hall Polynomials*, I.5): ``s_{lam/mu}(1^(M-1))`` is the
+    determinant of ``h_{lam_i - mu_j - i + j}``, where ``h_k(1^(M-1))`` is
+    ``C(M - 2 + k, k)`` for k >= 0 and 0 below.  The empty shape has one
+    filling at every M.
+
+    The matrix is eliminated fraction-free over the ints (Bareiss), in
+    O(rows^3) exact steps.  :func:`symbolic.det` would build up to 2^rows
+    minors, and the matrix is full once the rows are about as long as the
+    shape is tall, so a square of 30 rows would need about 2^30.
+    """
+    if M <= 1:
+        return 0 if shape.n_cells else 1
+    lam, mu = shape.lam, shape.padded_mu
+    n = len(lam)
+
+    def h(d: int) -> int:
+        return comb(M - 2 + d, d) if d >= 0 else 0
+
+    a = [[h(lam[i] - mu[j] - i + j) for j in range(n)] for i in range(n)]
+    sign = prev = 1
+    for k in range(n):
+        p = next((r for r in range(k, n) if a[r][k]), None)
+        if p is None:
+            return 0
+        if p != k:
+            a[k], a[p], sign = a[p], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * prev
+
+
+def _check_fillings(shape: SkewShape, M: int) -> None:
+    # each cell takes one of M - 1 values, so the count is needed only
+    # when (M - 1)^cells passes the cap
+    if (M - 1) ** shape.n_cells > FILLING_CAP and filling_count(shape, M) > FILLING_CAP:
+        raise ResourceLimitError(f"more than {FILLING_CAP} fillings enumerated")
+
+
 def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
     """Yield every semistandard filling with entries < M, as a map from
     cell to summation variable m, in lexicographic order of the row-reading
     word.
 
     The empty shape has exactly one (empty) filling.  Raises
-    :class:`ResourceLimitError` when more than ``FILLING_CAP`` fillings are
-    produced.
+    :class:`ResourceLimitError` at the call, before anything is yielded,
+    when the shape has more than ``FILLING_CAP`` fillings (see
+    :func:`filling_count`).
     """
-    cap = FILLING_CAP
+    _check_fillings(shape, M)
     cells, left, up, below = _fill_plan(shape)
     n = len(cells)
     vals = [0] * n
-    count = 0
 
     def rec(t: int) -> Iterator[Dict[Cell, int]]:
-        nonlocal count
         if t == n:
-            count += 1
-            if count > cap:
-                raise ResourceLimitError(f"more than {cap} fillings enumerated")
             yield dict(zip(cells, vals))
             return
         lo = 1
@@ -90,7 +135,7 @@ def _lcm_upto(n: int) -> int:
 
 
 class _Factors(dict):
-    """``(L // v) ** e`` by v, each computed when first read."""
+    """``(L // v) ** e`` by v, each computed when first read and kept."""
 
     __slots__ = ("L", "e")
 
@@ -100,6 +145,15 @@ class _Factors(dict):
     def __missing__(self, v: int) -> int:
         f = self[v] = (self.L // v) ** self.e
         return f
+
+
+class _Unkept(_Factors):
+    """The same factors, computed on each read and not kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, v: int) -> int:
+        return (self.L // v) ** self.e
 
 
 def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
@@ -118,18 +172,21 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     keeps the tail sum of ``(L // v)^e`` of the last cell and adds each
     weight times its tail.
 
-    Memory: at most one factor per distinct exponent of the cells before
-    the last and per value the recursion reaches, each computed on first
-    read; no factor table for the last cell, whose ``L^e // v^e`` the
-    sweep computes as it goes; one weight slot per value below M and a
-    one-byte sieve over ``1..M-1`` for L.
+    Memory: one weight slot per value below M, each a share of D of at
+    most about ``bits(D)`` bits, and a one-byte sieve over ``1..M-1`` for
+    L.  At most one factor per distinct exponent of the cells between the
+    first and the last and per value the recursion reaches, each computed
+    on first read.  No factor table for the first cell, whose loop runs
+    once per call, unless a later cell before the last shares its
+    exponent; none for the last cell, whose ``L^e // v^e`` the sweep
+    computes as it goes.
 
-    Raises :class:`ResourceLimitError` when D needs more than
-    ``DENOMINATOR_BITS_CAP`` bits, or when more than ``FILLING_CAP``
-    fillings are summed; each value of the penultimate cell counts the
-    ``M - lo`` fillings that the last cell's range completes.
+    Raises :class:`ResourceLimitError` before any sum, checked in this
+    order: when D needs more than ``DENOMINATOR_BITS_CAP`` bits; when the
+    shape has more than ``FILLING_CAP`` fillings below M (see
+    :func:`filling_count`); when the sweep's work, ``bits(D) * (M - 1)``,
+    passes ``SWEEP_BITS_CAP``.
     """
-    cap = FILLING_CAP
     cells, left, up, below = _fill_plan(k.shape)
     if not cells:
         return Fraction(1)
@@ -138,29 +195,37 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     exps = [e for row in k.rows for e in row]
     L, weight = _lcm_upto(M - 1), sum(exps)
     # L^weight has at least weight * (bits of L - 1) bits
-    if weight * (L.bit_length() - 1) > DENOMINATOR_BITS_CAP:
+    bits = weight * (L.bit_length() - 1)
+    if bits > DENOMINATOR_BITS_CAP:
         raise ResourceLimitError(
             f"the common denominator lcm(1..{M - 1})^{weight} needs more than "
             f"{DENOMINATOR_BITS_CAP} bits"
+        )
+    _check_fillings(k.shape, M)
+    if bits * (M - 1) > SWEEP_BITS_CAP:
+        raise ResourceLimitError(
+            f"the last cell's sweep of {M - 1} values over lcm(1..{M - 1})^{weight} "
+            f"needs more than {SWEEP_BITS_CAP} bit operations"
         )
     last = len(cells) - 1
     # weights[lo]: the summed shares of the fillings of the cells before
     # the last that leave it the range [lo, M), as it is in the bottom row
     weights = [0] * M
     if last == 0:
-        weights[1] = 1  # M - 1 fillings: an M past the cap fails the bits cap
+        weights[1] = 1
     else:
-        tables = {e: _Factors(L, e) for e in set(exps[:last])}
+        # the first cell's loop runs once, so its factors are kept only for
+        # a later cell that shares its exponent
+        tables = {exps[0]: _Unkept(L, exps[0])}
+        tables.update({e: _Factors(L, e) for e in set(exps[1:last])})
         factors = [tables[e] for e in exps[:last]]
         pen = last - 1
         vals = [0] * pen
         # the last cell's left neighbour, if any, is the penultimate cell
         beside, above = left[last] is not None, up[last]
         under = above == pen
-        count = 0
 
         def rec(t: int, share: int) -> None:
-            nonlocal count
             lo = 1
             if left[t] is not None:
                 lo = vals[left[t]]
@@ -175,24 +240,14 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
             if under:  # the last cell starts at v + 1
                 for v in range(lo, M - below[t]):
                     weights[v + 1] += share * f[v]
-                    count += M - 1 - v
-                    if count > cap:
-                        raise ResourceLimitError(f"more than {cap} fillings enumerated")
                 return
             c = 1 if above is None else vals[above] + 1
             if beside:  # the last cell starts at max(v, c)
                 for v in range(lo, M - below[t]):
-                    b = v if v > c else c
-                    weights[b] += share * f[v]
-                    count += M - b
-                    if count > cap:
-                        raise ResourceLimitError(f"more than {cap} fillings enumerated")
+                    weights[v if v > c else c] += share * f[v]
                 return
             for v in range(lo, M - below[t]):  # the last cell starts at c
                 weights[c] += share * f[v]
-                count += M - c
-                if count > cap:
-                    raise ResourceLimitError(f"more than {cap} fillings enumerated")
 
         rec(0, 1)
     lowest = next((v for v, w in enumerate(weights) if w), 0)

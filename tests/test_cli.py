@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from schurmzv.checkerboard import StairKind, stair_cut, stair_tableau, tessellat
 from schurmzv.errors import ParseError
 from schurmzv.shapes import as_diagonal, content_set, diagonal_tableau, make_skew
 
+from test_mzv import run_capped
 from test_ribbons import connected_skew_shapes
 
 
@@ -173,6 +175,15 @@ class TestEval:
             "exact value has 4340 digits, more than the limit of 4300 "
             "for converting an integer to text"
         )
+
+    def test_long_sweep_refused_at_once(self, tmp_path):
+        # Summing would take about a minute, only to find the value too
+        # long to print.
+        start = time.monotonic()
+        proc = run_capped("eval", "-M", "200000", grid(tmp_path, "one.tab", "2\n"))
+        assert proc.returncode == 4, proc.stderr
+        assert "the last cell's sweep of 199999 values" in json.loads(proc.stdout)["error"]["message"]
+        assert time.monotonic() - start < 5.0
 
     def test_bad_grid(self, tmp_path, capsys):
         path = grid(tmp_path, "bad.tab", "1 3\n3 1\n. 2\n")

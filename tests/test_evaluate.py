@@ -14,6 +14,7 @@ from schurmzv.errors import PreconditionError, ResourceLimitError
 from schurmzv.evaluate import (
     det_fraction,
     enumerate_ssyt,
+    filling_count,
     jacobi_trudi_check_exact,
     truncated_schur_zeta,
 )
@@ -71,6 +72,49 @@ class TestEnumerate:
         assert len(list(enumerate_ssyt(make_skew((3,)), 4))) == 10
         with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
             list(enumerate_ssyt(make_skew((3,)), 9))
+
+    def test_refused_before_the_first_filling(self, monkeypatch):
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
+            enumerate_ssyt(make_skew((3,)), 5)
+
+
+class TestFillingCount:
+    def test_matches_enumeration_on_seeded_shapes(self):
+        # The fixed shapes: an empty middle row, a disconnected pair, one
+        # row and one column.
+        shapes = [
+            make_skew((3, 2, 1), (2, 2)),
+            make_skew((2, 1), (1,)),
+            make_skew((4,)),
+            make_skew((1, 1, 1, 1)),
+        ]
+        rng = random.Random(31)
+        while len(shapes) < 24:
+            lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+            mu = sorted((rng.randint(0, part) for part in lam), reverse=True)
+            shape = make_skew(lam, [min(m, part) for m, part in zip(mu, lam)])
+            if 1 <= shape.n_cells <= 6:
+                shapes.append(shape)
+        for shape in shapes:
+            for M in range(-1, 13):
+                assert filling_count(shape, M) == len(list(enumerate_ssyt(shape, M))), (shape, M)
+
+    def test_empty_shape_has_one_filling(self):
+        for M in range(-1, 13):
+            assert filling_count(make_skew(()), M) == 1
+
+    def test_large_level_at_once(self):
+        assert filling_count(make_skew((2,)), 200_000) == math.comb(200_000, 2)
+        assert filling_count(make_skew((1, 1)), 200_000) == math.comb(199_999, 2)
+
+    def test_full_matrix_at_once(self):
+        # A square's Jacobi-Trudi matrix has no zero entry.
+        square = make_skew((30,) * 30)
+        start = time.perf_counter()
+        counts = [filling_count(square, M) for M in (30, 31, 32)]
+        assert time.perf_counter() - start < 1.0
+        assert counts == [0, 1, math.comb(60, 30)]
 
 
 class TestSfm:
@@ -198,8 +242,8 @@ class TestTruncatedSchurZeta:
         )
 
     def test_large_level_refused_with_little_memory(self):
-        # The first cell's factors are computed only for the values reached
-        # before the cap: about 500 of them, not 200,000.
+        # The filling count is checked before the sum, so no factor is
+        # computed and no weight slot is filled.
         row = Tableau(make_skew((2,)), ((1, 1),))
         tracemalloc.start()
         start = time.perf_counter()
@@ -211,6 +255,29 @@ class TestTruncatedSchurZeta:
             tracemalloc.stop()
         assert time.perf_counter() - start < 5.0
         assert peak <= 64 * 2**20
+
+    def test_first_cell_keeps_no_factor_table(self):
+        # The first cell's loop reads each factor once: keeping them would
+        # add about 3.3 MB of 720-byte factors to the weights' 2.9 MB.
+        column = Tableau(make_skew((1, 1)), ((1,), (1,)))
+        tracemalloc.start()
+        try:
+            value = truncated_schur_zeta(column, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == truncated_mzv((1, 1), 4000)
+        assert peak <= 4.5 * 2**20
+
+    def test_long_sweep_refused_before_it_starts(self):
+        start = time.perf_counter()
+        with pytest.raises(
+            ResourceLimitError,
+            match=r"the last cell's sweep of 49999 values over lcm\(1\.\.49999\)\^2 "
+            r"needs more than 1073741824 bit operations",
+        ):
+            truncated_schur_zeta(single(2), 50_000)
+        assert time.perf_counter() - start < 1.0
 
     def test_lcm_from_prime_powers(self):
         for M in range(1, 401):
