@@ -31,7 +31,8 @@ opened: ``eval`` reads ``--ladder`` only with ``--extrapolate``, and
 Exit codes are the ``exit_code`` of the error types in
 :mod:`schurmzv.errors`: 0 success, 2 malformed input, 3 precondition
 violation, 4 resource limit.  Exit 4 is a fixed guard that refuses the work
-before it starts (the filling budget; the common denominator's bits,
+before it starts (the filling budget; the cells of a filling recursion,
+``evaluate.CELLS_CAP``; the common denominator's bits,
 ``evaluate.DENOMINATOR_BITS_CAP``; the last cell's sweep,
 ``evaluate.SWEEP_BITS_CAP``; the numeric tables, ``mzv.NUMERIC_TABLE_CAP``),
 or an exact value with more digits than Python converts an integer to text,

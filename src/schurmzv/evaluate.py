@@ -11,14 +11,22 @@ oracle (``tests/oracles.s_f_m``).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, prod
-from typing import Dict, Iterator, Sequence
+from operator import mul
+from typing import Dict, Iterator, List, Sequence, Tuple
 
-from .errors import ResourceLimitError
+from .errors import PreconditionError, ResourceLimitError
 from .record import Record
-from .ribbons import OutsideDecomposition, jacobi_trudi_sides
-from .shapes import Cell, DiagonalTableau, SkewShape, Tableau
+from .ribbons import UP, OutsideDecomposition, Ribbon, jacobi_trudi_sides
+from .shapes import Cell, DiagonalTableau, SkewShape, Tableau, check_entries
 from .symbolic import _integer_rows, det
+
+#: The most cells a shape may have for one call to enumerate or sum its
+#: fillings.  The recursion takes one frame per cell, so this leaves about
+#: 100 of the interpreter's default limit of 1,000 frames to the callers;
+#: more cells raise ResourceLimitError before the first filling.
+CELLS_CAP = 900
 
 #: The most fillings below M a shape may have for one call to enumerate or
 #: sum them; more raise ResourceLimitError before the first is reached.
@@ -83,6 +91,11 @@ def filling_count(shape: SkewShape, M: int) -> int:
 
 
 def _check_fillings(shape: SkewShape, M: int) -> None:
+    if shape.n_cells > CELLS_CAP:
+        raise ResourceLimitError(
+            f"a shape of {shape.n_cells} cells needs a filling recursion deeper than "
+            f"{CELLS_CAP} levels"
+        )
     # each cell takes one of M - 1 values, so the count is needed only
     # when (M - 1)^cells passes the cap
     if (M - 1) ** shape.n_cells > FILLING_CAP and filling_count(shape, M) > FILLING_CAP:
@@ -96,8 +109,8 @@ def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
 
     The empty shape has exactly one (empty) filling.  Raises
     :class:`ResourceLimitError` at the call, before anything is yielded,
-    when the shape has more than ``FILLING_CAP`` fillings (see
-    :func:`filling_count`).
+    when the shape has more than ``CELLS_CAP`` cells or more than
+    ``FILLING_CAP`` fillings (see :func:`filling_count`).
     """
     _check_fillings(shape, M)
     cells, left, up, below = _fill_plan(shape)
@@ -156,6 +169,28 @@ class _Unkept(_Factors):
         return (self.L // v) ** self.e
 
 
+def _denominator(exps: Sequence[int], M: int) -> Tuple[int, int, int]:
+    """``L = lcm(1..M-1)``, the weight and a lower bound on the bits of
+    ``L^weight``; refuses more than ``DENOMINATOR_BITS_CAP`` bits."""
+    L, weight = _lcm_upto(M - 1), sum(exps)
+    # L^weight has at least weight * (bits of L - 1) bits
+    bits = weight * (L.bit_length() - 1)
+    if bits > DENOMINATOR_BITS_CAP:
+        raise ResourceLimitError(
+            f"the common denominator lcm(1..{M - 1})^{weight} needs more than "
+            f"{DENOMINATOR_BITS_CAP} bits"
+        )
+    return L, weight, bits
+
+
+def _check_sweep(bits: int, weight: int, M: int) -> None:
+    if bits * (M - 1) > SWEEP_BITS_CAP:
+        raise ResourceLimitError(
+            f"the last cell's sweep of {M - 1} values over lcm(1..{M - 1})^{weight} "
+            f"needs more than {SWEEP_BITS_CAP} bit operations"
+        )
+
+
 def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     """Exact truncation of the nested zeta sum attached to the tableau.
 
@@ -183,7 +218,8 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
 
     Raises :class:`ResourceLimitError` before any sum, checked in this
     order: when D needs more than ``DENOMINATOR_BITS_CAP`` bits; when the
-    shape has more than ``FILLING_CAP`` fillings below M (see
+    shape has more than ``CELLS_CAP`` cells; when it has more than
+    ``FILLING_CAP`` fillings below M (see
     :func:`filling_count`); when the sweep's work, ``bits(D) * (M - 1)``,
     passes ``SWEEP_BITS_CAP``.
     """
@@ -193,20 +229,9 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     if M <= 1:
         return Fraction(0)
     exps = [e for row in k.rows for e in row]
-    L, weight = _lcm_upto(M - 1), sum(exps)
-    # L^weight has at least weight * (bits of L - 1) bits
-    bits = weight * (L.bit_length() - 1)
-    if bits > DENOMINATOR_BITS_CAP:
-        raise ResourceLimitError(
-            f"the common denominator lcm(1..{M - 1})^{weight} needs more than "
-            f"{DENOMINATOR_BITS_CAP} bits"
-        )
+    L, weight, bits = _denominator(exps, M)
     _check_fillings(k.shape, M)
-    if bits * (M - 1) > SWEEP_BITS_CAP:
-        raise ResourceLimitError(
-            f"the last cell's sweep of {M - 1} values over lcm(1..{M - 1})^{weight} "
-            f"needs more than {SWEEP_BITS_CAP} bit operations"
-        )
+    _check_sweep(bits, weight, M)
     last = len(cells) - 1
     # weights[lo]: the summed shares of the fillings of the cells before
     # the last that leave it the range [lo, M), as it is in the bottom row
@@ -263,6 +288,69 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     return Fraction(num, L**weight)
 
 
+def _path_sums(shares: List[int], up: bool) -> Iterator[int]:
+    """For m = 1..M-1, the sum of ``shares`` over ``m' > m`` when ``up``,
+    over ``m' <= m`` otherwise.  Lazy: the m-th sum reads the shares only
+    up to m, so the caller may overwrite each share once it has its sum."""
+    prefix = accumulate(shares)
+    if not up:
+        return prefix
+    total = sum(shares)
+    return (total - p for p in prefix)
+
+
+def ribbon_truncation(ribbon: Ribbon, exps: Sequence[int], M: int) -> Fraction:
+    """Exact truncation of the ribbon with ``exps`` on its cells, in
+    increasing content, equal to :func:`truncated_schur_zeta` of that
+    tableau.
+
+    The cells c_1 .. c_n of a ribbon, by increasing content, form a path:
+    c_(i+1) is right of c_i, so m_i <= m_(i+1), or above it, so
+    m_(i+1) < m_i.  The truncation is then the sum over m < M of f_n(m),
+    where f_1(m) = m^-k_1 and f_(i+1)(m) is m^-k_(i+1) times the sum of
+    f_i(m') over m' <= m after a right step, over m' > m after an up step.
+    On shares ``(L // m)^k`` of ``D = L^weight``, ``L = lcm(1..M-1)``, as
+    in :func:`truncated_schur_zeta`, that is n sweeps over 1..M-1 of exact
+    int adds and multiplies: O(n * M) of them, whatever the number of
+    fillings.
+
+    Memory: one list of M - 1 shares for the cells before the last, each
+    of at most about ``bits(D)`` bits, overwritten in place from one cell
+    to the next, and a one-byte sieve over ``1..M-1`` for L.  The last
+    cell is summed as its sweep goes, so a one-cell ribbon keeps no list.
+    No factor table: each sweep divides ``L^e`` by ``m^e`` as it reads a
+    factor, which for large M costs far less than raising ``L // m`` to
+    the power e.
+
+    Raises :class:`PreconditionError` unless there is one positive int
+    exponent per cell, and :class:`ResourceLimitError` before any sum by
+    the denominator and sweep caps of :func:`truncated_schur_zeta`, with
+    the same messages.  It enumerates no filling, so ``FILLING_CAP`` and
+    ``CELLS_CAP`` do not apply.
+    """
+    if len(exps) != ribbon.n_cells:
+        raise PreconditionError(f"{len(exps)} exponents for a ribbon of {ribbon.n_cells} cells")
+    check_entries(exps)
+    if M <= 1:
+        return Fraction(0)
+    L, weight, bits = _denominator(exps, M)
+    _check_sweep(bits, weight, M)
+    ms, last = range(1, M), len(exps) - 1
+
+    def factors(e: int) -> Iterator[int]:
+        Le = L**e
+        return (Le // m**e for m in ms)
+
+    if not last:
+        return Fraction(sum(factors(exps[0])), L**weight)
+    shares = list(factors(exps[0]))  # f_1(m) at index m - 1
+    for step, e in zip(ribbon.steps[: last - 1], exps[1:last]):
+        for i, (s, f) in enumerate(zip(_path_sums(shares, step == UP), factors(e))):
+            shares[i] = s * f
+    sums = _path_sums(shares, ribbon.steps[-1] == UP)
+    return Fraction(sum(map(mul, sums, factors(exps[last]))), L**weight)
+
+
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant over the rationals; see :func:`symbolic.det`."""
     rows, D = _integer_rows(matrix)
@@ -286,11 +374,26 @@ def jacobi_trudi_check_exact(
 ) -> JTReport:
     """Compare the tableau sum with its subribbon determinant at level M.
 
-    The (i,j) matrix entry is the truncated value of the subribbon filled
-    with the host's diagonal entries; empty subribbons contribute 1 and
-    undefined ones 0 (see :func:`ribbon_matrix`).
+    The two sides come from two routes.  The lhs is the host's
+    :func:`truncated_schur_zeta`, which sums its fillings and raises each
+    of its refusals first.  Each defined (i,j) matrix entry is the
+    :func:`ribbon_truncation` path sum of the subribbon filled with the
+    host's diagonal entries; empty subribbons contribute 1 and undefined
+    ones 0 (see :func:`ribbon_matrix`).  An entry's weight is at most the
+    host's, so once the host passes the denominator and sweep caps every
+    entry does.
+
+    The identity is non-trivial when there are two or more pieces, or when
+    the host is not a ribbon.  A one-piece decomposition of a ribbon host
+    has a 1x1 matrix whose entry is the host itself, and then the check
+    compares the two routes on one tableau.
     """
     lhs, mat = jacobi_trudi_sides(
-        k, theta, lambda t: truncated_schur_zeta(t, M), Fraction(0), Fraction(1)
+        k,
+        theta,
+        lambda t: truncated_schur_zeta(t, M),
+        lambda r, exps: ribbon_truncation(r, exps, M),
+        Fraction(0),
+        Fraction(1),
     )
     return JTReport(lhs, det_fraction(mat), len(mat))

@@ -318,20 +318,39 @@ def fill_ribbon(k: DiagonalTableau, ribbon: Ribbon) -> Tableau:
     if hi > len(contents) or contents[hi - 1] != ribbon.cmax:
         missing = [c for c in range(ribbon.cmin, ribbon.cmax + 1) if c not in k.value_map]
         raise PreconditionError(f"host tableau has no diagonal values for contents {missing}")
-    return DiagonalTableau._make(ribbon.shape, k.values[lo:hi]).to_tableau()
+    return ribbon_tableau(ribbon, k.values[lo:hi])
+
+
+def ribbon_tableau(ribbon: Ribbon, values: Tuple[int, ...]) -> Tableau:
+    """The ribbon with ``values`` on its cells by increasing content, which
+    are taken as checked: one per cell, each a positive int."""
+    return DiagonalTableau._make(ribbon.shape, values).to_tableau()
 
 
 def jacobi_trudi_sides(
-    k: DiagonalTableau, theta: OutsideDecomposition, value: Callable[[Tableau], E], zero: E, one: E
+    k: DiagonalTableau,
+    theta: OutsideDecomposition,
+    value: Callable[[Tableau], E],
+    entry: Callable[[Ribbon, Tuple[int, ...]], E],
+    zero: E,
+    one: E,
 ) -> Tuple[E, Tuple[Tuple[E, ...], ...]]:
-    """Both sides of a determinant identity: the value of ``k``, which must
-    live on the host, and the :func:`ribbon_matrix` of the values of its
-    subribbons filled by :func:`fill_ribbon`."""
+    """Both sides of a determinant identity: ``value`` of ``k``, which must
+    live on the host, and the :func:`ribbon_matrix` whose defined entries
+    are ``entry(subribbon, values)``, ``values`` being ``k``'s diagonal
+    values on the subribbon's contents in increasing order (the cells of
+    :func:`fill_ribbon`).  The lhs comes first, so a refusal of the host
+    is raised before any entry is computed."""
     if k.shape != theta.host:
         raise PreconditionError("diagonal tableau must live on the decomposition host")
     lhs = value(k.to_tableau())
+    # the host's contents are the guide's, consecutive from its cmin
+    values, c0 = k.values, theta.guide.cmin
     return lhs, ribbon_matrix(
-        theta, lambda p, q, r: value(fill_ribbon(k, subribbon_of(r, p, q))), zero, one
+        theta,
+        lambda p, q, r: entry(subribbon_of(r, p, q), values[p - c0 : q - c0 + 1]),
+        zero,
+        one,
     )
 
 

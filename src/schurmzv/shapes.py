@@ -166,27 +166,33 @@ def from_cells(cells: Iterable[Cell]) -> SkewShape:
     ``lam_i == mu_i``, so that contents are preserved.  Raises
     :class:`PreconditionError` if the cells do not form a skew diagram.
     """
-    given = [tuple(cell) for cell in cells]
-    if any(len(cell) != 2 for cell in given):
-        raise PreconditionError(f"cells must be pairs of positive integers: {given}")
-    flat = int_parts([x for cell in given for x in cell], "cells")
+    cells = list(cells)
+    try:
+        given = [(i, j) for i, j in cells]
+    except ValueError:
+        given = [tuple(cell) for cell in cells]
+        raise PreconditionError(f"cells must be pairs of positive integers: {given}") from None
+    flat = list(chain.from_iterable(given))
+    if set(map(type, flat)) <= {int}:  # builtin ints pass the integer rule as they are
+        cell_list = sorted(set(given))
+    else:
+        flat = int_parts(flat, "cells")
+        cell_list = sorted(set(zip(flat[::2], flat[1::2])))
     if min(flat, default=1) < 1:
         raise PreconditionError(f"cells must be pairs of positive integers: {given}")
-    cell_list = sorted(set(zip(flat[::2], flat[1::2])))
 
-    by_row: Dict[int, list] = {}
-    for i, j in cell_list:
-        by_row.setdefault(i, []).append(j)
-    n_rows = max(by_row, default=0)
+    # by row, then column: each row's first cell gives mu_i and its last lam_i
+    n_rows = cell_list[-1][0] if cell_list else 0
     lam, mu = [0] * n_rows, [0] * n_rows
-    for i, js in by_row.items():
-        if js != list(range(js[0], js[0] + len(js))):
+    for i, j in cell_list:
+        if not lam[i - 1]:
+            mu[i - 1] = j - 1
+        elif j != lam[i - 1] + 1:
+            js = [c for r, c in cell_list if r == i]
             raise PreconditionError(f"row {i} is not contiguous: columns {js}")
-        mu[i - 1], lam[i - 1] = js[0] - 1, js[-1]
+        lam[i - 1] = j
     lam_t, mu_t = canonical_rows(lam, mu)
-    if any(a < b for a, b in zip(lam_t, lam_t[1:])) or any(
-        a < b for a, b in zip(mu_t, mu_t[1:])
-    ):
+    if list(lam_t) != sorted(lam_t, reverse=True) or list(mu_t) != sorted(mu_t, reverse=True):
         raise PreconditionError(f"cells {cell_list} do not form a skew diagram")
     return SkewShape._make(lam_t, mu_t)
 

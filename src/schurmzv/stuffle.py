@@ -28,7 +28,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .mzv import Index, check_index, expand_tableau, numeric_mzv
 from .record import Record
-from .ribbons import OutsideDecomposition, jacobi_trudi_sides
+from .ribbons import OutsideDecomposition, jacobi_trudi_sides, ribbon_tableau
 from .shapes import DiagonalTableau, Tableau, is_admissible
 from .symbolic import Scalar, TermMap, det
 
@@ -232,8 +232,11 @@ def regularized_jt_check(
     For admissible k the spread of the determinant across samples measures
     the (expected) cancellation of T.
     """
+    def value(t: Tableau) -> Tuple[float, ...]:
+        return _coefficient_values(schur_regularize(t))
+
     lhs_coeffs, entry_coeffs = jacobi_trudi_sides(
-        k, theta, lambda t: _coefficient_values(schur_regularize(t)), (0.0,), (1.0,)
+        k, theta, value, lambda r, values: value(ribbon_tableau(r, values)), (0.0,), (1.0,)
     )
 
     lhs_vals: List[float] = []

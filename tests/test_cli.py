@@ -185,6 +185,18 @@ class TestEval:
         assert "the last cell's sweep of 199999 values" in json.loads(proc.stdout)["error"]["message"]
         assert time.monotonic() - start < 5.0
 
+    def test_deep_recursion_refused(self, tmp_path):
+        # One frame per cell: a 32 x 32 grid once raised RecursionError and
+        # exited 1 with a traceback and no JSON document.
+        rows = (" ".join(["1"] * 32) + "\n") * 32
+        proc = run_capped("eval", "-M", "33", grid(tmp_path, "sq.tab", rows))
+        assert proc.returncode == 4, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["error"] == {
+            "type": "ResourceLimitError",
+            "message": "a shape of 1024 cells needs a filling recursion deeper than 900 levels",
+        }
+
     def test_bad_grid(self, tmp_path, capsys):
         path = grid(tmp_path, "bad.tab", "1 3\n3 1\n. 2\n")
         rc, doc = run_json(tmp_path, capsys, "eval", "-M", "3", path)

@@ -16,6 +16,7 @@ from schurmzv.evaluate import (
     enumerate_ssyt,
     filling_count,
     jacobi_trudi_check_exact,
+    ribbon_truncation,
     truncated_schur_zeta,
 )
 from schurmzv.mzv import truncated_mzv
@@ -24,12 +25,18 @@ from schurmzv.ribbons import (
     UP,
     anchored_ribbon,
     decomposition_from_ribbon,
+    fill_ribbon,
+    jacobi_trudi_sides,
+    ribbon_matrix,
     ribbon_of,
+    ribbon_tableau,
+    subribbon_of,
 )
 from schurmzv.shapes import (
     Tableau,
     content_set,
     diagonal_tableau,
+    is_edge_connected,
     make_skew,
 )
 
@@ -77,6 +84,14 @@ class TestEnumerate:
         monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
         with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
             enumerate_ssyt(make_skew((3,)), 5)
+
+    def test_deep_shapes_refused_at_the_call(self):
+        assert len(list(enumerate_ssyt(make_skew((30,) * 30), 31))) == 1
+        with pytest.raises(
+            ResourceLimitError,
+            match="a shape of 1024 cells needs a filling recursion deeper than 900 levels",
+        ):
+            enumerate_ssyt(make_skew((32,) * 32), 33)
 
 
 class TestFillingCount:
@@ -279,9 +294,137 @@ class TestTruncatedSchurZeta:
             truncated_schur_zeta(single(2), 50_000)
         assert time.perf_counter() - start < 1.0
 
+    def test_deep_shapes(self):
+        # The recursion takes one frame per cell: 1,024 cells once raised
+        # RecursionError, which is no SchurMzvError.
+        square = Tableau(make_skew((30,) * 30), ((1,) * 30,) * 30)
+        assert truncated_schur_zeta(square, 31) == Fraction(1, math.factorial(30) ** 30)
+        grid = Tableau(make_skew((32,) * 32), ((1,) * 32,) * 32)
+        with pytest.raises(
+            ResourceLimitError,
+            match="a shape of 1024 cells needs a filling recursion deeper than 900 levels",
+        ):
+            truncated_schur_zeta(grid, 33)
+
     def test_lcm_from_prime_powers(self):
         for M in range(1, 401):
             assert evaluate._lcm_upto(M - 1) == math.lcm(*range(1, M))
+
+
+def zeta_weight(m, d):
+    return Fraction(1, m**d)
+
+
+def coarsenings(index):
+    """Every index made by summing runs of adjacent parts, the index itself
+    included."""
+    if len(index) <= 1:
+        yield tuple(index)
+        return
+    for rest in coarsenings(index[1:]):
+        yield (index[0],) + rest
+        yield (index[0] + rest[0],) + rest[1:]
+
+
+def seeded_hosts(seed, count, max_cells):
+    """Edge-connected skew shapes of 1..max_cells cells from a seeded draw."""
+    rng = random.Random(seed)
+    hosts = []
+    while len(hosts) < count:
+        lam = sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 4))), reverse=True)
+        mu = sorted((rng.randint(0, part) for part in lam), reverse=True)
+        shape = make_skew(lam, [min(m, part) for m, part in zip(mu, lam)])
+        if 1 <= shape.n_cells <= max_cells and is_edge_connected(shape):
+            hosts.append(shape)
+    return hosts
+
+
+class TestRibbonTruncation:
+    def test_matches_enumeration_on_seeded_ribbons(self):
+        rng = random.Random(32)
+        walks = [(), (RIGHT,) * 3, (UP,) * 4, (RIGHT, UP) * 2, (UP, RIGHT) * 2]
+        for _ in range(15):
+            walks.append(tuple(rng.choice((UP, RIGHT)) for _ in range(rng.randint(1, 4))))
+        for steps in walks:
+            r = anchored_ribbon(rng.randint(-3, 3), steps)
+            exps = tuple(rng.randint(1, 4) for _ in range(r.n_cells))
+            t = ribbon_tableau(r, exps)
+            for M in range(1, 13):
+                assert ribbon_truncation(r, exps, M) == s_f_m(t, M, zeta_weight), (steps, exps, M)
+
+    @pytest.mark.parametrize("exps", [(1, 2), (2, 1, 3), (1, 1, 1, 2)])
+    def test_column_is_a_truncated_mzv(self, exps):
+        # in content order a column runs upwards, through decreasing values
+        column = anchored_ribbon(0, (UP,) * (len(exps) - 1))
+        assert ribbon_truncation(column, exps, 256) == truncated_mzv(exps[::-1], 256)
+
+    @pytest.mark.parametrize("exps", [(1, 2), (2, 1, 3), (1, 1, 1, 2)])
+    def test_row_is_a_truncated_star_sum(self, exps):
+        row = anchored_ribbon(0, (RIGHT,) * (len(exps) - 1))
+        want = sum((truncated_mzv(index, 64) for index in coarsenings(exps)), Fraction(0))
+        assert ribbon_truncation(row, exps, 64) == want
+
+    def test_entries_match_the_filling_sum_on_seeded_hosts(self):
+        # Each host with a seeded guide, and each ribbon host with its own
+        # walk as guide, a decomposition of one piece.
+        rng = random.Random(33)
+        checked = one_piece = 0
+        for host in seeded_hosts(34, 40, 7):
+            span = content_set(host)
+            guides = [anchored_ribbon(span[0], [rng.choice((UP, RIGHT)) for _ in span[1:]])]
+            if host.n_cells == len(span):
+                guides.append(ribbon_of(host))
+            for guide in guides:
+                theta = decomposition_from_ribbon(host, guide)
+                k = diagonal_tableau(host, {c: rng.randint(1, 3) for c in span})
+                M = rng.randint(1, 9)
+                _, got = jacobi_trudi_sides(
+                    k, theta, lambda t: None, lambda r, exps: ribbon_truncation(r, exps, M), 0, 1
+                )
+                want = ribbon_matrix(
+                    theta,
+                    lambda p, q, r: truncated_schur_zeta(fill_ribbon(k, subribbon_of(r, p, q)), M),
+                    0,
+                    1,
+                )
+                assert got == want, (host, guide.steps, M)
+                rep = jacobi_trudi_check_exact(k, theta, M)
+                assert rep.equal
+                checked += 1
+                one_piece += rep.n == 1
+        assert checked > 40 and one_piece >= 5
+
+    def test_two_cell_column_keeps_one_list(self):
+        column = anchored_ribbon(0, (UP,))
+        tracemalloc.start()
+        try:
+            value = ribbon_truncation(column, (1, 1), 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == truncated_mzv((1, 1), 4000)
+        assert peak <= 4.5 * 2**20
+
+    def test_filling_and_cell_caps_do_not_apply(self, monkeypatch):
+        # A row of three cells has C(10, 3) = 120 fillings below 9.
+        row = anchored_ribbon(0, (RIGHT, RIGHT))
+        want = s_f_m(ribbon_tableau(row, (1, 2, 3)), 9, zeta_weight)
+        monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
+        monkeypatch.setattr(evaluate, "CELLS_CAP", 2)
+        assert ribbon_truncation(row, (1, 2, 3), 9) == want
+
+    def test_denominator_and_sweep_caps(self):
+        one = anchored_ribbon(0, ())
+        with pytest.raises(ResourceLimitError, match=r"lcm\(1\.\.2\)\^99999999999999999999 needs"):
+            ribbon_truncation(one, (99999999999999999999,), 3)
+        with pytest.raises(ResourceLimitError, match="the last cell's sweep of 49999 values"):
+            ribbon_truncation(one, (2,), 50_000)
+
+    def test_exponents_checked(self):
+        r = anchored_ribbon(0, (UP,))
+        for exps in [(1,), (1, 2, 3), (1, 0), (1, 2.0)]:
+            with pytest.raises(PreconditionError):
+                ribbon_truncation(r, exps, 5)
 
 
 class TestDetFraction:
@@ -380,6 +523,37 @@ class TestJacobiTrudi:
         monkeypatch.setattr(evaluate, "FILLING_CAP", 10)
         with pytest.raises(ResourceLimitError, match="more than 10 fillings"):
             jacobi_trudi_check_exact(k, theta, 5)
+
+    @pytest.mark.parametrize(
+        "shape, values, M, cap",
+        [
+            ((1,), (99999999999999999999,), 3, None),  # the denominator's bits
+            ((1,), (2,), 50_000, None),  # the last cell's sweep
+            ((3, 2, 2), (1, 2, 1, 3, 2), 9, ("FILLING_CAP", 10)),
+            ((3, 2, 2), (1, 2, 1, 3, 2), 5, ("CELLS_CAP", 4)),
+        ],
+        ids=["bits", "sweep", "fillings", "cells"],
+    )
+    def test_host_refused_first(self, monkeypatch, shape, values, M, cap):
+        # Every entry's weight is at most the host's, so the host's bits and
+        # sweep caps bound the entries; none is computed after a refusal.
+        if cap:
+            monkeypatch.setattr(evaluate, *cap)
+        host = make_skew(shape)
+        span = content_set(host)
+        guide = anchored_ribbon(span[0], (RIGHT, UP, UP, RIGHT)[: len(span) - 1])
+        theta = decomposition_from_ribbon(host, guide)
+        k = diagonal_tableau(host, dict(zip(span, values)))
+        with pytest.raises(ResourceLimitError) as want:
+            truncated_schur_zeta(k.to_tableau(), M)
+
+        def no_entry(*args):
+            raise AssertionError("an entry was computed after the host's refusal")
+
+        monkeypatch.setattr(evaluate, "ribbon_truncation", no_entry)
+        with pytest.raises(ResourceLimitError) as got:
+            jacobi_trudi_check_exact(k, theta, M)
+        assert str(got.value) == str(want.value)
 
     def test_host_mismatch_rejected(self):
         theta = decomposition_from_ribbon(GOLDEN_HOST, GOLDEN_GUIDE)
