@@ -11,7 +11,7 @@ oracle (``tests/oracles.s_f_m``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, prod
 from operator import mul
 from typing import Dict, Iterator, List, Sequence, Tuple
@@ -147,26 +147,23 @@ def _lcm_upto(n: int) -> int:
     return prod(powers)
 
 
-class _Factors(dict):
-    """``(L // v) ** e`` by v, each computed when first read and kept."""
+def _factors(L: int, e: int, M: int) -> Iterator[int]:
+    """The shares ``L^e // m^e`` of ``m^-e`` for m = 1..M-1, lazily."""
+    Le = L**e
+    return (Le // m**e for m in range(1, M))
 
-    __slots__ = ("L", "e")
+
+class _Unkept:
+    """The first cell's shares ``L^e // v^e`` by value, as :func:`_factors`
+    gives them, computed on each read and not kept."""
+
+    __slots__ = ("Le", "e")
 
     def __init__(self, L: int, e: int):
-        self.L, self.e = L, e
+        self.Le, self.e = L**e, e
 
-    def __missing__(self, v: int) -> int:
-        f = self[v] = (self.L // v) ** self.e
-        return f
-
-
-class _Unkept(_Factors):
-    """The same factors, computed on each read and not kept."""
-
-    __slots__ = ()
-
-    def __missing__(self, v: int) -> int:
-        return (self.L // v) ** self.e
+    def __getitem__(self, v: int) -> int:
+        return self.Le // v**self.e
 
 
 def _denominator(exps: Sequence[int], M: int) -> Tuple[int, int, int]:
@@ -197,24 +194,26 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
     Accumulates one integer numerator over the common denominator
     ``D = L^weight``, ``L = lcm(1..M-1)``, which keeps the rational
     reductions out of the inner loop.  A filling's share of D is the
-    product of ``(L // v)^e`` over its cells, exact since every v divides
-    L; the recursion carries that product down the cells in row-major
-    order and stops at the penultimate cell.  For each of its values the
-    last cell, in the bottom row, runs over ``[lo, M)``, with ``lo`` read
-    off the value when the last cell is to its right or directly below it
-    and fixed by the earlier cells otherwise, so the loop adds the share
-    to the weight of ``lo``; one descending sweep ``v = M-1 .. 1`` then
-    keeps the tail sum of ``(L // v)^e`` of the last cell and adds each
-    weight times its tail.
+    product of ``L^e // v^e`` (see :func:`_factors`) over its cells, exact
+    since every v divides L; the recursion carries that product down the
+    cells in row-major order and stops at the penultimate cell.  For each
+    of its values v the last cell, in the bottom row, runs over
+    ``[max(v + shift, c), M)``: shift is 1 when the last cell is directly
+    under the penultimate one, 0 when it is beside it and -M when apart,
+    and c is one more than the value of the cell above the last, or 1 when
+    there is none or it is the penultimate cell.  So the penultimate loop
+    adds each share to the weight of that lower bound, and the closing
+    step is the path sum's right step (:func:`ribbon_truncation`): the
+    sum over m of the prefix sum of the weights up to m times the last
+    cell's ``L^e // m^e``.
 
     Memory: one weight slot per value below M, each a share of D of at
     most about ``bits(D)`` bits, and a one-byte sieve over ``1..M-1`` for
-    L.  At most one factor per distinct exponent of the cells between the
-    first and the last and per value the recursion reaches, each computed
-    on first read.  No factor table for the first cell, whose loop runs
-    once per call, unless a later cell before the last shares its
-    exponent; none for the last cell, whose ``L^e // v^e`` the sweep
-    computes as it goes.
+    L.  One list of M factors per distinct exponent of the cells strictly
+    between the first and the last.  No factors kept for the first cell,
+    whose loop runs once per call, unless a middle cell shares its
+    exponent; none for the last cell, whose factors the closing step
+    generates as it goes.
 
     Raises :class:`ResourceLimitError` before any sum, checked in this
     order: when D needs more than ``DENOMINATOR_BITS_CAP`` bits; when the
@@ -242,13 +241,17 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
         # the first cell's loop runs once, so its factors are kept only for
         # a later cell that shares its exponent
         tables = {exps[0]: _Unkept(L, exps[0])}
-        tables.update({e: _Factors(L, e) for e in set(exps[1:last])})
+        tables.update({e: [0, *_factors(L, e, M)] for e in set(exps[1:last])})
         factors = [tables[e] for e in exps[:last]]
         pen = last - 1
         vals = [0] * pen
-        # the last cell's left neighbour, if any, is the penultimate cell
-        beside, above = left[last] is not None, up[last]
+        # the last cell starts at max(v + shift, c) for the penultimate
+        # cell's value v: shift is 1 directly under it, 0 beside it and -M,
+        # no bound, apart from it; c is one more than the value of the cell
+        # above the last, if there is one and it is not the penultimate
+        above = up[last]
         under = above == pen
+        shift = 1 if under else 0 if left[last] == pen else -M
 
         def rec(t: int, share: int) -> None:
             lo = 1
@@ -262,29 +265,15 @@ def truncated_schur_zeta(k: Tableau, M: int) -> Fraction:
                     vals[t] = v
                     rec(t + 1, share * f[v])
                 return
-            if under:  # the last cell starts at v + 1
-                for v in range(lo, M - below[t]):
-                    weights[v + 1] += share * f[v]
-                return
-            c = 1 if above is None else vals[above] + 1
-            if beside:  # the last cell starts at max(v, c)
-                for v in range(lo, M - below[t]):
-                    weights[v if v > c else c] += share * f[v]
-                return
-            for v in range(lo, M - below[t]):  # the last cell starts at c
-                weights[c] += share * f[v]
+            c = 1 if under or above is None else vals[above] + 1
+            for v in range(lo, M - below[t]):
+                s = v + shift
+                weights[s if s > c else c] += share * f[v]
 
         rec(0, 1)
-    lowest = next((v for v, w in enumerate(weights) if w), 0)
-    if not lowest:
-        return Fraction(0)
-    e = exps[last]
-    Le = L**e
-    num = tail = 0
-    for v in range(M - 1, lowest - 1, -1):
-        tail += Le // v**e
-        if weights[v]:
-            num += weights[v] * tail
+    # the last cell at m takes every weight of a lower bound up to m
+    starts = islice(accumulate(weights), 1, None)
+    num = sum(map(mul, starts, _factors(L, exps[last], M)))
     return Fraction(num, L**weight)
 
 
@@ -309,7 +298,7 @@ def ribbon_truncation(ribbon: Ribbon, exps: Sequence[int], M: int) -> Fraction:
     m_(i+1) < m_i.  The truncation is then the sum over m < M of f_n(m),
     where f_1(m) = m^-k_1 and f_(i+1)(m) is m^-k_(i+1) times the sum of
     f_i(m') over m' <= m after a right step, over m' > m after an up step.
-    On shares ``(L // m)^k`` of ``D = L^weight``, ``L = lcm(1..M-1)``, as
+    On shares ``L^k // m^k`` of ``D = L^weight``, ``L = lcm(1..M-1)``, as
     in :func:`truncated_schur_zeta`, that is n sweeps over 1..M-1 of exact
     int adds and multiplies: O(n * M) of them, whatever the number of
     fillings.
@@ -318,9 +307,9 @@ def ribbon_truncation(ribbon: Ribbon, exps: Sequence[int], M: int) -> Fraction:
     of at most about ``bits(D)`` bits, overwritten in place from one cell
     to the next, and a one-byte sieve over ``1..M-1`` for L.  The last
     cell is summed as its sweep goes, so a one-cell ribbon keeps no list.
-    No factor table: each sweep divides ``L^e`` by ``m^e`` as it reads a
-    factor, which for large M costs far less than raising ``L // m`` to
-    the power e.
+    No factor table: each sweep reads its factors from :func:`_factors`,
+    which divides ``L^e`` by ``m^e`` as it goes; for large M that costs
+    far less than raising ``L // m`` to the power e.
 
     Raises :class:`PreconditionError` unless there is one positive int
     exponent per cell, and :class:`ResourceLimitError` before any sum by
@@ -335,20 +324,15 @@ def ribbon_truncation(ribbon: Ribbon, exps: Sequence[int], M: int) -> Fraction:
         return Fraction(0)
     L, weight, bits = _denominator(exps, M)
     _check_sweep(bits, weight, M)
-    ms, last = range(1, M), len(exps) - 1
-
-    def factors(e: int) -> Iterator[int]:
-        Le = L**e
-        return (Le // m**e for m in ms)
-
+    last = len(exps) - 1
     if not last:
-        return Fraction(sum(factors(exps[0])), L**weight)
-    shares = list(factors(exps[0]))  # f_1(m) at index m - 1
+        return Fraction(sum(_factors(L, exps[0], M)), L**weight)
+    shares = list(_factors(L, exps[0], M))  # f_1(m) at index m - 1
     for step, e in zip(ribbon.steps[: last - 1], exps[1:last]):
-        for i, (s, f) in enumerate(zip(_path_sums(shares, step == UP), factors(e))):
+        for i, (s, f) in enumerate(zip(_path_sums(shares, step == UP), _factors(L, e, M))):
             shares[i] = s * f
     sums = _path_sums(shares, ribbon.steps[-1] == UP)
-    return Fraction(sum(map(mul, sums, factors(exps[last]))), L**weight)
+    return Fraction(sum(map(mul, sums, _factors(L, exps[last], M))), L**weight)
 
 
 def det_fraction(matrix: Sequence[Sequence[Fraction]]) -> Fraction:

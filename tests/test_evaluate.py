@@ -221,9 +221,10 @@ class TestTruncatedSchurZeta:
             Fraction(1, v**e) for v in range(1, 300)
         )
 
-    # One shape per place of the last cell against the penultimate one:
-    # to its right (under a cell of the first row), directly below it, and
-    # apart from it (below the first cell of a longer row).
+    # One shape per place of the last cell against the penultimate one,
+    # which sets the shift of the one lower-bound rule: to its right
+    # (under a cell of the first row), directly below it, and apart from
+    # it (below the first cell of a longer row).
     @pytest.mark.parametrize(
         "shape, beside, under",
         [
@@ -255,6 +256,16 @@ class TestTruncatedSchurZeta:
         assert truncated_schur_zeta(row, 64) == truncated_mzv((a, b), 64) + truncated_mzv(
             (a + b,), 64
         )
+
+    # Three cells at a level the benchmark's draws reach; a first entry
+    # equal to the middle one makes the first cell read the middle list.
+    @pytest.mark.parametrize("a, b, c", [(1, 1, 1), (2, 2, 1), (1, 2, 3), (3, 1, 2)])
+    def test_three_cells_are_truncated_mzvs(self, a, b, c):
+        column = Tableau(make_skew((1, 1, 1)), ((a,), (b,), (c,)))
+        row = Tableau(make_skew((3,)), ((a, b, c),))
+        coarsenings = [(a, b, c), (a + b, c), (a, b + c), (a + b + c,)]
+        assert truncated_schur_zeta(column, 256) == truncated_mzv((a, b, c), 256)
+        assert truncated_schur_zeta(row, 256) == sum(truncated_mzv(i, 256) for i in coarsenings)
 
     def test_large_level_refused_with_little_memory(self):
         # The filling count is checked before the sum, so no factor is
