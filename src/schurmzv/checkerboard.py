@@ -393,9 +393,11 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     theta, kinds = _stair_cut(t, a, b)
     first = kinds[0].kind
     tessellated = first if all(sk.kind == first for sk in kinds) else None
+    # the contents are consecutive from the guide's cmin, as _roles_13 checked
+    values, c0 = t.values, theta.guide.cmin
     rows = ribbon_matrix(
         theta,
-        lambda p, q, _r: closed_form_13(_classify_span(q - p + 1, t.value_at(p), a, b)),
+        lambda p, q, _r: closed_form_13(_classify_span(q - p + 1, values[p - c0], a, b)),
         ZetaSymbolValue.zero(),
         ZetaSymbolValue.one(),
     )
@@ -443,12 +445,12 @@ def evaluate_checkerboard_13_column(t: CheckerboardTableau) -> ZetaSymbolValue:
     with the stair-guide evaluation exactly in the symbol ring.
     """
     _roles_13(t, "evaluate_checkerboard_13_column")
-    contents = content_set(t.shape)
-    theta = decomposition_from_ribbon(t.shape, _anchored(contents[0], (UP,) * (len(contents) - 1)))
+    values, c0 = t.values, content_set(t.shape)[0]
+    theta = decomposition_from_ribbon(t.shape, _anchored(c0, (UP,) * (len(values) - 1)))
     return sym_det(
         ribbon_matrix(
             theta,
-            lambda p, q, _r: _column_value(t.value_at(q), t.value_at(p), q - p + 1),
+            lambda p, q, _r: _column_value(values[q - c0], values[p - c0], q - p + 1),
             ZetaSymbolValue.zero(),
             ZetaSymbolValue.one(),
         )

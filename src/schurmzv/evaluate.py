@@ -11,6 +11,7 @@ oracle (``tests/oracles.s_f_m``).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, islice
 from math import comb, prod
 from operator import mul
@@ -133,8 +134,13 @@ def enumerate_ssyt(shape: SkewShape, M: int) -> Iterator[Dict[Cell, int]]:
     return rec(0)
 
 
+@lru_cache(maxsize=1)
 def _lcm_upto(n: int) -> int:
-    """lcm(1..n): the largest power up to n of each prime up to n, multiplied."""
+    """lcm(1..n): the largest power up to n of each prime up to n, multiplied.
+
+    Kept for the last n only: an exact Jacobi-Trudi check asks for the
+    same n = M - 1 for its host and for every matrix entry, so it sieves
+    once per check."""
     sieve = bytearray([1]) * (n + 1)
     powers = []
     for p in range(2, n + 1):

@@ -273,20 +273,12 @@ def ribbon_matrix(
     distinct ones, so every defined interval occurs once and ``entry`` runs
     once per interval.
     """
-    r = theta.guide
-    rows = []
-    for pi in theta.pieces:
-        row = []
-        for pj in theta.pieces:
-            p, q = pi.cmin, pj.cmax
-            if p == q + 1:
-                row.append(one)
-            elif p > q + 1:
-                row.append(zero)
-            else:
-                row.append(entry(p, q, r))
-        rows.append(tuple(row))
-    return tuple(rows)
+    r, pieces = theta.guide, theta.pieces
+    ends = [pj.cmax for pj in pieces]
+    return tuple(
+        tuple([entry(p, q, r) if p <= q else one if p == q + 1 else zero for q in ends])
+        for p in [pi.cmin for pi in pieces]
+    )
 
 
 def subribbon_table(theta: OutsideDecomposition) -> SubribbonTable:

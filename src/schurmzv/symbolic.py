@@ -115,8 +115,8 @@ class TermMap:
     ZetaSymbolValue (keys are monomials), stuffle.QSElement (keys are
     indices) and stuffle.TPoly (keys are (power of T, index) pairs) share
     it.  A subclass supplies its constructor and ``_product``, the bilinear
-    product of two elements as a term dict that may hold zeros; ``_unit``
-    is the key of the unit.
+    product of two elements as a term dict that may hold zeros, or a fused
+    ``_mul_into`` in its place; ``_unit`` is the key of the unit.
     Rationals act as constants.  An operand of another subclass gets
     NotImplemented, so mixing rings raises TypeError and compares unequal.
     """
@@ -176,6 +176,20 @@ class TermMap:
             elif c:
                 out[key] = c
 
+    def _mul_into(self, other: "TermMap", out: Dict, scale: Scalar = 1) -> None:
+        """out += scale * self * other in place: the ring kernel that ``*``
+        and ``det`` multiply through.  Leaves no zero coefficient in out,
+        and the keys it adds go last, in the order the product reaches
+        them, as ``_accumulate`` of the product's term dict gives."""
+        TermMap._accumulate(out, self._product(other), scale)
+
+    @classmethod
+    def _collected(cls, terms: Dict) -> "TermMap":
+        """Wrap the terms that ``_mul_into`` collected: once per product and
+        once per minor of ``det``.  ZetaSymbolValue checks its exponent
+        guard here."""
+        return cls._canonical(terms)
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -220,7 +234,9 @@ class TermMap:
             return self._canonical({k: c * other for k, c in self.terms.items()})
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._canonical({k: c for k, c in self._product(other).items() if c})
+        out: Dict = {}
+        self._mul_into(other, out)
+        return self._collected(out)
 
     __rmul__ = __mul__
 
@@ -273,23 +289,39 @@ class ZetaSymbolValue(TermMap):
     def Z(cls, k: int) -> "ZetaSymbolValue":
         return cls.gen(f"Z{k}")
 
-    def _product(self, other: "ZetaSymbolValue") -> Dict[Monomial, Fraction]:
-        """Term dict of self * other: every pair of monomials multiplied, by
-        adding their packed ints.
+    def _mul_into(self, other: "ZetaSymbolValue", out: Dict, scale: Scalar = 1) -> None:
+        """out += scale * self * other, fused: each pair of monomials adds
+        its packed ints and its coefficient straight into out, with no
+        product dict between.
 
-        A sum of two exponents below EXPONENT_GUARD stays below twice it, so
-        it sets at most its own field's top bit; one check of the output's
-        top bits finds any exponent that reached the guard."""
-        out: Dict[Monomial, Fraction] = {}
+        A coefficient that passes through zero keeps its key's place until
+        the last pair, and the keys left at zero are deleted at the end, so
+        out lists its terms in the order ``_accumulate`` of the product
+        dict would.  The exponent guard is left to :meth:`_collected`."""
+        get = out.get
+        pairs = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            c1 *= scale
+            for m2, c2 in pairs:
                 key = m1 + m2
-                out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-        seen = reduce(or_, out, 0)
+                out[key] = get(key, 0) + c1 * c2
+        if 0 in out.values():  # one C-level scan over int coefficients
+            for key in [key for key, c in out.items() if not c]:
+                del out[key]
+
+    @classmethod
+    def _collected(cls, terms: Dict[Monomial, Scalar]) -> "ZetaSymbolValue":
+        """Wrap collected products, checking the exponent guard.
+
+        A sum of two exponents below EXPONENT_GUARD stays below twice it,
+        so it sets at most its own field's top bit; one check of the
+        terms' top bits finds any exponent that reached the guard.  Every
+        factor was checked before it was multiplied, so no sum carried."""
+        seen = reduce(or_, terms, 0)
         ones = ((1 << FIELD_BITS * (seen.bit_length() // FIELD_BITS + 1)) - 1) // _FIELD
         if seen & ones * EXPONENT_GUARD:
             raise ResourceLimitError(f"a product exponent reaches {EXPONENT_GUARD}")
-        return out
+        return cls._canonical(terms)
 
     def coefficient(self, pairs: GeneratorPairs) -> Fraction:
         return self.terms.get(_monomial(pairs), Fraction(0))
@@ -369,10 +401,17 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     minors, each a sum of at most n products: n * 2^(n-1) ring
     multiplications instead of the n! of a plain cofactor expansion.
     Each minor adds its terms in ascending column order, as a first-row
-    cofactor expansion does, so over a term-map ring the result lists its
-    terms in the same order, and float sums over them (numeric_value) come
-    out the same.  Over a term-map ring a minor collects its signed
-    products in one term dict, wrapped once; over numbers it uses + and -.
+    cofactor expansion does.  Over numbers it uses + and -.  Over a
+    term-map ring a minor multiplies each entry straight into its one term
+    dict through the ring kernel, ``_mul_into``, with the entry's sign as
+    the scale: a coefficient that passes through zero keeps its key's
+    place, and the keys an entry's product leaves at zero are deleted
+    after it, as adding the product with ``+`` would.  So the result lists
+    its terms in the order of the cofactor expansion, and float sums over
+    them (numeric_value) come out the same.  The minor's dict is wrapped
+    once, by ``_collected``, which for the symbol ring checks the exponent
+    guard before the next level reads the minor; a monomial that reached
+    the guard and cancelled is gone and is never multiplied again.
 
     Exact callers clear rows before they get here: ``sym_det`` and
     ``evaluate.det_fraction`` scale each row to int coefficients with
@@ -400,8 +439,8 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
                 for bit, a in entries:
                     if key & bit and (key ^ bit) in minors:
                         sign = -1 if (key & (bit - 1)).bit_count() & 1 else 1
-                        TermMap._accumulate(acc, a._product(minors[key ^ bit]), sign)
-                total = one._canonical(acc)
+                        a._mul_into(minors[key ^ bit], acc, sign)
+                total = one._collected(acc)
             if total:
                 level[key] = total
         minors = level
@@ -416,8 +455,11 @@ def _integer_rows(rows: Sequence[Sequence[R]]) -> Tuple[List[List[R]], int]:
     each row, so det(rows) = det(scaled rows) / D.  Int arithmetic is far
     cheaper than Fraction arithmetic, and scaling by a nonzero integer
     leaves every product and sum zero exactly when it was, so ``det``
-    builds the same minors and its result lists its terms in the same
-    order.
+    builds the same minors, its kernel passes through zero and deletes
+    the same keys, and its result lists its terms in the same order.  The
+    scaled entries keep their monomials, so the exponent guard that
+    ``det`` checks once per minor sees the same keys as on the Fraction
+    rows.
     """
     out: List[List[R]] = []
     D = 1

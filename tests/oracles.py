@@ -8,7 +8,8 @@ and connectivity from its cell set), restates a theorem the library
 relies on as a boolean check, or is a reference route no library route
 reads (the generic weighted filling sum, transposes, the linear extension
 of truncation to stuffle combinations, the 2x2 stair determinant G(n),
-a value's weight); the tests compare the two.
+a value's weight, the parity of a checkerboard value read off its
+shape); the tests compare the two.
 """
 
 from fractions import Fraction
@@ -26,11 +27,12 @@ from schurmzv.checkerboard import (
     _stair_steps,
     check_checkerboard,
     closed_form_13,
+    stair_cut,
 )
 from schurmzv.errors import PreconditionError
 from schurmzv.evaluate import det_fraction, enumerate_ssyt
 from schurmzv.mzv import is_admissible_index, truncated_mzv
-from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon
+from schurmzv.ribbons import RIGHT, UP, OutsideDecomposition, Ribbon, anchored_ribbon, ribbon_matrix
 from schurmzv.shapes import (
     Cell,
     DiagonalTableau,
@@ -220,6 +222,34 @@ def pieces_walk_their_stairs(
     return len(kinds) == theta.n_pieces and all(
         p.steps == _stair_steps(sk.kind, sk.n) for p, sk in zip(theta.pieces, kinds)
     )
+
+
+def parity_by_shape(t: DiagonalTableau) -> str:
+    """"odd", "even" or "mixed": the parity of a (1,3) checkerboard value,
+    read off the shape without the symbol ring.
+
+    The lengths q - p + 1 of the defined entries of the :func:`stair_cut`
+    ribbon matrix decide it.  All odd: every entry is an A or B stair, a
+    rational multiple of one odd zeta (or T for A(0)), so the value lies in
+    Q[T, zeta(odd)], and in Q[zeta(odd)] when the tableau is admissible.
+    All even: every entry is an S or SStar stair, a rational multiple of a
+    power of pi^4, so the value lies in Q[pi^4]; this happens exactly when
+    every piece is an S or SStar stair.  These two pure cases are proved:
+    they follow from the paper's theorems, its determinant formula and
+    the stair closed forms.  That every other shape gives a mixed value,
+    one with both pi^4 and odd zetas in its support, is not proved here:
+    it rests only on evidence, the exhaustive check of the
+    admissible edge-connected checkerboards of a 5x5 box in both
+    colourings, a sample of the 6x6 box, and the seeded test that reads
+    this oracle.
+    """
+    theta, _ = stair_cut(t)
+    lengths = {n for row in ribbon_matrix(theta, lambda p, q, _r: q - p + 1, 0, 0) for n in row if n}
+    if all(n % 2 for n in lengths):
+        return "odd"
+    if not any(n % 2 for n in lengths):
+        return "even"
+    return "mixed"
 
 
 def corners_by_neighbours(shape: SkewShape) -> Tuple[Cell, ...]:

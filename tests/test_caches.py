@@ -5,7 +5,7 @@ The caches are found by scanning the package, not by name: each
 An interned record class counts as one: it answers ``cache_info`` and
 ``cache_clear`` with its instance memo.  ``clear_caches`` finds them by the
 same rule in the loaded modules, so a cache added later is cleared without
-a line of its own; the inventory of 13 here changes only with a new cache.
+a line of its own; the inventory of 14 here changes only with a new cache.
 """
 
 import functools
@@ -14,10 +14,11 @@ import os
 import pkgutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import schurmzv
-from schurmzv import mzv, record, ribbons, shapes, stuffle
+from schurmzv import evaluate, mzv, record, ribbons, shapes, stuffle
 from schurmzv.checkerboard import evaluate_checkerboard_13, evaluate_checkerboard_13_column
 from schurmzv.shapes import diagonal_tableau, make_skew
 
@@ -44,13 +45,14 @@ def warm():
     assert evaluate_checkerboard_13(square).value == evaluate_checkerboard_13_column(square)
     stuffle.regularize((2, 1))
     mzv.numeric_mzv((1, 2))
+    assert evaluate.ribbon_truncation(ribbons.anchored_ribbon(0, ()), (2,), 3) == Fraction(5, 4)
 
 
 def test_clear_caches_empties_every_cache():
     schurmzv.clear_caches()
     warm()
     before = cache_sizes()
-    assert len(before) == 13 and all(before.values()), before
+    assert len(before) == 14 and all(before.values()), before
     schurmzv.clear_caches()
     assert set(cache_sizes().values()) == {0}
     warm()

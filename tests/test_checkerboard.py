@@ -47,6 +47,7 @@ from oracles import (
     g13,
     homogeneous_weight,
     is_checkerboard,
+    parity_by_shape,
     pieces_walk_their_stairs,
     sstar13_bernoulli,
     zeta_four_block_star,
@@ -471,6 +472,33 @@ class TestEvaluate13:
                 assert checkerboard_value_is_consistent(rep), (shape, even)
                 admissible.add(rep.admissible)
         assert admissible == {True, False}
+
+    def test_parity_is_read_off_the_shape(self):
+        """The paper's third result on seeded admissible edge-connected
+        checkerboards of a 5x5 box, in both colourings: the parity that
+        tests/oracles.parity_by_shape reads off the stair cut is the
+        parity of the generators of the exact value."""
+        rng = random.Random(3406)
+        seen = {"odd": 0, "even": 0, "mixed": 0}
+        for _ in range(500):
+            lam = sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 5))), reverse=True)
+            mu = sorted((m for m in (rng.randint(0, part) for part in lam) if m), reverse=True)
+            shape = make_skew(lam, mu)
+            if not shape.cells or not is_edge_connected(shape):
+                continue
+            for even in (1, 3):
+                t = checkerboard(shape.lam, shape.mu, even=even, odd=4 - even)
+                rep = evaluate_checkerboard_13(t)
+                if not rep.admissible:
+                    continue
+                gens = rep.value.generators()
+                odd = {g for g in gens if g.startswith("Z")}
+                parity = parity_by_shape(t)
+                want = "even" if gens == {"P"} else "odd" if gens == odd else "mixed"
+                assert gens and "T" not in gens and (want != "mixed" or ("P" in gens and odd))
+                assert parity == want, (shape, even, sorted(gens))
+                seen[parity] += 1
+        assert min(seen.values()) >= 5, seen
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())

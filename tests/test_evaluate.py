@@ -519,6 +519,17 @@ class TestJacobiTrudi:
             rep = jacobi_trudi_check_exact(k, theta, M)
             assert rep.n == 2 and rep.equal
 
+    def test_one_lcm_per_check(self):
+        """The host and every defined entry share lcm(1..M-1): one check
+        computes it once, and the next check at another M once more."""
+        theta = decomposition_from_ribbon(GOLDEN_HOST, GOLDEN_GUIDE)
+        k = diagonal_tableau(GOLDEN_HOST, GOLDEN_K)
+        evaluate._lcm_upto.cache_clear()
+        for calls, M in enumerate((5, 6), start=1):
+            assert jacobi_trudi_check_exact(k, theta, M).equal
+            info = evaluate._lcm_upto.cache_info()
+            assert info.misses == calls and info.hits >= theta.n_pieces
+
     def test_single_piece_trivial(self):
         host = make_skew((2, 2, 1), (1,))
         assert content_set(host) == (-2, -1, 0, 1)

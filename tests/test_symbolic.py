@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schurmzv
+from schurmzv import checkerboard
 from schurmzv.errors import PreconditionError, ResourceLimitError
 from schurmzv.evaluate import det_fraction
+from schurmzv.shapes import content_set, diagonal_tableau, is_edge_connected, make_skew
 from schurmzv.stuffle import QSElement, TPoly
 from schurmzv.symbolic import (
     EXPONENT_GUARD,
@@ -430,6 +432,59 @@ class TestDet:
                 assert all(type(c) is Fraction for c in got.terms.values())
                 got = det_fraction(q)
                 assert type(got) is Fraction and got == bareiss_det(q)
+
+    def test_checkerboard_matrices_match_cofactor_oracle(self, monkeypatch):
+        """det on the stair and column ribbon matrices of seeded (1,3)
+        checkerboards in a 5x5 box (up to 6x6): the oracle's terms in the
+        oracle's order, on the Fraction rows and through sym_det.
+
+        The sample must hold a T entry, a column entry of several terms,
+        and a minor in which a product cancels a term that an earlier
+        entry put there, so that the kernel's zero rule is exercised.
+        """
+        matrices = []
+        monkeypatch.setattr(checkerboard, "sym_det", lambda rows: matrices.append(rows) or Sym.one())
+        rng = random.Random(3401)
+        for _ in range(60):
+            lam = sorted((rng.randint(1, 5) for _ in range(rng.randint(1, 5))), reverse=True)
+            mu = [rng.randint(0, part) for part in lam]
+            shape = make_skew(lam, sorted((m for m in mu if m), reverse=True))
+            if not shape.cells or not is_edge_connected(shape):
+                continue
+            for even in (1, 3):
+                t = diagonal_tableau(shape, {c: even if c % 2 == 0 else 4 - even for c in content_set(shape)})
+                checkerboard.evaluate_checkerboard_13(t)
+                checkerboard.evaluate_checkerboard_13_column(t)
+        cancelled = []
+        kernel = Sym._mul_into
+
+        def watched(self, other, out, scale=1):
+            before = set(out)
+            kernel(self, other, out, scale)
+            cancelled.append(bool(before - out.keys()))
+
+        for rows in matrices:
+            oracle = list(cofactor_det(rows).terms.items())
+            monkeypatch.setattr(Sym, "_mul_into", watched)
+            assert list(det(rows, Sym.zero(), Sym.one()).terms.items()) == oracle
+            monkeypatch.setattr(Sym, "_mul_into", kernel)
+            assert list(sym_det(rows).terms.items()) == oracle
+        entries = [a for rows in matrices for row in rows for a in row]
+        assert len(matrices) > 100 and any(cancelled)
+        assert any("T" in a.generators() for a in entries)
+        assert any(len(a.terms) > 1 for a in entries)
+
+    def test_minor_reaching_the_exponent_guard_raises(self):
+        """The guard is checked once per minor, before the next level reads
+        it; a monomial that reached it and cancelled is gone, and nothing
+        is multiplied by it."""
+        half = Sym({(("T", EXPONENT_GUARD // 2),): 1})
+        zero, one = Sym.zero(), Sym.one()
+        with pytest.raises(ResourceLimitError, match=f"a product exponent reaches {EXPONENT_GUARD}"):
+            sym_det([[one, zero, zero], [zero, half, zero], [zero, zero, half]])
+        with pytest.raises(ResourceLimitError):
+            sym_det([[half, one], [Sym.Z(3), half]])
+        assert sym_det([[half, half], [half, half]]) == 0
 
     def test_matches_numeric(self):
         m = [
