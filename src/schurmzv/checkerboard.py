@@ -19,9 +19,12 @@ is kept alongside as an independent cross-check; its entries are the
 column families (1,3,...), (3,1,...) resolved through the regularized
 closed forms.
 
-The (1,3) stair and column closed forms are memoized (``lru_cache``): a
-determinant asks for the same few of them in nearly every entry, and
-their values are immutable, so every caller may share one copy.
+Both (1,3) routes build their matrix through one helper, which reads each
+defined entry from the route's memo (an ``lru_cache``) by the entry's
+span: its length and the value at its smallest content.  A determinant
+asks for the same few spans in nearly every entry, and the values are
+immutable, so every caller may share one copy.  The builders behind the
+memos are plain functions, run on a miss, by ``alpha`` and by callers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .errors import PreconditionError
 from .mzv import Index
@@ -157,14 +160,12 @@ def stair_tableau(kind: StairKind) -> CheckerboardTableau:
     return DiagonalTableau._make(shape, values)
 
 
-@lru_cache(maxsize=None)
 def zeta_13(n: int) -> ZetaSymbolValue:
     """The alternating column value ((1,3) repeated n times) as 2/(4n+2)! P^n."""
     n = _pair_count(n, 0)
     return ZetaSymbolValue.P() ** n * Fraction(2, factorial(4 * n + 2))
 
 
-@lru_cache(maxsize=None)
 def zeta_3_13(n: int) -> ZetaSymbolValue:
     """The column value (3, then (1,3) n times), expanded into single zetas.
 
@@ -180,7 +181,6 @@ def zeta_3_13(n: int) -> ZetaSymbolValue:
     return out
 
 
-@lru_cache(maxsize=None)
 def closed_form_13(kind: StairKind) -> ZetaSymbolValue:
     """Closed form of a (1,3) stair value in the symbol ring.
 
@@ -208,7 +208,6 @@ def closed_form_13(kind: StairKind) -> ZetaSymbolValue:
     return ZetaSymbolValue.P() ** n * coeff
 
 
-@lru_cache(maxsize=None)
 def reg13_formulas(n: int) -> Tuple[ZetaSymbolValue, ZetaSymbolValue]:
     """Closed forms of the two regularized alternating column families.
 
@@ -306,6 +305,40 @@ def _classify_span(length: int, lowest: int, a: int, b: int) -> StairKind:
     return StairKind._make(kind, a, b, length // 2)
 
 
+@lru_cache(maxsize=None)
+def _stair_13(length: int, lowest: int) -> ZetaSymbolValue:
+    """Closed form of the (1,3) stair of this length and lowest value."""
+    return closed_form_13(_classify_span(length, lowest, 1, 3))
+
+
+@lru_cache(maxsize=None)
+def _column_value(length: int, bottom: int) -> ZetaSymbolValue:
+    """Closed form of an alternating {1,3} column by its length and bottom
+    value; its top value follows from the alternation."""
+    n, odd = divmod(length, 2)
+    if odd:
+        return zeta_3_13(n) if bottom == 3 else reg13_formulas(n)[0]
+    return zeta_13(n) if bottom == 3 else reg13_formulas(n)[1]
+
+
+def _span_matrix(
+    t: CheckerboardTableau,
+    theta: OutsideDecomposition,
+    memo: Callable[[int, int], ZetaSymbolValue],
+) -> Tuple[Tuple[ZetaSymbolValue, ...], ...]:
+    """The ribbon matrix of a cut of a {1,3} host: each defined entry is
+    ``memo(length, value)`` of its span, read at the span's smallest
+    content."""
+    # the contents are consecutive from the guide's cmin, as _roles_13 checked
+    values, c0 = t.values, theta.guide.cmin
+    return ribbon_matrix(
+        theta,
+        lambda p, q, _r: memo(q - p + 1, values[p - c0]),
+        ZetaSymbolValue.zero(),
+        ZetaSymbolValue.one(),
+    )
+
+
 def stair_cut(t: CheckerboardTableau) -> Tuple[OutsideDecomposition, Tuple[StairKind, ...]]:
     """The cut of a checkerboard along its phase guide, and each piece's kind.
 
@@ -393,14 +426,7 @@ def evaluate_checkerboard_13(t: CheckerboardTableau) -> CheckerboardReport:
     theta, kinds = _stair_cut(t, a, b)
     first = kinds[0].kind
     tessellated = first if all(sk.kind == first for sk in kinds) else None
-    # the contents are consecutive from the guide's cmin, as _roles_13 checked
-    values, c0 = t.values, theta.guide.cmin
-    rows = ribbon_matrix(
-        theta,
-        lambda p, q, _r: closed_form_13(_classify_span(q - p + 1, values[p - c0], a, b)),
-        ZetaSymbolValue.zero(),
-        ZetaSymbolValue.one(),
-    )
+    rows = _span_matrix(t, theta, _stair_13)
     tab = t.to_tableau()
     return CheckerboardReport(
         sym_det(rows), tab.weight, is_admissible(tab), theta, kinds, tessellated, rows
@@ -445,27 +471,9 @@ def evaluate_checkerboard_13_column(t: CheckerboardTableau) -> ZetaSymbolValue:
     with the stair-guide evaluation exactly in the symbol ring.
     """
     _roles_13(t, "evaluate_checkerboard_13_column")
-    values, c0 = t.values, content_set(t.shape)[0]
-    theta = decomposition_from_ribbon(t.shape, _anchored(c0, (UP,) * (len(values) - 1)))
-    return sym_det(
-        ribbon_matrix(
-            theta,
-            lambda p, q, _r: _column_value(values[q - c0], values[p - c0], q - p + 1),
-            ZetaSymbolValue.zero(),
-            ZetaSymbolValue.one(),
-        )
-    )
-
-
-def _column_value(top: int, bottom: int, length: int) -> ZetaSymbolValue:
-    """Closed form of an alternating {1,3} column by its end values."""
-    if top == 1 and bottom == 3:
-        return zeta_13(length // 2)
-    if top == 3 and bottom == 3:
-        return zeta_3_13((length - 1) // 2)
-    if top == 1 and bottom == 1:
-        return reg13_formulas((length - 1) // 2)[0]
-    return reg13_formulas(length // 2)[1]
+    steps = (UP,) * (len(t.values) - 1)
+    theta = decomposition_from_ribbon(t.shape, _anchored(content_set(t.shape)[0], steps))
+    return sym_det(_span_matrix(t, theta, _column_value))
 
 
 def alpha(n: int) -> Fraction:

@@ -193,27 +193,25 @@ def render_grid(shape: SkewShape, entries: Optional[Dict[Cell, int]] = None) -> 
     return "\n".join(lines) + "\n"
 
 
-def _load_grid(path: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]], List[str]]:
+def _load_grid(path: str) -> Tuple[SkewShape, Optional[Dict[Cell, int]]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    shape, entries = parse_grid(text)
-    echo = [line for line in (ln.strip() for ln in text.splitlines()) if line]
-    return shape, entries, echo
+    return parse_grid(text)
 
 
-def _load_tableau(path: str) -> Tuple[Tableau, List[str]]:
-    shape, entries, echo = _load_grid(path)
+def _load_tableau(path: str) -> Tableau:
+    shape, entries = _load_grid(path)
     if entries is None:
         raise ParseError(f"{path}: this command needs integer entries in every cell")
-    return tableau_from_entries(shape, entries), echo
+    return tableau_from_entries(shape, entries)
 
 
 def _load_ribbon(path: str, host: SkewShape) -> Tuple[Ribbon, int]:
     """Read a ribbon grid and re-anchor it onto the host's diagonals."""
-    shape, _, _ = _load_grid(path)
+    shape, _ = _load_grid(path)
     r = ribbon_of(shape)
     host_cmin = content_set(host)[0]
     return anchored_ribbon(host_cmin, r.steps), host_cmin - r.cmin
@@ -317,7 +315,7 @@ def _shape_dict(shape: SkewShape) -> Dict[str, object]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    tab, echo = _load_tableau(args.tableau)
+    tab = _load_tableau(args.tableau)
     value = truncated_schur_zeta(tab, args.M)
     text = _frac(value)
     result: Dict[str, object] = {
@@ -349,7 +347,7 @@ def _cmd_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 
 def _cmd_expand(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    tab, _ = _load_tableau(args.tableau)
+    tab = _load_tableau(args.tableau)
     combination = expand_tableau(tab)
     terms = [
         {"index": list(idx), "multiplicity": combination[idx]}
@@ -363,7 +361,7 @@ def _cmd_expand(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    tab, _ = _load_tableau(args.tableau)
+    tab = _load_tableau(args.tableau)
     coeffs = schur_regularize(tab).coeffs
     result = {
         "degree": len(coeffs) - 1,
@@ -388,7 +386,7 @@ _TABLE_MARKS = {"empty": "∅", "undefined": "×"}
 
 
 def _cmd_decompose(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    host, _, _ = _load_grid(args.shape)
+    host, _ = _load_grid(args.shape)
     ribbon, shift = _load_ribbon(args.ribbon, host)
     theta = decomposition_from_ribbon(host, ribbon)
     words = ribbon_matrix(theta, lambda p, q, _r: f"[{p},{q}]", "undefined", "empty")
@@ -423,7 +421,7 @@ def _cmd_decompose(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 
 def _cmd_jt_check(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    tab, _ = _load_tableau(args.tableau)
+    tab = _load_tableau(args.tableau)
     diagonal = as_diagonal(tab)
     ribbon, shift = _load_ribbon(args.ribbon, tab.shape)
     theta = decomposition_from_ribbon(tab.shape, ribbon)
@@ -477,7 +475,7 @@ def _kind_list(kinds) -> List[Dict[str, object]]:
 
 
 def _cmd_checkerboard_eval(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    tab, _ = _load_tableau(args.tableau)
+    tab = _load_tableau(args.tableau)
     report = evaluate_checkerboard_13(as_diagonal(tab))
     display = report.display_matrix
     t_value = 0.0 if args.T is None else args.T
@@ -531,7 +529,7 @@ def _cmd_checkerboard_alpha(args: argparse.Namespace) -> Tuple[dict, dict, str]:
 
 
 def _cmd_checkerboard_tessellate(args: argparse.Namespace) -> Tuple[dict, dict, str]:
-    shape, entries, _ = _load_grid(args.shape)
+    shape, entries = _load_grid(args.shape)
     if entries is None:
         candidates = []
         for even in (1, 3):

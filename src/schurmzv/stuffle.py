@@ -50,15 +50,11 @@ class QSElement(TermMap):
     def from_index(cls, idx: Sequence[int]) -> "QSElement":
         return cls._canonical({tuple(idx): Fraction(1)})
 
-    def _product(self, other: "QSElement") -> Dict[Index, Fraction]:
-        """Term dict of self * other: the stuffle of every pair of indices."""
-        out: Dict[Index, Fraction] = {}
+    def _mul_into(self, other: "QSElement", out: Dict, scale: Scalar = 1) -> None:
+        """out += scale * self * other: the stuffle of every pair of indices."""
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                cuv = cu * cv
-                for w, cw in stuffle_product(u, v).terms.items():
-                    out[w] = out[w] + cuv * cw if w in out else cuv * cw
-        return out
+                TermMap._accumulate(out, stuffle_product(u, v).terms, scale * cu * cv)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -123,16 +119,12 @@ class TPoly(TermMap):
         """Multiply by T."""
         return self._canonical({(j + 1, idx): c for (j, idx), c in self.terms.items()})
 
-    def _product(self, other: "TPoly") -> Dict[Tuple[int, Index], Fraction]:
-        """Term dict of self * other: powers of T add, indices stuffle."""
-        out: Dict[Tuple[int, Index], Fraction] = {}
+    def _mul_into(self, other: "TPoly", out: Dict, scale: Scalar = 1) -> None:
+        """out += scale * self * other: powers of T add, indices stuffle."""
         for (i, u), cu in self.terms.items():
             for (j, v), cv in other.terms.items():
-                cuv = cu * cv
-                for w, cw in stuffle_product(u, v).terms.items():
-                    key = (i + j, w)
-                    out[key] = out[key] + cuv * cw if key in out else cuv * cw
-        return out
+                uv = {(i + j, w): c for w, c in stuffle_product(u, v).terms.items()}
+                TermMap._accumulate(out, uv, scale * cu * cv)
 
     def __repr__(self) -> str:
         return "TPoly[" + "; ".join(repr(c) for c in self.coeffs) + "]"

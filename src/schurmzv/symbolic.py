@@ -18,19 +18,21 @@ order terms on those pairs.
 The ring core of these values, TermMap, is shared with the quasi-shuffle
 algebra (stuffle.QSElement) and its extension by T (stuffle.TPoly, keyed by
 (j, idx) for T^j times the index); the tests build one more ring on it, the
-Gaussian rationals of their Bernoulli oracles.  The class constant
-``_unit`` names the key of the unit, ``()`` unless a subclass says
-otherwise.  ``det`` is the one determinant routine, over any commutative
-ring.  Public values always carry canonical Fraction coefficients; only
-inside ``sym_det`` (and ``evaluate.det_fraction``) does ``det`` run on
-rows cleared to int coefficients, which are divided back into Fractions
-once at the end.  At load time this module imports nothing from the
-package but ``errors``, so every other module can build on it without a
-cycle.
+Gaussian rationals of their Bernoulli oracles.  Each ring supplies one
+kernel, ``_mul_into``, that ``*`` and ``det`` multiply through.  The class
+constant ``_unit`` names the key of the unit, ``()`` unless a subclass
+says otherwise.  ``det`` is the one determinant routine, over any
+commutative ring.  Public values always carry canonical Fraction
+coefficients; only inside ``sym_det`` (and ``evaluate.det_fraction``)
+does ``det`` run on rows cleared to int coefficients, which are divided
+back into Fractions once at the end.  At load time this module imports
+nothing from the package but ``errors``, so every other module can build
+on it without a cycle.
 
 Also provides Bernoulli numbers (B1 = -1/2) and the exact coefficient
-sequences for zeta({4}^n) and its star variant.  All values are immutable
-and safe to share.
+sequences for zeta({4}^n) and its star variant.  Only ``bernoulli_number``
+keeps a cache, which its recursion needs.  All values are immutable and
+safe to share.
 """
 
 from __future__ import annotations
@@ -114,9 +116,10 @@ class TermMap:
 
     ZetaSymbolValue (keys are monomials), stuffle.QSElement (keys are
     indices) and stuffle.TPoly (keys are (power of T, index) pairs) share
-    it.  A subclass supplies its constructor and ``_product``, the bilinear
-    product of two elements as a term dict that may hold zeros, or a fused
-    ``_mul_into`` in its place; ``_unit`` is the key of the unit.
+    it.  A subclass supplies its constructor and ``_mul_into(other, out,
+    scale)``, the one ring kernel that ``*`` and ``det`` multiply through:
+    it adds scale * self * other into the term dict out in place and
+    leaves no zero coefficient there.  ``_unit`` is the key of the unit.
     Rationals act as constants.  An operand of another subclass gets
     NotImplemented, so mixing rings raises TypeError and compares unequal.
     """
@@ -157,7 +160,7 @@ class TermMap:
     @staticmethod
     def _accumulate(out: Dict, terms: Dict, scale: Scalar = 1) -> None:
         """out += scale * terms in place, dropping coefficients that cancel
-        and zero terms, which a raw ``_product`` may hold.
+        and zero terms.
 
         Surviving keys keep their first-insertion order, which is the order
         a chain of ``+`` would give; float sums over the terms (eval_tpoly,
@@ -175,13 +178,6 @@ class TermMap:
                     del out[key]
             elif c:
                 out[key] = c
-
-    def _mul_into(self, other: "TermMap", out: Dict, scale: Scalar = 1) -> None:
-        """out += scale * self * other in place: the ring kernel that ``*``
-        and ``det`` multiply through.  Leaves no zero coefficient in out,
-        and the keys it adds go last, in the order the product reaches
-        them, as ``_accumulate`` of the product's term dict gives."""
-        TermMap._accumulate(out, self._product(other), scale)
 
     @classmethod
     def _collected(cls, terms: Dict) -> "TermMap":
@@ -404,19 +400,21 @@ def det(rows: Sequence[Sequence[R]], zero: R, one: R) -> R:
     cofactor expansion does.  Over numbers it uses + and -.  Over a
     term-map ring a minor multiplies each entry straight into its one term
     dict through the ring kernel, ``_mul_into``, with the entry's sign as
-    the scale: a coefficient that passes through zero keeps its key's
-    place, and the keys an entry's product leaves at zero are deleted
-    after it, as adding the product with ``+`` would.  So the result lists
-    its terms in the order of the cofactor expansion, and float sums over
-    them (numeric_value) come out the same.  The minor's dict is wrapped
+    the scale.  In the symbol ring's kernel a coefficient that passes
+    through zero keeps its key's place, and the keys an entry's product
+    leaves at zero are deleted after it, as adding the product with ``+``
+    would.  So a symbol-ring result lists its terms in the order of the
+    cofactor expansion, and float sums over them (numeric_value) come out
+    the same.  The minor's dict is wrapped
     once, by ``_collected``, which for the symbol ring checks the exponent
     guard before the next level reads the minor; a monomial that reached
     the guard and cancelled is gone and is never multiplied again.
 
     Exact callers clear rows before they get here: ``sym_det`` and
     ``evaluate.det_fraction`` scale each row to int coefficients with
-    :func:`_integer_rows` and divide the result once.  Float and T-poly
-    callers pass their rows as they are.
+    :func:`_integer_rows` and divide the result once.  The regularized
+    check's float rows, and the quasi-shuffle rows of the tests, are
+    passed as they are.
     """
     n = len(rows)
     for r in rows:
@@ -541,7 +539,6 @@ def bernoulli_number(k: int) -> Fraction:
     return -acc / (k + 1)
 
 
-@lru_cache(maxsize=None)
 def z4_power(n: int) -> Fraction:
     """zeta({4}^n) = z4_power(n) * pi^(4n); equals 2^(2n+1)/(4n+2)!."""
     if n < 0:
@@ -549,7 +546,6 @@ def z4_power(n: int) -> Fraction:
     return Fraction(2 ** (2 * n + 1), math.factorial(4 * n + 2))
 
 
-@lru_cache(maxsize=None)
 def z4_star_power(n: int) -> Fraction:
     """zeta-star({4}^n) = z4_star_power(n) * pi^(4n), as the finite
     Bernoulli double-product sum."""

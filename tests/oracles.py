@@ -75,14 +75,12 @@ class GaussianRational(TermMap):
     def im(self) -> Fraction:
         return self.terms.get("i", Fraction(0))
 
-    def _product(self, other: "GaussianRational") -> Dict[object, Fraction]:
-        """Term dict of self * other, with i * i = -1."""
-        out: Dict[object, Fraction] = {}
+    def _mul_into(self, other: "GaussianRational", out: Dict, scale: Scalar = 1) -> None:
+        """out += scale * self * other, with i * i = -1."""
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
                 key, c = ((), -c1 * c2) if k1 and k2 else (k1 or k2, c1 * c2)
-                out[key] = out[key] + c if key in out else c
-        return out
+                TermMap._accumulate(out, {key: c}, scale)
 
     def conj(self) -> "GaussianRational":
         return self._canonical({k: -c if k else c for k, c in self.terms.items()})

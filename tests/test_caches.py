@@ -5,7 +5,7 @@ The caches are found by scanning the package, not by name: each
 An interned record class counts as one: it answers ``cache_info`` and
 ``cache_clear`` with its instance memo.  ``clear_caches`` finds them by the
 same rule in the loaded modules, so a cache added later is cleared without
-a line of its own; the inventory of 14 here changes only with a new cache.
+a line of its own; the inventory of 10 here changes only with a new cache.
 """
 
 import functools
@@ -52,7 +52,7 @@ def test_clear_caches_empties_every_cache():
     schurmzv.clear_caches()
     warm()
     before = cache_sizes()
-    assert len(before) == 14 and all(before.values()), before
+    assert len(before) == 10 and all(before.values()), before
     schurmzv.clear_caches()
     assert set(cache_sizes().values()) == {0}
     warm()

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from schurmzv import checkerboard as checkerboard_module
 from schurmzv.checkerboard import (
     StairKind,
     _column_value,
+    _stair_13,
     alpha,
     check_checkerboard,
     closed_form_12,
@@ -37,8 +39,6 @@ from schurmzv.symbolic import (
     ZetaSymbolValue,
     numeric_value,
     sym_det,
-    z4_power,
-    z4_star_power,
 )
 
 from oracles import (
@@ -584,24 +584,35 @@ class TestG13AndAlpha:
             g13(0)
 
 
-#: Every stair a 7x7 box cuts out: A and B of at most 13 cells, S and SStar
-#: of at most 12.
-BOX7_STAIRS = [StairKind(k, 1, 3, n) for k in ("A", "B", "S", "SStar") for n in range(7)]
-#: Every alternating {1,3} column of at most 13 cells: (top, bottom, length).
-BOX7_COLUMNS = [
-    (top, bottom, length)
-    for length in range(1, 14)
-    for top in (1, 3)
-    for bottom in (1, 3)
-    if (top == bottom) == (length % 2 == 1)
-]
-CLOSED_FORM_CACHES = (
-    closed_form_13, zeta_13, zeta_3_13, reg13_formulas, z4_power, z4_star_power,
-)
+#: Every span a 7x7 box cuts out: its length (at most 13 cells) and the
+#: value at its smallest content.
+BOX7_SPANS = [(length, low) for length in range(1, 14) for low in (1, 3)]
 
 
-def column_builder_values(n):
-    return (zeta_13(n), zeta_3_13(n), *reg13_formulas(n))
+def stair_of(length, lowest):
+    """The (1,3) stair of a span: A or B of odd length, SStar or S of even."""
+    if length % 2:
+        return StairKind("A" if lowest == 1 else "B", 1, 3, (length - 1) // 2)
+    return StairKind("SStar" if lowest == 1 else "S", 1, 3, length // 2)
+
+
+def column_of(length, bottom):
+    """The builder value of the alternating {1,3} column of a span."""
+    top = bottom if length % 2 else 4 - bottom
+    if (top, bottom) == (1, 3):
+        return zeta_13(length // 2)
+    if (top, bottom) == (3, 3):
+        return zeta_3_13((length - 1) // 2)
+    if (top, bottom) == (1, 1):
+        return reg13_formulas((length - 1) // 2)[0]
+    return reg13_formulas(length // 2)[1]
+
+
+ROUTE_MEMOS = (_stair_13, _column_value)
+
+
+def memo_values():
+    return [memo(*span) for memo in ROUTE_MEMOS for span in BOX7_SPANS]
 
 
 def same_terms(a, b):
@@ -610,32 +621,38 @@ def same_terms(a, b):
 
 
 class TestClosedFormCaches:
-    """The (1,3) closed forms are built once and shared; a shared value
-    must be what the undecorated builder makes and must stay unchanged."""
+    """Each (1,3) route keeps one memo keyed by the span (length, value at
+    its smallest content); a shared value must be what the plain builder
+    makes and must stay unchanged."""
 
-    @pytest.mark.parametrize("kind", BOX7_STAIRS, ids=repr)
-    def test_stair_matches_uncached(self, kind):
-        cached = closed_form_13(kind)
-        assert cached is closed_form_13(kind)
-        assert same_terms(cached, closed_form_13.__wrapped__(kind))
+    @pytest.mark.parametrize("span", BOX7_SPANS, ids=repr)
+    def test_stair_memo_matches_builder(self, span):
+        cached = _stair_13(*span)
+        assert cached is _stair_13(*span)
+        assert same_terms(cached, closed_form_13(stair_of(*span)))
 
-    @pytest.mark.parametrize("n", range(7))
-    def test_column_builders_match_uncached(self, n):
-        for f in (zeta_13, zeta_3_13):
-            assert same_terms(f(n), f.__wrapped__(n))
-        cached = reg13_formulas(n)
-        assert cached is reg13_formulas(n)
-        for got, want in zip(cached, reg13_formulas.__wrapped__(n)):
-            assert same_terms(got, want)
+    @pytest.mark.parametrize("span", BOX7_SPANS, ids=repr)
+    def test_column_memo_matches_builder(self, span):
+        cached = _column_value(*span)
+        assert cached is _column_value(*span)
+        assert same_terms(cached, column_of(*span))
 
-    def test_every_box7_column_is_a_cached_builder_value(self):
-        built = {id(v) for n in range(7) for v in column_builder_values(n)}
-        for column in BOX7_COLUMNS:
-            assert id(_column_value(*column)) in built
+    def test_route_matrices_hold_the_memo_values(self):
+        for even in (1, 3):
+            k = checkerboard((7,) * 7, even=even, odd=4 - even)
+            rep = evaluate_checkerboard_13(k)
+            pieces = rep.decomposition.pieces
+            for pi, row in zip(pieces, rep.matrix):
+                for pj, entry in zip(pieces, row):
+                    p, q = pi.cmin, pj.cmax
+                    if p <= q:
+                        assert entry is _stair_13(q - p + 1, k.value_map[p])
+            misses = _column_value.cache_info().misses
+            evaluate_checkerboard_13_column(k)
+            assert _column_value.cache_info().misses == misses
 
     def test_arithmetic_leaves_cached_values_unchanged(self):
-        values = [closed_form_13(k) for k in BOX7_STAIRS]
-        values += [v for n in range(7) for v in column_builder_values(n)]
+        values = memo_values()
         before = [list(v.terms.items()) for v in values]
         one = ZetaSymbolValue.one()
         for v in values:
@@ -648,15 +665,31 @@ class TestClosedFormCaches:
             for r in results:
                 r.terms.clear()
         assert [list(v.terms.items()) for v in values] == before
-        assert [closed_form_13(k) for k in BOX7_STAIRS] == values[: len(BOX7_STAIRS)]
+        assert memo_values() == values
 
-    def test_a_7x7_box_fills_the_caches_within_its_key_domain(self):
-        for f in CLOSED_FORM_CACHES:
-            f.cache_clear()
+    def test_a_7x7_box_fills_the_memos_within_its_key_domain(self):
+        for memo in ROUTE_MEMOS:
+            memo.cache_clear()
         for even in (1, 3):
             k = checkerboard((7,) * 7, even=even, odd=4 - even)
             assert evaluate_checkerboard_13(k).value == evaluate_checkerboard_13_column(k)
-        # four stair kinds and seven pair counts; one key per n <= 6 elsewhere
-        assert closed_form_13.cache_info().currsize <= 28
-        for f in CLOSED_FORM_CACHES[1:]:
-            assert f.cache_info().currsize <= 7
+        for memo in ROUTE_MEMOS:
+            assert memo.cache_info().currsize <= len(BOX7_SPANS) == 2 * 13
+        # asking for every span of the box adds the keys the box left out
+        # and nothing else, so every key it filled is one of them
+        memo_values()
+        for memo in ROUTE_MEMOS:
+            assert memo.cache_info().currsize == len(BOX7_SPANS)
+
+    def test_stair_route_classifies_each_piece_once(self, monkeypatch):
+        k = checkerboard((6,) * 6)
+        evaluate_checkerboard_13(k)  # the memo holds every span of k now
+        calls = []
+        classify = checkerboard_module._classify_span
+        monkeypatch.setattr(
+            checkerboard_module,
+            "_classify_span",
+            lambda *args: calls.append(args) or classify(*args),
+        )
+        rep = evaluate_checkerboard_13(k)
+        assert len(calls) == len(rep.pieces) == 6
